@@ -44,6 +44,8 @@ def _load_spec(path: str):
 
 
 def _emit_reports(reports, as_json: bool, extra=None):
+    if not reports:
+        raise ValueError("no reports to emit")
     if as_json:
         payload = {"reports": [r.as_dict() for r in reports]}
         if extra:
@@ -64,6 +66,16 @@ def _fraction(text: str) -> Fraction:
         return Fraction(text)
     except ValueError as e:
         raise argparse.ArgumentTypeError(str(e)) from None
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _int_list(text: str):
@@ -87,21 +99,21 @@ def _build_parser():
 
     v = sub.add_parser("verify", help="full modified-double-Poisson battery")
     v.add_argument("file", help=".ndb file, or - for stdin")
-    v.add_argument("--max-degree", type=int, default=None,
+    v.add_argument("--max-degree", type=_positive_int, default=None,
                    help="bound for both brute-force sweeps (default: pairs 4, triples 3)")
-    v.add_argument("--pair-degree", type=int, default=None)
-    v.add_argument("--triple-degree", type=int, default=None)
+    v.add_argument("--pair-degree", type=_positive_int, default=None)
+    v.add_argument("--triple-degree", type=_positive_int, default=None)
     v.add_argument("--json", action="store_true")
 
     j = sub.add_parser("jacobi", help="bounded brute-force Jacobi identity")
     j.add_argument("file")
-    j.add_argument("--max-degree", type=int, default=3)
+    j.add_argument("--max-degree", type=_positive_int, default=3)
     j.add_argument("--all-witnesses", action="store_true")
     j.add_argument("--json", action="store_true")
 
     h = sub.add_parser("h0skew", help="bounded skew symmetry modulo commutators")
     h.add_argument("file")
-    h.add_argument("--max-degree", type=int, default=4)
+    h.add_argument("--max-degree", type=_positive_int, default=4)
     h.add_argument("--all-witnesses", action="store_true")
     h.add_argument("--json", action="store_true")
 
@@ -123,10 +135,10 @@ def _build_parser():
 
     r = sub.add_parser("rep", help="trace-level checks at random matrix points")
     r.add_argument("file")
-    r.add_argument("--size", type=int, default=2)
+    r.add_argument("--size", type=_positive_int, default=2)
     r.add_argument("--seed", type=int, default=0)
-    r.add_argument("--max-degree", type=int, default=3)
-    r.add_argument("--points", type=int, default=1)
+    r.add_argument("--max-degree", type=_positive_int, default=3)
+    r.add_argument("--points", type=_positive_int, default=1)
     r.add_argument("--json", action="store_true")
 
     b = sub.add_parser("builtin", help="emit a bundled spec as .ndb text")
@@ -156,8 +168,11 @@ def main(argv=None) -> int:
 def _dispatch(args) -> int:
     if args.command == "verify":
         _, spec, weights = _load_spec(args.file)
-        pair_deg = args.pair_degree or args.max_degree or 4
-        triple_deg = args.triple_degree or args.max_degree or 3
+        pair_deg, triple_deg = (4, 3) if args.max_degree is None else (args.max_degree,) * 2
+        if args.pair_degree is not None:
+            pair_deg = args.pair_degree
+        if args.triple_degree is not None:
+            triple_deg = args.triple_degree
         reports, used = axioms.modified_double_poisson_battery(
             spec, weights, pair_deg, triple_deg
         )

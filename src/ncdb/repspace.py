@@ -4,19 +4,38 @@ Generators are sent to exact-rational N x N matrices; words evaluate by
 matrix multiplication and elements by linearity.  Because every coefficient
 is an exact rational, the trace identities implied by the symbolic axioms
 can be asserted with equality -- there are no tolerances anywhere.
+
+Evaluation runs on integers.  A :class:`MatrixPoint` clears denominators
+once: with D the lcm of the denominators of every letter matrix (stored
+inverses included) it keeps the integer matrices N_g = D * M_g, so a word w
+has N(w) = D**len(w) * M(w).  ``word_matrix`` and ``word_trace`` divide back
+and return exact ``Fraction`` values.
+
+:func:`check_induced_poisson` clears the remaining denominators once per
+spec and point.  E is the lcm of the coefficient denominators of every
+letter bracket, and L = 3*maxdeg + 2*max(t - 2, 0) bounds the length of any
+word the sweep can meet, t being the longest p (x) q term of a letter
+bracket.  Every word is traced as the integer T(w) = D**(L - len(w)) *
+tr N(w) = D**L * tr M(w), and every bracket coefficient c enters as the
+integer E * c.  A trace {u, w} is then an exact integer scaled by E * D**L,
+and a Jacobi sum one scaled by E**2 * D**L; a sum is zero exactly when the
+rational it stands for is.  Only a witness divides back, through
+``Fraction(sum, scale)``, so its text is the reduced rational.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from types import MappingProxyType
 
 from .freealg import Element, FreeAlgebra
 from .bracket import BracketSpec
 from .axioms import VerificationReport, Witness, check_double_poisson
 
-# matrices are tuples of row tuples of Fractions
+# Fraction matrices, tuples of row tuples: the plain reference arithmetic
 
 
 def mat_identity(n):
@@ -40,7 +59,7 @@ def mat_trace(a):
 def mat_inverse(a):
     """Exact inverse by Gauss-Jordan elimination, or None when singular."""
     n = len(a)
-    m = [list(row) + [Fraction(1) if i == j else Fraction(0) for j in range(n)] for i, row in enumerate(a)]
+    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
     for col in range(n):
         pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
         if pivot is None:
@@ -60,8 +79,10 @@ class MatrixPoint:
     """One exact-rational point of the N-dimensional representation space.
 
     ``mats`` maps each positive generator index to its matrix; matrices for
-    inverted generators have exact stored inverses, computed by elimination.
-    A word -> matrix cache makes repeated evaluation cheap.
+    inverted generators have exact stored inverses (``invs``), computed by
+    elimination.  Both mappings are read-only after construction.  ``denom``
+    is the common denominator D of all letter matrices; the word cache holds
+    the integer matrices N(w) = D**len(w) * M(w) and their traces.
     """
 
     algebra: FreeAlgebra
@@ -81,7 +102,19 @@ class MatrixPoint:
                 if inv is None:
                     raise ValueError(f"matrix for generator {i} is singular")
                 self.invs[i] = inv
-        self._words[()] = mat_identity(self.size)
+        # read-only copies: the integer caches below are built from them
+        self.mats = MappingProxyType(dict(self.mats))
+        self.invs = MappingProxyType(dict(self.invs))
+        letters = {g: self.letter_matrix(g) for g in self.algebra.letters}
+        d = math.lcm(*(x.denominator for m in letters.values() for row in m for x in row))
+        self.denom = d
+        # columns of N_g, the right factor of every product below
+        self._cols = {
+            g: tuple(zip(*(tuple(x.numerator * (d // x.denominator) for x in row) for row in m)))
+            for g, m in letters.items()
+        }
+        n = self.size
+        self._words[()] = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
     @classmethod
     def random(cls, algebra: FreeAlgebra, size: int, seed: int) -> "MatrixPoint":
@@ -114,19 +147,40 @@ class MatrixPoint:
             raise ValueError(f"no stored inverse for generator {-g}")
         return self.invs[-g]
 
-    def word_matrix(self, w):
+    def _int_matrix(self, w):
+        """N(w) = D**len(w) * M(w), an integer matrix."""
         m = self._words.get(w)
         if m is None:
-            m = mat_mul(self.word_matrix(w[:-1]), self.letter_matrix(w[-1]))
+            cols = self._cols[w[-1]]
+            m = tuple(
+                tuple(sum(x * y for x, y in zip(ra, cb)) for cb in cols)
+                for ra in self._int_matrix(w[:-1])
+            )
             self._words[w] = m
         return m
 
-    def word_trace(self, w):
+    def _int_trace(self, w):
+        """tr N(w) = D**len(w) * tr M(w), an integer.
+
+        Only the prefix matrix N(w[:-1]) is formed: the trace of its product
+        with the last letter needs no more than the diagonal.
+        """
         t = self._traces.get(w)
         if t is None:
-            t = mat_trace(self.word_matrix(w))
+            if w:
+                rows = zip(self._int_matrix(w[:-1]), self._cols[w[-1]])
+                t = sum(x * y for ra, cb in rows for x, y in zip(ra, cb))
+            else:
+                t = self.size
             self._traces[w] = t
         return t
+
+    def word_matrix(self, w):
+        scale = self.denom ** len(w)
+        return tuple(tuple(Fraction(x, scale) for x in row) for row in self._int_matrix(w))
+
+    def word_trace(self, w):
+        return Fraction(self._int_trace(w), self.denom ** len(w))
 
 
 def eval_element(x: Element, p: MatrixPoint):
@@ -156,97 +210,102 @@ def induced_trace_bracket(spec: BracketSpec, a: Element, b: Element, p: MatrixPo
     return eval_trace(spec.mbracket(a, b), p)
 
 
+class _Memo(dict):
+    """A dict that fills a missing key with ``fn(key)``."""
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
 def check_induced_poisson(spec: BracketSpec, p: MatrixPoint, maxdeg: int = 3,
                           all_witnesses: bool = False) -> VerificationReport:
     """Trace-level skew symmetry and Jacobi identity at one matrix point.
 
     For all monomials a, b, c of degree <= maxdeg (units are trivial and
     skipped): tr({a,b} + {b,a}) == 0 and tr({a,{b,c}} - {b,{a,c}} - {{a,b},c})
-    == 0, exactly over the rationals.
+    == 0, exactly over the rationals (summed as scaled integers, see the
+    module docstring).
     """
     alg = spec.algebra
     words = alg.words_up_to(maxdeg, include_unit=False)
     ids = [spec._wid(w) for w in words]
+    # E, L and the powers D**(L - k) of the module docstring
+    raws = [spec._letter_raw(x, y) for x in alg.letters for y in alg.letters]
+    e = math.lcm(*(c.denominator for raw in raws for c in raw.values()))
+    longest = max((len(l) + len(r) for raw in raws for l, r in raw), default=0)
+    bound = 3 * maxdeg + 2 * max(longest - 2, 0)
+    dpow = [p.denom ** (bound - k) for k in range(bound + 1)]
+    pair_scale = e * dpow[0]
     witnesses = []
     mb = spec._mb_ids
     pairs = 0
     word_of = spec._id_words
-    trace_of = {}  # word id -> Fraction at this point
-    mb_trace = {}  # (uid, wid) -> tr({u, w}) at this point
 
-    def wtr(wid):
-        t = trace_of.get(wid)
-        if t is None:
-            t = p.word_trace(word_of[wid])
-            trace_of[wid] = t
+    def traced(wid):  # T(w) = D**(L - len(w)) * tr N(w)
+        w = word_of[wid]
+        if len(w) > bound:
+            raise RuntimeError(f"word of length {len(w)} exceeds the trace bound {bound}")
+        return dpow[len(w)] * p._int_trace(w)
+
+    def int_row(key):  # {u, w} as [(word id, E * coef)]
+        return [(k, c.numerator * (e // c.denominator)) for k, c in mb(*key).items()]
+
+    def mb_trace(key):  # E * D**L * tr({u, w}), converting its row without keeping it
+        t = 0
+        for k, c in mb(*key).items():
+            t += c.numerator * (e // c.denominator) * trace_of[k]
         return t
 
-    def mbt(uid, wid):
-        t = mb_trace.get((uid, wid))
-        if t is None:
-            t = sum((c * wtr(k) for k, c in mb(uid, wid).items()), Fraction(0))
-            mb_trace[(uid, wid)] = t
-        return t
+    trace_of = _Memo(traced)
+    rows = _Memo(int_row)  # only ever indexed by pairs of sweep words
+    mbt = _Memo(mb_trace)
 
     def _name(wid):
         return alg.render_word(word_of[wid])
 
+    def report(check, passed, params):
+        return VerificationReport(
+            check, passed, {"algebra": alg.describe(), "size": p.size, "maxdeg": maxdeg, **params},
+            witnesses,
+        )
+
     for ai, a in enumerate(ids):
         for b in ids[ai:]:
             pairs += 1
-            t = mbt(a, b) + mbt(b, a)
+            t = mbt[a, b] + mbt[b, a]
             if t:
-                witnesses.append(Witness((_name(a), _name(b)), "0", str(t), str(t)))
+                v = str(Fraction(t, pair_scale))
+                witnesses.append(Witness((_name(a), _name(b)), "0", v, v))
                 if not all_witnesses:
-                    return VerificationReport(
-                        "induced_trace_skew",
-                        False,
-                        {"algebra": alg.describe(), "size": p.size, "maxdeg": maxdeg, "pairs": pairs},
-                        witnesses,
-                    )
+                    return report("induced_trace_skew", False, {"pairs": pairs})
     skew_ok = not witnesses
+    triple_scale = e * pair_scale
     triples = 0
     for a in ids:
         for b in ids:
-            inner_ab = list(mb(a, b).items())
+            inner_ab = rows[a, b]
             for c in ids:
                 triples += 1
-                t = Fraction(0)
-                for w, cw in mb(b, c).items():
-                    t += cw * mbt(a, w)
-                for w, cw in mb(a, c).items():
-                    t -= cw * mbt(b, w)
+                t = 0
+                for w, cw in rows[b, c]:
+                    t += cw * mbt[a, w]
+                for w, cw in rows[a, c]:
+                    t -= cw * mbt[b, w]
                 for w, cw in inner_ab:
-                    t -= cw * mbt(w, c)
+                    t -= cw * mbt[w, c]
                 if t:
-                    witnesses.append(
-                        Witness((_name(a), _name(b), _name(c)), "0", str(t), str(t))
-                    )
+                    v = str(Fraction(t, triple_scale))
+                    witnesses.append(Witness((_name(a), _name(b), _name(c)), "0", v, v))
                     if not all_witnesses:
-                        return VerificationReport(
-                            "induced_trace_poisson",
-                            False,
-                            {
-                                "algebra": alg.describe(),
-                                "size": p.size,
-                                "maxdeg": maxdeg,
-                                "pairs": pairs,
-                                "triples": triples,
-                            },
-                            witnesses,
-                        )
-    return VerificationReport(
-        "induced_trace_poisson",
-        skew_ok and not witnesses,
-        {
-            "algebra": alg.describe(),
-            "size": p.size,
-            "maxdeg": maxdeg,
-            "pairs": pairs,
-            "triples": triples,
-        },
-        witnesses,
-    )
+                        return report("induced_trace_poisson", False,
+                                      {"pairs": pairs, "triples": triples})
+    return report("induced_trace_poisson", skew_ok and not witnesses,
+                  {"pairs": pairs, "triples": triples})
 
 
 def coordinate_bracket(spec: BracketSpec, a: Element, b: Element, p: MatrixPoint):

@@ -38,6 +38,8 @@ class TestMatrices:
         inv = mat_inverse(m)
         assert mat_mul(m, inv) == mat_identity(2)
         assert mat_mul(inv, m) == mat_identity(2)
+        # int entries invert exactly too, never through float division
+        assert mat_inverse(((2, 1), (7, 4))) == inv
 
     def test_singular_returns_none(self):
         m = ((Fraction(1), Fraction(2)), (Fraction(2), Fraction(4)))
@@ -47,6 +49,11 @@ class TestMatrices:
         p1 = MatrixPoint.random(mdbI.algebra, 2, seed=5)
         p2 = MatrixPoint.random(mdbI.algebra, 2, seed=5)
         assert p1.mats == p2.mats
+
+    def test_matrices_are_read_only(self, mdbI):
+        p = MatrixPoint.random(mdbI.algebra, 2, seed=5)
+        with pytest.raises(TypeError):
+            p.mats[1] = p.mats[2]
 
     def test_inverted_generators_get_inverses(self):
         alg = FreeAlgebra(("v", "w"), inverted=(1, 2))
@@ -140,8 +147,9 @@ class TestInducedPoisson:
     def test_laurent_point(self):
         spec, w = builtin("kontsevich")
         loc, _ = localize(spec, w, LocalisationPlan(spec.algebra, (1, 2)))
-        p = MatrixPoint.random(loc.algebra, 2, seed=13)
-        assert check_induced_poisson(loc, p, 2).passed
+        for seed in (13, 113):
+            p = MatrixPoint.random(loc.algebra, 2, seed=seed)
+            assert check_induced_poisson(loc, p, 2).passed
 
     def test_mutation_fails_with_trace_witness(self, mdbII):
         alg = mdbII.algebra
@@ -162,6 +170,54 @@ class TestInducedPoisson:
         r1 = check_induced_poisson(builtin("mdbII")[0], p1, 2)
         r2 = check_induced_poisson(builtin("mdbII")[0], p2, 2)
         assert r1.to_json() == r2.to_json()
+
+
+class TestIntegerTraces:
+    """The integer trace engine against plain Fraction matrix arithmetic."""
+
+    def test_word_trace_matches_fraction_product(self):
+        rng = random.Random(29)
+        alg = FreeAlgebra(("u", "v", "w"), inverted=(1, 2))
+        p = MatrixPoint.random(alg, 3, seed=30)
+        assert p.denom > 1
+        for _ in range(40):
+            w = tuple(rng.choice(alg.letters) for _ in range(rng.randint(0, 6)))
+            m = mat_identity(3)
+            for g in w:
+                m = mat_mul(m, p.letter_matrix(g))
+            assert p.word_matrix(w) == m
+            assert p.word_trace(w) == mat_trace(m)
+
+    def test_witnesses_match_fraction_brackets(self, mdbII):
+        alg = mdbII.algebra
+        table = dict(mdbII.table)
+        table[(2, 3)] = table[(2, 3)].scale(Fraction(-3, 7))
+        spec = BracketSpec(alg, table)
+        p = MatrixPoint.random(alg, 2, seed=31)
+        rep = check_induced_poisson(spec, p, 2, all_witnesses=True)
+        assert not rep.passed
+        # every pair and triple, in sweep order, whose Fraction value is nonzero
+        words = alg.words_up_to(2, include_unit=False)
+        elt = {w: alg.element({w: 1}) for w in words}
+        expected = []
+        for i, a in enumerate(words):
+            for b in words[i:]:
+                v = (induced_trace_bracket(spec, elt[a], elt[b], p)
+                     + induced_trace_bracket(spec, elt[b], elt[a], p))
+                if v:
+                    expected.append(((a, b), str(v)))
+        n_pairs = len(expected)
+        for a in words:
+            for b in words:
+                for c in words:
+                    v = eval_trace(spec.jacobiator(elt[a], elt[b], elt[c]), p)
+                    if v:
+                        expected.append(((a, b, c), str(v)))
+        assert 0 < n_pairs < len(expected)
+        assert [(tuple(alg.render_word(w) for w in ws), v) for ws, v in expected] == [
+            (w.inputs, w.residual) for w in rep.witnesses
+        ]
+        assert all(w.actual == w.residual for w in rep.witnesses)
 
 
 class TestCoordinateBracket:

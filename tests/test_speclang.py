@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from ncdb.cli import main
+from ncdb.cli import _emit_reports, main
 from ncdb.classify import builtin
 from ncdb.freealg import reduce_word
 from ncdb.speclang import (
@@ -263,3 +263,52 @@ class TestCli:
         )
         assert code == 0
         assert "algebra v1 v2 v3 v4;" in out
+
+    @pytest.fixture
+    def mdbI_file(self, capsys, monkeypatch, tmp_path):
+        code, text, _ = self.run(["builtin", "mdbI"], capsys=capsys, monkeypatch=monkeypatch)
+        f = tmp_path / "mdbI.ndb"
+        f.write_text(text)
+        return str(f)
+
+    @pytest.mark.parametrize("flag", ["--size", "--points", "--max-degree"])
+    def test_rep_refuses_vacuous_input(self, flag, mdbI_file, capsys, monkeypatch):
+        ones = {"--size": "1", "--points": "1", "--max-degree": "1"}
+        argv = ["rep", mdbI_file] + [x for k, v in ones.items() for x in (k, v)]
+        assert self.run(argv, capsys=capsys, monkeypatch=monkeypatch)[0] == 0
+        argv[argv.index(flag) + 1] = "0"
+        code, out, err = self.run(argv, capsys=capsys, monkeypatch=monkeypatch)
+        assert code == 2 and not out
+        assert "at least 1" in err
+
+    def test_emit_reports_refuses_empty_list(self):
+        with pytest.raises(ValueError):
+            _emit_reports([], as_json=True)
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--pair-degree", "0"],
+        ["verify", "--triple-degree", "0"],
+        ["verify", "--max-degree", "0"],
+        ["jacobi", "--max-degree", "-1"],
+        ["jacobi", "--max-degree", "0"],
+        ["h0skew", "--max-degree", "0"],
+    ])
+    def test_degree_below_one_refused(self, argv, mdbI_file, capsys, monkeypatch):
+        argv = argv[:1] + [mdbI_file] + argv[1:]
+        code, out, err = self.run(argv, capsys=capsys, monkeypatch=monkeypatch)
+        assert code == 2 and not out
+        assert "at least 1" in err
+        argv[-1] = "1"
+        # a trailing --max-degree 1 keeps verify's other sweep small
+        assert self.run(argv + ["--max-degree", "1"], capsys=capsys,
+                        monkeypatch=monkeypatch)[0] == 0
+
+    def test_verify_pair_degree_is_not_overridden(self, mdbI_file, capsys, monkeypatch):
+        code, out, _ = self.run(
+            ["verify", mdbI_file, "--pair-degree", "1", "--max-degree", "2", "--json"],
+            capsys=capsys, monkeypatch=monkeypatch,
+        )
+        assert code == 0
+        degrees = {r["axiom"]: r["params"].get("maxdeg") for r in json.loads(out)["reports"]}
+        assert degrees["h0_skew_symmetry"] == 1
+        assert degrees["jacobi_identity"] == 2
