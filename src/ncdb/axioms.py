@@ -5,14 +5,29 @@ the parameters of the sweep, and (on failure) counterexample witnesses with
 the offending inputs and the exact nonzero residual.  Reports are
 deterministic: the same spec and bounds yield byte-identical JSON.
 
-Generator-level checks (cyclic skew, weight, mixed type, Poisson property)
-are sufficient for the corresponding axiom on the whole algebra because the
-brackets are Leibniz extensions; the bounded-degree sweeps (``check_h0_skew``,
-``check_jacobi``) are deliberately independent brute force over monomials.
+Every check is one of two generator-level comparisons or one bounded sweep.
+
+* :func:`pair_witnesses` compares, on every ordered letter pair (x, y), the
+  skew defect <<x,y>> + flip(<<y,x>>) with the quadratic form
+  s * (x (x) y - y (x) x) + k * (1 (x) xy - yx (x) 1).  Cyclic skew symmetry
+  is (s, k) = (0, 0); weight l is ((l_x + l_y)/2, (l_x - l_y)/2); a mixed
+  type reads (s, k) off its two matrices; lambda-double-Lie is (lambda, 0).
+* :func:`triple_witnesses` compares, on every ordered letter triple, the
+  double Jacobiator with :func:`poisson_rhs` at a weight vector: zero for
+  double Poisson, (lambda, ..., lambda) for lambda-double-Lie.
+
+Both are sufficient for the axiom on the whole algebra because the brackets
+are Leibniz extensions.  :func:`sweep` is the deliberately independent brute
+force: it runs a residual kernel over unordered pairs or ordered triples of
+monomials up to a degree.  Its kernels are the cyclic normal form of
+{a,b} + {b,a} (``check_h0_skew``), the Jacobiator itself (``check_jacobi``)
+and an integer trace at a matrix point (``repspace.check_induced_poisson``).
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -24,7 +39,6 @@ from .freealg import (
     concat,
     inner_act,
     otimes1_right,
-    pure_t2,
 )
 from .bracket import BracketSpec
 
@@ -117,32 +131,17 @@ class MixedType:
 
 
 # ---------------------------------------------------------------------------
-# helpers
+# the two generator-level comparisons and the bounded sweep
 
 
-def _letter_pairs(spec: BracketSpec):
-    return spec.algebra.letters
+def report(axiom: str, spec: BracketSpec, params: dict, witnesses: list) -> VerificationReport:
+    """A report that passes exactly when there are no witnesses."""
+    return VerificationReport(axiom, not witnesses, {"algebra": spec.algebra.describe(), **params}, witnesses)
 
 
 def skew_defect(spec: BracketSpec, x: int, y: int) -> Tensor2:
     """<<x, y>> + flip(<<y, x>>) on single letters."""
     return spec.letter_bracket(x, y) + spec.letter_bracket(y, x).flip()
-
-
-def weight_rhs(spec: BracketSpec, x: int, y: int, lx, ly) -> Tensor2:
-    """The prescribed quadratic skew defect for letters of weights lx, ly."""
-    alg = spec.algebra
-    wx, wy = (x,), (y,)
-    half_sum = Fraction(lx + ly) * HALF
-    half_diff = Fraction(lx - ly) * HALF
-    terms = {}
-    if half_sum:
-        _merge_term(terms, (wx, wy), half_sum)
-        _merge_term(terms, (wy, wx), -half_sum)
-    if half_diff:
-        _merge_term(terms, ((), concat(wx, wy)), half_diff)
-        _merge_term(terms, (concat(wy, wx), ()), -half_diff)
-    return Tensor2(alg, terms)
 
 
 def poisson_rhs(spec: BracketSpec, x: int, y: int, z: int, lx, ly):
@@ -160,12 +159,91 @@ def poisson_rhs(spec: BracketSpec, x: int, y: int, z: int, lx, ly):
     return rhs
 
 
-def _render(spec, t):
-    return str(t)
+def _letter_witnesses(spec: BracketSpec, arity: int, lhs, rhs) -> list:
+    """Witnesses of every ordered letter tuple where lhs(*letters) differs
+    from rhs(indices, letters); indices point into ``algebra.letters``."""
+    alg = spec.algebra
+    letters = alg.letters
+    witnesses = []
+    for idx in itertools.product(range(len(letters)), repeat=arity):
+        cell = tuple(letters[i] for i in idx)
+        actual, expected = lhs(*cell), rhs(idx, cell)
+        if actual != expected:
+            names = tuple(alg.render_word((g,)) for g in cell)
+            witnesses.append(Witness(names, str(expected), str(actual), str(actual - expected)))
+    return witnesses
 
 
-def _word_str(alg, w):
-    return alg.render_word(w)
+def pair_witnesses(spec: BracketSpec, form) -> list:
+    """Letter pairs whose skew defect is not the quadratic form
+    s * (x (x) y - y (x) x) + k * (1 (x) xy - yx (x) 1), (s, k) = form(i, j)."""
+    alg = spec.algebra
+
+    def rhs(idx, cell):
+        (x, y), (s, k) = cell, form(*idx)
+        terms = {}
+        if s:
+            _merge_term(terms, ((x,), (y,)), s)
+            _merge_term(terms, ((y,), (x,)), -s)
+        if k:  # concat: a Laurent pair x, x^-1 cancels here
+            _merge_term(terms, ((), concat((x,), (y,))), k)
+            _merge_term(terms, (concat((y,), (x,)), ()), -k)
+        return Tensor2(alg, terms)
+
+    return _letter_witnesses(spec, 2, lambda x, y: skew_defect(spec, x, y), rhs)
+
+
+def triple_witnesses(spec: BracketSpec, weights) -> list:
+    """Letter triples whose double Jacobiator is not :func:`poisson_rhs`."""
+    elts = {g: spec.algebra.letter_elt(g) for g in spec.algebra.letters}
+    return _letter_witnesses(
+        spec, 3,
+        lambda x, y, z: spec.djac(elts[x], elts[y], elts[z]),
+        lambda idx, cell: poisson_rhs(spec, *cell, weights[idx[0]], weights[idx[1]]),
+    )
+
+
+def sweep(spec: BracketSpec, ids, arity: int, residual, render, expected: str, all_witnesses: bool):
+    """The bounded sweep over unordered pairs a <= b (arity 2) or ordered
+    triples (arity 3) of interned monomial ids, in order.
+
+    For pairs ``residual(a, b)`` is the residual; for triples
+    ``residual(a, b)`` returns the residual as a function of c, so work that
+    depends on (a, b) alone is done once per pair.  A residual is falsy when
+    the identity holds; a failing cell becomes a witness whose residual
+    text is ``render`` of it.  Stops at the first witness unless
+    ``all_witnesses``.  Returns (cells visited, witnesses).
+    """
+    if arity == 2:
+        rows = (((a,), functools.partial(residual, a), ids[i:]) for i, a in enumerate(ids))
+    else:
+        rows = (((a, b), residual(a, b), ids) for a in ids for b in ids)
+    name = spec.algebra.render_word
+    word_of = spec._id_words
+    count = 0
+    witnesses = []
+    for head, at, tails in rows:
+        for z in tails:
+            count += 1
+            res = at(z)
+            if res:
+                text = render(res)
+                names = tuple(name(word_of[k]) for k in head + (z,))
+                witnesses.append(Witness(names, expected, text, text))
+                if not all_witnesses:
+                    return count, witnesses
+    return count, witnesses
+
+
+def _id_element(spec: BracketSpec, res: dict) -> str:
+    return str(Element(spec.algebra, {spec._id_words[k]: v for k, v in res.items() if v}))
+
+
+def _weights(spec: BracketSpec, weights) -> tuple:
+    weights = tuple(weights)
+    if len(weights) != len(spec.algebra.letters):
+        raise ValueError(f"expected {len(spec.algebra.letters)} weights, got {len(weights)}")
+    return weights
 
 
 # ---------------------------------------------------------------------------
@@ -174,54 +252,15 @@ def _word_str(alg, w):
 
 def check_cyclic_skew(spec: BracketSpec) -> VerificationReport:
     """<<x,y>> = -flip(<<y,x>>) on every letter pair (sufficient by Leibniz)."""
-    witnesses = []
-    letters = _letter_pairs(spec)
-    for x in letters:
-        for y in letters:
-            d = skew_defect(spec, x, y)
-            if d:
-                alg = spec.algebra
-                witnesses.append(
-                    Witness(
-                        (_word_str(alg, (x,)), _word_str(alg, (y,))),
-                        "0",
-                        str(d),
-                        str(d),
-                    )
-                )
-    return VerificationReport(
-        "cyclic_skew_symmetry",
-        not witnesses,
-        {"algebra": spec.algebra.describe(), "pairs": len(letters) ** 2},
-        witnesses,
-    )
+    witnesses = pair_witnesses(spec, lambda i, j: (0, 0))
+    return report("cyclic_skew_symmetry", spec, {"pairs": len(spec.algebra.letters) ** 2}, witnesses)
 
 
 def check_double_poisson(spec: BracketSpec) -> VerificationReport:
     """Cyclic skew-symmetry plus vanishing double Jacobiator on generators."""
-    skew = check_cyclic_skew(spec)
-    witnesses = list(skew.witnesses)
-    letters = _letter_pairs(spec)
-    alg = spec.algebra
-    for x in letters:
-        for y in letters:
-            for z in letters:
-                dj = spec.djac(alg.letter_elt(x), alg.letter_elt(y), alg.letter_elt(z))
-                if dj:
-                    witnesses.append(
-                        Witness(
-                            tuple(_word_str(alg, (g,)) for g in (x, y, z)),
-                            "0",
-                            str(dj),
-                            str(dj),
-                        )
-                    )
-    return VerificationReport(
-        "double_poisson",
-        not witnesses,
-        {"algebra": alg.describe(), "pairs": len(letters) ** 2, "triples": len(letters) ** 3},
-        witnesses,
-    )
+    n = len(spec.algebra.letters)
+    witnesses = pair_witnesses(spec, lambda i, j: (0, 0)) + triple_witnesses(spec, (0,) * n)
+    return report("double_poisson", spec, {"pairs": n ** 2, "triples": n ** 3}, witnesses)
 
 
 def check_weight(spec: BracketSpec, weights) -> VerificationReport:
@@ -230,35 +269,12 @@ def check_weight(spec: BracketSpec, weights) -> VerificationReport:
     On a localised algebra the letter list includes the inverse letters, whose
     weights must be the negated base weights (the unique consistent extension).
     """
-    alg = spec.algebra
-    letters = alg.letters
-    weights = tuple(weights)
-    if len(weights) != len(letters):
-        raise ValueError(f"expected {len(letters)} weights, got {len(weights)}")
-    witnesses = []
-    for xi, x in enumerate(letters):
-        for yi, y in enumerate(letters):
-            lhs = skew_defect(spec, x, y)
-            rhs = weight_rhs(spec, x, y, weights[xi], weights[yi])
-            if lhs != rhs:
-                witnesses.append(
-                    Witness(
-                        (_word_str(alg, (x,)), _word_str(alg, (y,))),
-                        str(rhs),
-                        str(lhs),
-                        str(lhs - rhs),
-                    )
-                )
-    return VerificationReport(
-        "weighted_skew_symmetry",
-        not witnesses,
-        {
-            "algebra": alg.describe(),
-            "weights": [str(Fraction(w)) for w in weights],
-            "pairs": len(letters) ** 2,
-        },
-        witnesses,
+    w = _weights(spec, weights)
+    witnesses = pair_witnesses(
+        spec, lambda i, j: (Fraction(w[i] + w[j]) * HALF, Fraction(w[i] - w[j]) * HALF)
     )
+    params = {"weights": [str(Fraction(x)) for x in w], "pairs": len(w) ** 2}
+    return report("weighted_skew_symmetry", spec, params, witnesses)
 
 
 def infer_weight(spec: BracketSpec):
@@ -303,37 +319,8 @@ def check_mixed_type(spec: BracketSpec, mtype: MixedType) -> VerificationReport:
         raise ValueError("mixed types are defined on free algebras only")
     if mtype.d != alg.d:
         raise ValueError("type size does not match generator count")
-    witnesses = []
-    for i in range(1, alg.d + 1):
-        for j in range(1, alg.d + 1):
-            lhs = skew_defect(spec, i, j)
-            lam = mtype.sym[i - 1][j - 1]
-            mu_ij = mtype.skew[i - 1][j - 1]
-            mu_ji = mtype.skew[j - 1][i - 1]
-            terms = {}
-            if i != j and lam:
-                _merge_term(terms, ((i,), (j,)), lam)
-                _merge_term(terms, ((j,), (i,)), -lam)
-            if mu_ij:
-                _merge_term(terms, ((), (i, j)), mu_ij)
-            if mu_ji:
-                _merge_term(terms, ((j, i), ()), mu_ji)
-            rhs = Tensor2(alg, terms)
-            if lhs != rhs:
-                witnesses.append(
-                    Witness(
-                        (_word_str(alg, (i,)), _word_str(alg, (j,))),
-                        str(rhs),
-                        str(lhs),
-                        str(lhs - rhs),
-                    )
-                )
-    return VerificationReport(
-        "mixed_type",
-        not witnesses,
-        {"algebra": alg.describe(), "pairs": alg.d ** 2},
-        witnesses,
-    )
+    witnesses = pair_witnesses(spec, lambda i, j: (mtype.sym[i][j], mtype.skew[i][j]))
+    return report("mixed_type", spec, {"pairs": alg.d ** 2}, witnesses)
 
 
 def infer_mixed_type(spec: BracketSpec):
@@ -392,97 +379,28 @@ def check_wsk_condition(mtype: MixedType) -> bool:
 
 def check_poisson_property(spec: BracketSpec, weights) -> VerificationReport:
     """The double Jacobiator on letter triples takes its prescribed value."""
-    alg = spec.algebra
-    letters = alg.letters
-    weights = tuple(weights)
-    if len(weights) != len(letters):
-        raise ValueError(f"expected {len(letters)} weights, got {len(weights)}")
-    witnesses = []
-    elts = {g: alg.letter_elt(g) for g in letters}
-    for xi, x in enumerate(letters):
-        for yi, y in enumerate(letters):
-            for z in letters:
-                lhs = spec.djac(elts[x], elts[y], elts[z])
-                rhs = poisson_rhs(spec, x, y, z, weights[xi], weights[yi])
-                if lhs != rhs:
-                    witnesses.append(
-                        Witness(
-                            tuple(_word_str(alg, (g,)) for g in (x, y, z)),
-                            str(rhs),
-                            str(lhs),
-                            str(lhs - rhs),
-                        )
-                    )
-    return VerificationReport(
-        "poisson_property",
-        not witnesses,
-        {
-            "algebra": alg.describe(),
-            "weights": [str(Fraction(w)) for w in weights],
-            "triples": len(letters) ** 3,
-        },
-        witnesses,
-    )
+    w = _weights(spec, weights)
+    params = {"weights": [str(Fraction(x)) for x in w], "triples": len(w) ** 3}
+    return report("poisson_property", spec, params, triple_witnesses(spec, w))
 
 
 def check_lambda_double_lie(spec: BracketSpec, lam) -> VerificationReport:
-    """Skew and Jacobiator axioms for a bracket that stays inside V (x) V."""
+    """Skew and Jacobiator axioms for a bracket that stays inside V (x) V:
+    the weight-(lam, ..., lam) comparisons."""
     alg = spec.algebra
     if alg.has_inverses:
         raise ValueError("defined for free algebras only")
-    letters = alg.letters
     for (i, j), u in spec.table.items():
         for (w1, w2) in u.terms:
             if len(w1) != 1 or len(w2) != 1 or w1[0] < 0 or w2[0] < 0:
+                names = (alg.render_word((i,)), alg.render_word((j,)))
+                witness = Witness(names, "a combination of generator (x) generator terms", str(u), str(u))
                 return VerificationReport(
-                    "lambda_double_lie",
-                    False,
-                    {"algebra": alg.describe(), "reason": "not V(x)V-valued"},
-                    [
-                        Witness(
-                            (_word_str(alg, (i,)), _word_str(alg, (j,))),
-                            "a combination of generator (x) generator terms",
-                            str(u),
-                            str(u),
-                        )
-                    ],
+                    "lambda_double_lie", False, {"algebra": alg.describe(), "reason": "not V(x)V-valued"}, [witness]
                 )
-    witnesses = []
     lam = Fraction(lam)
-    for x in letters:
-        for y in letters:
-            lhs = skew_defect(spec, x, y)
-            rhs = (pure_t2(alg.gen(x), alg.gen(y)) - pure_t2(alg.gen(y), alg.gen(x))).scale(lam)
-            if lhs != rhs:
-                witnesses.append(
-                    Witness(
-                        (_word_str(alg, (x,)), _word_str(alg, (y,))),
-                        str(rhs),
-                        str(lhs),
-                        str(lhs - rhs),
-                    )
-                )
-    for x in letters:
-        for y in letters:
-            for z in letters:
-                lhs = spec.djac(alg.gen(x), alg.gen(y), alg.gen(z))
-                u = spec.letter_bracket(x, z)
-                rhs = otimes1_right(alg.gen(y), u).scale(-lam)
-                if lhs != rhs:
-                    witnesses.append(
-                        Witness(
-                            tuple(_word_str(alg, (g,)) for g in (x, y, z)),
-                            str(rhs),
-                            str(lhs),
-                            str(lhs - rhs),
-                        )
-                    )
-    return VerificationReport(
-        "lambda_double_lie",
-        not witnesses,
-        {"algebra": alg.describe(), "lambda": str(lam)},
-        witnesses,
-    )
+    witnesses = pair_witnesses(spec, lambda i, j: (lam, 0)) + triple_witnesses(spec, (lam,) * alg.d)
+    return report("lambda_double_lie", spec, {"lambda": str(lam)}, witnesses)
 
 
 # ---------------------------------------------------------------------------
@@ -496,44 +414,22 @@ def check_h0_skew(spec: BracketSpec, maxdeg: int = 4, all_witnesses: bool = Fals
     localised algebra the sweep runs over reduced Laurent monomials and the
     commutator classes are cyclic classes of cyclically reduced words.
     """
-    alg = spec.algebra
-    words = alg.words_up_to(maxdeg)
-    ids = [spec._wid(w) for w in words]
+    words = spec.algebra.words_up_to(maxdeg)
     mb = spec._mb_ids
     cnf = spec._cnf_id
-    witnesses = []
-    pairs = 0
-    for ai, a in enumerate(ids):
-        for b in ids[ai:]:
-            pairs += 1
-            res = {}
-            for w, c in mb(a, b).items():
+
+    def residual(a, b):  # {a,b} + {b,a} on cyclic normal forms
+        res = {}
+        for part in (mb(a, b), mb(b, a)):
+            for w, c in part.items():
                 k = cnf(w)
                 v = res.get(k)
                 res[k] = c if v is None else v + c
-            for w, c in mb(b, a).items():
-                k = cnf(w)
-                v = res.get(k)
-                res[k] = c if v is None else v + c
-            if any(res.values()):
-                e = Element(alg, {spec._id_words[k]: v for k, v in res.items() if v})
-                wa, wb = spec._id_words[a], spec._id_words[b]
-                witnesses.append(
-                    Witness((_word_str(alg, wa), _word_str(alg, wb)), "0 mod commutators", str(e), str(e))
-                )
-                if not all_witnesses:
-                    return VerificationReport(
-                        "h0_skew_symmetry",
-                        False,
-                        {"algebra": alg.describe(), "maxdeg": maxdeg, "pairs": pairs, "words": len(words)},
-                        witnesses,
-                    )
-    return VerificationReport(
-        "h0_skew_symmetry",
-        not witnesses,
-        {"algebra": alg.describe(), "maxdeg": maxdeg, "pairs": pairs, "words": len(words)},
-        witnesses,
-    )
+        return any(res.values()) and res
+
+    pairs, witnesses = sweep(spec, [spec._wid(w) for w in words], 2, residual,
+                             lambda res: _id_element(spec, res), "0 mod commutators", all_witnesses)
+    return report("h0_skew_symmetry", spec, {"maxdeg": maxdeg, "pairs": pairs, "words": len(words)}, witnesses)
 
 
 def check_jacobi(spec: BracketSpec, maxdeg: int = 3, all_witnesses: bool = False) -> VerificationReport:
@@ -542,55 +438,34 @@ def check_jacobi(spec: BracketSpec, maxdeg: int = 3, all_witnesses: bool = False
     Triples containing the unit monomial vanish identically ({1,-} = 0 = {-,1})
     and are skipped; the reported triple count is over nonunit monomials.
     """
-    alg = spec.algebra
-    words = alg.words_up_to(maxdeg, include_unit=False)
-    ids = [spec._wid(w) for w in words]
+    words = spec.algebra.words_up_to(maxdeg, include_unit=False)
     mb = spec._mb_ids
-    witnesses = []
-    triples = 0
-    for a in ids:
-        for b in ids:
-            inner_ab = list(mb(a, b).items())
-            for c in ids:
-                triples += 1
-                res = {}
-                get = res.get
-                for w, cw in mb(b, c).items():
-                    for u, cu in mb(a, w).items():
-                        v = get(u)
-                        res[u] = cw * cu if v is None else v + cw * cu
-                for w, cw in mb(a, c).items():
-                    for u, cu in mb(b, w).items():
-                        v = get(u)
-                        res[u] = -cw * cu if v is None else v - cw * cu
-                for w, cw in inner_ab:
-                    for u, cu in mb(w, c).items():
-                        v = get(u)
-                        res[u] = -cw * cu if v is None else v - cw * cu
-                if any(res.values()):
-                    e = Element(alg, {spec._id_words[k]: v for k, v in res.items() if v})
-                    wa, wb, wc = (spec._id_words[k] for k in (a, b, c))
-                    witnesses.append(
-                        Witness(
-                            (_word_str(alg, wa), _word_str(alg, wb), _word_str(alg, wc)),
-                            "0",
-                            str(e),
-                            str(e),
-                        )
-                    )
-                    if not all_witnesses:
-                        return VerificationReport(
-                            "jacobi_identity",
-                            False,
-                            {"algebra": alg.describe(), "maxdeg": maxdeg, "triples": triples, "words": len(words)},
-                            witnesses,
-                        )
-    return VerificationReport(
-        "jacobi_identity",
-        not witnesses,
-        {"algebra": alg.describe(), "maxdeg": maxdeg, "triples": triples, "words": len(words)},
-        witnesses,
-    )
+
+    def residual(a, b):
+        ab = mb(a, b).items()
+
+        def at(c):
+            res = {}
+            get = res.get
+            for w, cw in mb(b, c).items():
+                for u, cu in mb(a, w).items():
+                    v = get(u)
+                    res[u] = cw * cu if v is None else v + cw * cu
+            for w, cw in mb(a, c).items():
+                for u, cu in mb(b, w).items():
+                    v = get(u)
+                    res[u] = -cw * cu if v is None else v - cw * cu
+            for w, cw in ab:
+                for u, cu in mb(w, c).items():
+                    v = get(u)
+                    res[u] = -cw * cu if v is None else v - cw * cu
+            return any(res.values()) and res
+
+        return at
+
+    triples, witnesses = sweep(spec, [spec._wid(w) for w in words], 3, residual,
+                               lambda res: _id_element(spec, res), "0", all_witnesses)
+    return report("jacobi_identity", spec, {"maxdeg": maxdeg, "triples": triples, "words": len(words)}, witnesses)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,8 @@ ever filled with idempotent pure values and are safe to share.
 
 from __future__ import annotations
 
+from types import MappingProxyType
+
 from .freealg import (
     Element,
     FreeAlgebra,
@@ -45,7 +47,8 @@ class BracketSpec:
                 raise ValueError(f"table entry for ({i},{j}) is not a tensor over {algebra}")
             if u:
                 clean[(i, j)] = u
-        self.table = clean
+        # read-only: the memo caches below are derived from it
+        self.table = MappingProxyType(clean)
         if weight is not None:
             weight = tuple(weight)
             if len(weight) != len(algebra.letters):

@@ -140,12 +140,15 @@ def kontsevich():
 # d = 2 ansatz
 
 
-def _validate_cl1(args):
-    if len(args) != 6:
-        raise ValueError("expected (lam, rho, g1, g2, g3, g4)")
+def _arity(*names):
+    def validate(args):
+        if len(args) != len(names):
+            raise ValueError(f"expected ({', '.join(names)})")
+
+    return validate
 
 
-@_family("cl1", _validate_cl1)
+@_family("cl1", _arity("lam", "rho", "g1", "g2", "g3", "g4"))
 def cl1(lam, rho, g1, g2, g3, g4):
     """The general quadratic d=2 ansatz with zero self-brackets.
 
@@ -179,7 +182,7 @@ def cl1(lam, rho, g1, g2, g3, g4):
     return BracketSpec(A, table, w), w
 
 
-@_family("cl1_case1", lambda a: None if len(a) == 3 else (_ for _ in ()).throw(ValueError("expected (lam, alpha, beta)")))
+@_family("cl1_case1", _arity("lam", "alpha", "beta"))
 def cl1_case1(lam, alpha, beta):
     """d=2 Poisson family at weight (lam, -lam): one-sided product terms."""
     lam, alpha, beta = Fraction(lam), Fraction(alpha), Fraction(beta)
@@ -192,7 +195,7 @@ def cl1_case1(lam, alpha, beta):
     return BracketSpec(A, table, w), w
 
 
-@_family("cl1_case2", lambda a: None if len(a) == 3 else (_ for _ in ()).throw(ValueError("expected (lam, alpha~, beta~)")))
+@_family("cl1_case2", _arity("lam", "alpha~", "beta~"))
 def cl1_case2(lam, alphat, betat):
     """d=2 Poisson family at weight (lam, lam): factor-swap terms."""
     lam, alphat, betat = Fraction(lam), Fraction(alphat), Fraction(betat)
@@ -259,6 +262,8 @@ def _validate_cld(args):
     d, delta = args
     if d < 4:
         raise ValueError("family defined for d >= 4")
+    if d > 64:
+        raise ValueError("at most 64 generators: the table grows as d^2")
     if not 0 <= delta <= d:
         raise ValueError("need 0 <= delta <= d")
 
@@ -374,49 +379,23 @@ def _is_poisson(spec: BracketSpec, w) -> bool:
     return check_weight(spec, w).passed and check_poisson_property(spec, w).passed
 
 
-def search_cl1(lam):
-    """Survivors (rho, gamma) of the d=2 grid rho in {lam,-lam},
-    gamma in {0,-2 lam}^4, filtered by the generic weight + Jacobiator checks."""
-    lam = Fraction(lam)
-    if lam == 0:
-        raise ValueError("the grid is built around a nonzero weight")
-    survivors = []
-    grid_vals = (Fraction(0), -2 * lam)
-    for rho in (lam, -lam):
-        for gamma in itertools.product(grid_vals, repeat=4):
-            spec, w = build(FamilyParams("cl1", (lam, rho) + gamma))
-            if _is_poisson(spec, w):
-                survivors.append((rho, gamma))
-    survivors.sort()
-    return survivors
+def search_cl1_grid(lam, rhos=None, gamma_values=None):
+    """The d=2 grid with both the generic verdict (weight + Jacobiator
+    checks) and the closed-form verdict per point, for pointwise comparison.
 
-
-def search_cl1_custom(lam, rhos, gamma_values):
-    """Exploratory d=2 search over user-supplied rational grids.
-
-    Unlike :func:`search_cl1` this is NOT exhaustive for any classification:
-    it simply reports which sampled points pass the generic checks.
+    By default it is the full 2 x 16 grid rho in {lam,-lam}, gamma in
+    {0,-2 lam}^4, built around a nonzero lam.  Passing ``rhos`` or
+    ``gamma_values`` samples an exploratory grid instead, which is NOT
+    exhaustive for any classification.
     """
     lam = Fraction(lam)
-    survivors = []
-    for rho in rhos:
-        for gamma in itertools.product(tuple(gamma_values), repeat=4):
-            point = (lam, Fraction(rho)) + tuple(Fraction(g) for g in gamma)
-            spec, w = build(FamilyParams("cl1", point))
-            if _is_poisson(spec, w):
-                survivors.append((Fraction(rho), tuple(Fraction(g) for g in gamma)))
-    survivors.sort()
-    return survivors
-
-
-def search_cl1_grid(lam):
-    """The full 2 x 16 grid with both the generic verdict and the closed-form
-    verdict per point, for pointwise comparison."""
-    lam = Fraction(lam)
+    if rhos is None and gamma_values is None and lam == 0:
+        raise ValueError("the grid is built around a nonzero weight")
+    rhos = (lam, -lam) if rhos is None else rhos
+    values = tuple(map(Fraction, (0, -2 * lam) if gamma_values is None else gamma_values))
     rows = []
-    grid_vals = (Fraction(0), -2 * lam)
-    for rho in (lam, -lam):
-        for gamma in itertools.product(grid_vals, repeat=4):
+    for rho in map(Fraction, rhos):
+        for gamma in itertools.product(values, repeat=4):
             spec, w = build(FamilyParams("cl1", (lam, rho) + gamma))
             rows.append(
                 {
@@ -427,6 +406,19 @@ def search_cl1_grid(lam):
                 }
             )
     return rows
+
+
+def cl1_survivors(rows):
+    """The sorted (rho, gamma) of the grid rows that pass the generic checks."""
+    return sorted((r["rho"], r["gamma"]) for r in rows if r["generic"])
+
+
+def search_cl1(lam, rhos=None, gamma_values=None):
+    """Survivors (rho, gamma) of :func:`search_cl1_grid`."""
+    return cl1_survivors(search_cl1_grid(lam, rhos, gamma_values))
+
+
+search_cl1_custom = search_cl1  # the exploratory spelling: pass rhos and gamma_values
 
 
 def search_cl3a():

@@ -225,47 +225,27 @@ def _dispatch(args) -> int:
 
 
 def _classify(args) -> int:
-    if args.family == "cl1" and (args.rho_grid or args.gamma_grid):
-        rhos = args.rho_grid or (args.lam, -args.lam)
-        gammas = args.gamma_grid or (0, -2 * args.lam)
-        survivors = classify.search_cl1_custom(args.lam, rhos, gammas)
-        if args.json:
-            print(json.dumps({
-                "family": "cl1",
-                "exhaustive": False,
-                "lam": str(args.lam),
-                "survivors": [
-                    {"rho": str(rho), "gamma": [str(g) for g in gamma]}
-                    for rho, gamma in survivors
-                ],
-            }, indent=2, sort_keys=True))
-        else:
-            print(f"cl1 exploratory grid at lam={args.lam} (non-exhaustive): "
-                  f"{len(survivors)} passing points")
-            for rho, gamma in survivors:
-                print(f"  rho={rho}  gamma=({', '.join(str(g) for g in gamma)})")
-        return EXIT_OK
-
     if args.family == "cl1":
-        survivors = classify.search_cl1(args.lam)
-        rows = classify.search_cl1_grid(args.lam)
+        rows = classify.search_cl1_grid(args.lam, args.rho_grid, args.gamma_grid)
+        survivors = classify.cl1_survivors(rows)
+        exploratory = args.rho_grid is not None or args.gamma_grid is not None
         agree = all(r["generic"] == r["closed_form"] for r in rows)
         if args.json:
-            print(json.dumps({
-                "family": "cl1",
-                "lam": str(args.lam),
-                "survivors": [
-                    {"rho": str(rho), "gamma": [str(g) for g in gamma]}
-                    for rho, gamma in survivors
-                ],
-                "closed_form_agrees": agree,
-            }, indent=2, sort_keys=True))
+            listing = [{"rho": str(rho), "gamma": [str(g) for g in gamma]} for rho, gamma in survivors]
+            payload = {"family": "cl1", "lam": str(args.lam), "survivors": listing}
+            payload.update({"exhaustive": False} if exploratory else {"closed_form_agrees": agree})
+            print(json.dumps(payload, indent=2, sort_keys=True))
         else:
-            print(f"cl1 grid at lam={args.lam}: {len(survivors)} survivors")
+            if exploratory:
+                print(f"cl1 exploratory grid at lam={args.lam} (non-exhaustive): "
+                      f"{len(survivors)} passing points")
+            else:
+                print(f"cl1 grid at lam={args.lam}: {len(survivors)} survivors")
             for rho, gamma in survivors:
                 print(f"  rho={rho}  gamma=({', '.join(str(g) for g in gamma)})")
-            print(f"closed-form conditions agree pointwise: {agree}")
-        return EXIT_OK if agree else EXIT_FAIL
+            if not exploratory:
+                print(f"closed-form conditions agree pointwise: {agree}")
+        return EXIT_OK if exploratory or agree else EXIT_FAIL
 
     search = classify.search_cl3a if args.family == "cl3a" else classify.search_cl3b
     survivors = search()

@@ -58,13 +58,6 @@ def concat(a: Word, b: Word) -> Word:
     return a[:i] + b[j:]
 
 
-def concat_many(parts) -> Word:
-    w = ()
-    for p in parts:
-        w = concat(w, p)
-    return w
-
-
 def split_word(w: Word, pos: int):
     """Split at the 1-based position ``pos``: (prefix, letter, suffix)."""
     if not 1 <= pos <= len(w):
@@ -133,10 +126,6 @@ def _merge_term(terms: dict, key, c):
             terms[key] = v
         else:
             del terms[key]
-
-
-def _clean(terms: dict) -> dict:
-    return {k: v for k, v in terms.items() if v}
 
 
 # ---------------------------------------------------------------------------
@@ -515,14 +504,6 @@ def otimes1_left(u: Tensor2, c: Element) -> Tensor3:
 def otimes1_right(c: Element, u: Tensor2) -> Tensor3:
     """Same middle insertion written with the element on the left."""
     return otimes1_left(u, c)
-
-
-def t2_to_t3_left(u: Tensor2, w: Word) -> Tensor3:
-    return Tensor3(u.algebra, {(a, b, w): c for (a, b), c in u.terms.items()})
-
-
-def t2_to_t3_right(w: Word, u: Tensor2) -> Tensor3:
-    return Tensor3(u.algebra, {(w, a, b): c for (a, b), c in u.terms.items()})
 
 
 def reduce_mod_commutators(x: Element) -> Element:

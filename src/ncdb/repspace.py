@@ -33,7 +33,7 @@ from types import MappingProxyType
 
 from .freealg import Element, FreeAlgebra
 from .bracket import BracketSpec
-from .axioms import VerificationReport, Witness, check_double_poisson
+from .axioms import VerificationReport, check_double_poisson, report, sweep
 
 # Fraction matrices, tuples of row tuples: the plain reference arithmetic
 
@@ -241,9 +241,7 @@ def check_induced_poisson(spec: BracketSpec, p: MatrixPoint, maxdeg: int = 3,
     bound = 3 * maxdeg + 2 * max(longest - 2, 0)
     dpow = [p.denom ** (bound - k) for k in range(bound + 1)]
     pair_scale = e * dpow[0]
-    witnesses = []
     mb = spec._mb_ids
-    pairs = 0
     word_of = spec._id_words
 
     def traced(wid):  # T(w) = D**(L - len(w)) * tr N(w)
@@ -265,47 +263,29 @@ def check_induced_poisson(spec: BracketSpec, p: MatrixPoint, maxdeg: int = 3,
     rows = _Memo(int_row)  # only ever indexed by pairs of sweep words
     mbt = _Memo(mb_trace)
 
-    def _name(wid):
-        return alg.render_word(word_of[wid])
+    def triple(a, b):
+        ab = rows[a, b]
 
-    def report(check, passed, params):
-        return VerificationReport(
-            check, passed, {"algebra": alg.describe(), "size": p.size, "maxdeg": maxdeg, **params},
-            witnesses,
-        )
+        def at(c):
+            t = 0
+            for w, cw in rows[b, c]:
+                t += cw * mbt[a, w]
+            for w, cw in rows[a, c]:
+                t -= cw * mbt[b, w]
+            for w, cw in ab:
+                t -= cw * mbt[w, c]
+            return t
 
-    for ai, a in enumerate(ids):
-        for b in ids[ai:]:
-            pairs += 1
-            t = mbt[a, b] + mbt[b, a]
-            if t:
-                v = str(Fraction(t, pair_scale))
-                witnesses.append(Witness((_name(a), _name(b)), "0", v, v))
-                if not all_witnesses:
-                    return report("induced_trace_skew", False, {"pairs": pairs})
-    skew_ok = not witnesses
-    triple_scale = e * pair_scale
-    triples = 0
-    for a in ids:
-        for b in ids:
-            inner_ab = rows[a, b]
-            for c in ids:
-                triples += 1
-                t = 0
-                for w, cw in rows[b, c]:
-                    t += cw * mbt[a, w]
-                for w, cw in rows[a, c]:
-                    t -= cw * mbt[b, w]
-                for w, cw in inner_ab:
-                    t -= cw * mbt[w, c]
-                if t:
-                    v = str(Fraction(t, triple_scale))
-                    witnesses.append(Witness((_name(a), _name(b), _name(c)), "0", v, v))
-                    if not all_witnesses:
-                        return report("induced_trace_poisson", False,
-                                      {"pairs": pairs, "triples": triples})
-    return report("induced_trace_poisson", skew_ok and not witnesses,
-                  {"pairs": pairs, "triples": triples})
+        return at
+
+    params = {"size": p.size, "maxdeg": maxdeg}
+    params["pairs"], witnesses = sweep(spec, ids, 2, lambda a, b: mbt[a, b] + mbt[b, a],
+                                       lambda t: str(Fraction(t, pair_scale)), "0", all_witnesses)
+    if witnesses and not all_witnesses:
+        return report("induced_trace_skew", spec, params, witnesses)
+    params["triples"], more = sweep(spec, ids, 3, triple,
+                                    lambda t: str(Fraction(t, e * pair_scale)), "0", all_witnesses)
+    return report("induced_trace_poisson", spec, params, witnesses + more)
 
 
 def coordinate_bracket(spec: BracketSpec, a: Element, b: Element, p: MatrixPoint):

@@ -18,9 +18,10 @@ Grammar (EBNF; whitespace-insensitive, '#' starts a line comment)::
 
 "(x)" is the tensor separator; a Unicode tensor sign is accepted as an
 alias on input.  "1" denotes the unit monomial, "x^-1" an inverse letter
-(the generator must be declared "inv").  A single-token lookahead suffices
-throughout.  Rendering is canonical: structurally equal documents render to
-identical text, and parse(render(doc)) == doc.
+(the generator must be declared "inv"); exponents are at most 64 in
+absolute value.  A single-token lookahead suffices throughout.  Rendering
+is canonical: structurally equal documents render to identical text, and
+parse(render(doc)) == doc.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .bracket import BracketSpec
 
 KEYWORDS = {"name", "algebra", "weight", "bracket", "inv"}
 TENSOR_SEP = "(x)"
+MAX_EXPONENT = 64
 
 
 class ParseError(Exception):
@@ -416,9 +418,12 @@ class _Parser:
             if self.at_sym("-"):
                 self.advance()
                 sign = -1
-            exp = sign * int(self.expect("INT").text)
+            n = self.expect("INT")
+            exp = sign * int(n.text)
             if exp == 0:
                 self.fail("a nonzero exponent")
+            if abs(exp) > MAX_EXPONENT:  # x^N expands to N letters
+                raise ParseError(f"exponent {exp} exceeds {MAX_EXPONENT} in absolute value", n.line, n.col)
         return (t.text, exp, t)
 
 

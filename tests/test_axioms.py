@@ -1,10 +1,11 @@
+import itertools
 import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from ncdb.freealg import FreeAlgebra, Tensor3, concat, _merge_term
+from ncdb.freealg import FreeAlgebra, Tensor3, concat, _merge_term, reduce_mod_commutators
 from ncdb.bracket import BracketSpec
 from ncdb.axioms import (
     MixedType,
@@ -267,3 +268,50 @@ class TestReports:
         assert not r.passed and len(r.witnesses) >= 1
         d = r.as_dict()
         assert d["status"] == "fail" and d["witnesses"]
+
+
+def _scaled_mdb2():
+    spec = builtin("mdbII")[0]
+    table = dict(spec.table)
+    table[(2, 3)] = table[(2, 3)].scale(Fraction(-3, 7))
+    return BracketSpec(spec.algebra, table)
+
+
+def _broken_laurent():
+    """The Laurent Kontsevich table with one entry doubled: not Poisson."""
+    alg = FreeAlgebra(("v", "w"), inverted=(1, 2))
+    table = {
+        (1, 2): alg.tensor2({((2, 1), ()): -1}),
+        (2, 1): alg.tensor2({((1, 2), ()): 2}),
+    }
+    return BracketSpec(alg, table)
+
+
+@pytest.mark.parametrize("make", [_scaled_mdb2, _broken_laurent])
+def test_sweeps_match_bracket_arithmetic(make):
+    """Every witness of both sweeps, in order, against mbracket / jacobiator."""
+    spec = make()
+    alg = spec.algebra
+    name = alg.render_word
+
+    def elt(w):
+        return alg.element({w: 1})
+
+    words = alg.words_up_to(2, include_unit=False)
+    expected = []
+    for cell in itertools.product(words, repeat=3):
+        j = spec.jacobiator(*map(elt, cell))
+        if j:
+            expected.append((tuple(map(name, cell)), str(j)))
+    r = check_jacobi(spec, 2, all_witnesses=True)
+    assert expected and [(w.inputs, w.residual) for w in r.witnesses] == expected
+
+    words = alg.words_up_to(2)
+    expected = []
+    for i, a in enumerate(words):
+        for b in words[i:]:
+            x = spec.mbracket(elt(a), elt(b)) + spec.mbracket(elt(b), elt(a))
+            if reduce_mod_commutators(x):
+                expected.append(((name(a), name(b)), str(reduce_mod_commutators(x))))
+    r = check_h0_skew(spec, 2, all_witnesses=True)
+    assert expected and [(w.inputs, w.residual) for w in r.witnesses] == expected

@@ -69,6 +69,15 @@ class TestLetterBracket:
     def test_zero_default(self, mdbII):
         assert mdbII.letter_bracket(1, 3).is_zero()
 
+    def test_table_is_read_only(self, mdbII):
+        # the memo caches are derived from the table, so it must not change under them
+        with pytest.raises(TypeError):
+            mdbII.table[(1, 3)] = mdbII.table[(1, 2)]
+        copy = dict(mdbII.table)
+        copy[(1, 3)] = copy[(1, 2)]
+        assert (1, 3) not in mdbII.table
+        assert mdbII.letter_bracket(1, 3).is_zero()
+
     def test_inverse_second_argument(self, kont_laurent):
         # <<w, v^-1>> = -v^-1 . <<w, v>> . v^-1 = -w (x) v^-1
         alg = kont_laurent.algebra

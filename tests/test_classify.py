@@ -76,6 +76,10 @@ class TestBuild:
             FamilyParams("cld", (3, 1))  # d >= 4 required
         with pytest.raises(ValueError):
             FamilyParams("cld", (4, 5))  # delta <= d
+        FamilyParams("cld", (64, 2))  # the cap on d is accepted...
+        for name in ("cld", "cld2"):
+            with pytest.raises(ValueError):
+                FamilyParams(name, (65, 1))  # ...and one above it refused
         with pytest.raises(ValueError):
             FamilyParams("cl3a", (0, 0, 2, 0, 0, 0))  # binary parameters
         with pytest.raises(ValueError):

@@ -68,6 +68,14 @@ class TestParse:
         assert spec.entry(1, 2) == spec.algebra.tensor2({((1, 1), (-1, -1)): 1})
         assert spec.entry(2, 1) == spec.algebra.tensor2({((), (2,)): 1})
 
+    def test_exponent_cap(self):
+        doc = parse("algebra v inv; bracket {v,v} = v^64 (x) v^-64;")
+        assert doc.entries[(1, 1)] == ((((1,) * 64, (-1,) * 64), Fraction(1)),)
+        for exp in ("65", "-65"):
+            with pytest.raises(ParseError) as ei:
+                parse(f"algebra v inv; bracket {{v,v}} = v^{exp} (x) 1;")
+            assert "exceeds 64" in ei.value.message
+
     def test_error_positions(self):
         with pytest.raises(ParseError) as ei:
             parse("algebra v w;\nbracket {v,u} = v (x) w;")
@@ -263,6 +271,14 @@ class TestCli:
         )
         assert code == 0
         assert "algebra v1 v2 v3 v4;" in out
+
+    def test_input_caps_exit_2(self, capsys, monkeypatch, tmp_path):
+        f = tmp_path / "long.ndb"
+        f.write_text("algebra v; bracket {v,v} = v^65 (x) 1;")
+        code, out, err = self.run(["verify", str(f)], capsys=capsys, monkeypatch=monkeypatch)
+        assert code == 2 and not out and "exceeds 64" in err
+        code, out, err = self.run(["builtin", "cld", "--params", "65,1"], capsys=capsys, monkeypatch=monkeypatch)
+        assert code == 2 and not out and "at most 64" in err
 
     @pytest.fixture
     def mdbI_file(self, capsys, monkeypatch, tmp_path):
