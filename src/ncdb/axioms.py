@@ -35,10 +35,9 @@ from fractions import Fraction
 from .freealg import (
     Element,
     Tensor2,
+    Tensor3,
     _merge_term,
     concat,
-    inner_act,
-    otimes1_right,
 )
 from .bracket import BracketSpec
 
@@ -144,19 +143,19 @@ def skew_defect(spec: BracketSpec, x: int, y: int) -> Tensor2:
     return spec.letter_bracket(x, y) + spec.letter_bracket(y, x).flip()
 
 
-def poisson_rhs(spec: BracketSpec, x: int, y: int, z: int, lx, ly):
-    """Prescribed double Jacobiator value on a letter triple of weights lx, ly."""
-    alg = spec.algebra
-    u = spec.letter_bracket(x, z)
+def poisson_rhs(spec: BracketSpec, x: int, y: int, z: int, lx, ly) -> Tensor3:
+    """Prescribed double Jacobiator value on a letter triple of weights lx, ly:
+    each term c * p (x) q of <<x, z>> gives -(lx+ly)/2 * c * p (x) y (x) q
+    plus (lx-ly)/2 * c * p (x) 1 (x) yq."""
     half_sum = Fraction(lx + ly) * HALF
     half_diff = Fraction(lx - ly) * HALF
-    rhs = alg.zero_t3()
-    if half_sum and u:
-        rhs = rhs - otimes1_right(alg.letter_elt(y), u).scale(half_sum)
-    if half_diff and u:
-        shifted = inner_act(alg.letter_elt(y), u, alg.one())  # u' (x) y.u''
-        rhs = rhs + otimes1_right(alg.one(), shifted).scale(half_diff)
-    return rhs
+    terms = {}
+    for (p, q), c in spec._letter_raw(x, z).items():
+        if half_sum:
+            _merge_term(terms, (p, (y,), q), -half_sum * c)
+        if half_diff:
+            _merge_term(terms, (p, (), concat((y,), q)), half_diff * c)
+    return Tensor3(spec.algebra, terms)
 
 
 def _letter_witnesses(spec: BracketSpec, arity: int, lhs, rhs) -> list:

@@ -27,11 +27,8 @@ from .freealg import (
     Tensor3,
     _merge_term,
     concat,
-    split_word,
-    segment,
+    cyclic_normal_form,
 )
-
-__all__ = ["BracketSpec", "split_word", "segment"]
 
 
 class BracketSpec:
@@ -196,8 +193,6 @@ class BracketSpec:
     def _cnf_id(self, wid: int) -> int:
         i = self._cnf_ids.get(wid)
         if i is None:
-            from .freealg import cyclic_normal_form
-
             i = self._wid(cyclic_normal_form(self._id_words[wid]))
             self._cnf_ids[wid] = i
         return i

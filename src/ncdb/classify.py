@@ -15,6 +15,10 @@ Families (all tables are quadratic, all parameters exact rationals):
 * ``cld`` / ``cld2``         -- two families on d >= 4 generators of weight
   (1,...,1,-1,...,-1) with delta leading +1s.
 
+Every family gives its weights and one orientation (i, j) per generator
+pair; :func:`weighted_table` stores each entry followed by the (j, i) entry
+that weighted skew symmetry forces, so no reversed entry is written by hand.
+
 The searches enumerate the full parameter grids, filter with the generic
 axiom checks, and also evaluate the closed-form survivor conditions so that
 the two routes can be compared pointwise.
@@ -63,8 +67,7 @@ class FamilyParams:
 
 def build(params: FamilyParams):
     """Instantiate a family: returns (BracketSpec, weight vector)."""
-    spec, weight = _FAMILIES[params.variant][1](*params.args)
-    return spec, weight
+    return _FAMILIES[params.variant][1](*params.args)
 
 
 def _family(name, validate):
@@ -85,6 +88,32 @@ def _binary_triples(args):
         raise ValueError("expected six parameters in {0,1}")
 
 
+def weighted_table(A: FreeAlgebra, weights, entries) -> dict:
+    """The bracket table of weight ``weights`` with the given orientations.
+
+    ``entries`` maps ordered generator pairs (i, j) to the raw terms
+    {(w1, w2): coef} of <<x_i, x_j>>.  Each entry is stored, and right after
+    it the (j, i) entry that weighted skew symmetry forces,
+    <<x_j, x_i>> = -flip<<x_i, x_j>> + s (x_j (x) x_i - x_i (x) x_j)
+                   + k (1 (x) x_j x_i - x_i x_j (x) 1),
+    with s, k = (l_j + l_i)/2, (l_j - l_i)/2.
+    """
+    table = {}
+    for (i, j), terms in entries.items():
+        s = Fraction(weights[j - 1] + weights[i - 1], 2)
+        k = Fraction(weights[j - 1] - weights[i - 1], 2)
+        forced = {((i,), (j,)): -s, ((j,), (i,)): s, ((), (j, i)): k, ((i, j), ()): -k}
+        for (a, b), c in terms.items():
+            forced[(b, a)] = forced.get((b, a), 0) - c
+        table[(i, j)] = A.tensor2(terms)
+        table[(j, i)] = A.tensor2(forced)
+    return table
+
+
+def _spec(A: FreeAlgebra, weights, entries):
+    return BracketSpec(A, weighted_table(A, weights, entries), weights), weights
+
+
 # ---------------------------------------------------------------------------
 # fixed specs
 
@@ -92,32 +121,21 @@ def _binary_triples(args):
 @_family("mdbI", _no_args)
 def mdb_one():
     """First conjectured bracket on K<x1,x2,x3>, weight (1,-1,-1)."""
-    A = FreeAlgebra(("x1", "x2", "x3"))
-    table = {
-        (1, 2): A.tensor2({((2, 1), ()): -1}),
-        (2, 1): A.tensor2({((1, 2), ()): 1}),
-        (2, 3): A.tensor2({((2,), (3,)): -1}),
-        (3, 2): A.tensor2({((2,), (3,)): 1}),
-        (3, 1): A.tensor2({((), (3, 1)): -1}),
-        (1, 3): A.tensor2({((), (1, 3)): 1}),
-    }
-    w = (Fraction(1), Fraction(-1), Fraction(-1))
-    return BracketSpec(A, table, w), w
+    return _spec(FreeAlgebra(("x1", "x2", "x3")), (Fraction(1), Fraction(-1), Fraction(-1)), {
+        (1, 2): {((2, 1), ()): -1},
+        (2, 3): {((2,), (3,)): -1},
+        (3, 1): {((), (3, 1)): -1},
+    })
 
 
 @_family("mdbII", _no_args)
 def mdb_two():
     """Second conjectured bracket on K<x1,x2,x3>, weight (-1,-1,-1)."""
-    A = FreeAlgebra(("x1", "x2", "x3"))
-    table = {
-        (1, 2): A.tensor2({((1,), (2,)): -1}),
-        (2, 1): A.tensor2({((1,), (2,)): 1}),
-        (2, 3): A.tensor2({((3,), (2,)): 1}),
-        (3, 2): A.tensor2({((3,), (2,)): -1}),
-        (3, 1): A.tensor2({((1,), (3,)): 1, ((3,), (1,)): -1}),
-    }
-    w = (Fraction(-1), Fraction(-1), Fraction(-1))
-    return BracketSpec(A, table, w), w
+    return _spec(FreeAlgebra(("x1", "x2", "x3")), (Fraction(-1),) * 3, {
+        (1, 2): {((1,), (2,)): -1},
+        (2, 3): {((3,), (2,)): 1},
+        (3, 1): {((1,), (3,)): 1, ((3,), (1,)): -1},
+    })
 
 
 @_family("kontsevich", _no_args)
@@ -127,13 +145,7 @@ def kontsevich():
     This is ``cl1_case1`` at lam=1, alpha=0, beta=1 with both generators
     meant to be inverted afterwards (see ncdb.localize).
     """
-    A = FreeAlgebra(("v", "w"))
-    table = {
-        (1, 2): A.tensor2({((2, 1), ()): -1}),
-        (2, 1): A.tensor2({((1, 2), ()): 1}),
-    }
-    w = (Fraction(1), Fraction(-1))
-    return BracketSpec(A, table, w), w
+    return cl1_case1(1, 0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -156,56 +168,28 @@ def cl1(lam, rho, g1, g2, g3, g4):
     the opposite entry is then forced by the weighted skew condition for
     weight (lam, rho).
     """
-    lam, rho = Fraction(lam), Fraction(rho)
-    g1, g2, g3, g4 = (Fraction(g) for g in (g1, g2, g3, g4))
-    A = FreeAlgebra(("v", "w"))
-    half = Fraction(1, 2)
-    table = {
-        (1, 2): A.tensor2(
-            {
-                ((1,), (2,)): -g1 * half,
-                ((2,), (1,)): g2 * half,
-                ((), (1, 2)): -g3 * half,
-                ((2, 1), ()): g4 * half,
-            }
-        ),
-        (2, 1): A.tensor2(
-            {
-                ((1,), (2,)): -(lam + rho + g2) * half,
-                ((2,), (1,)): (lam + rho + g1) * half,
-                ((), (2, 1)): -(lam - rho + g4) * half,
-                ((1, 2), ()): (lam - rho + g3) * half,
-            }
-        ),
-    }
-    w = (lam, rho)
-    return BracketSpec(A, table, w), w
+    g1, g2, g3, g4 = (Fraction(g) / 2 for g in (g1, g2, g3, g4))
+    return _spec(FreeAlgebra(("v", "w")), (Fraction(lam), Fraction(rho)), {
+        (1, 2): {((1,), (2,)): -g1, ((2,), (1,)): g2, ((), (1, 2)): -g3, ((2, 1), ()): g4},
+    })
 
 
 @_family("cl1_case1", _arity("lam", "alpha", "beta"))
 def cl1_case1(lam, alpha, beta):
     """d=2 Poisson family at weight (lam, -lam): one-sided product terms."""
-    lam, alpha, beta = Fraction(lam), Fraction(alpha), Fraction(beta)
-    A = FreeAlgebra(("v", "w"))
-    table = {
-        (1, 2): A.tensor2({((), (1, 2)): alpha, ((2, 1), ()): -beta}),
-        (2, 1): A.tensor2({((), (2, 1)): -lam + beta, ((1, 2), ()): lam - alpha}),
-    }
-    w = (lam, -lam)
-    return BracketSpec(A, table, w), w
+    lam = Fraction(lam)
+    return _spec(FreeAlgebra(("v", "w")), (lam, -lam), {
+        (1, 2): {((), (1, 2)): Fraction(alpha), ((2, 1), ()): -Fraction(beta)},
+    })
 
 
 @_family("cl1_case2", _arity("lam", "alpha~", "beta~"))
 def cl1_case2(lam, alphat, betat):
     """d=2 Poisson family at weight (lam, lam): factor-swap terms."""
-    lam, alphat, betat = Fraction(lam), Fraction(alphat), Fraction(betat)
-    A = FreeAlgebra(("v", "w"))
-    table = {
-        (1, 2): A.tensor2({((1,), (2,)): alphat, ((2,), (1,)): -betat}),
-        (2, 1): A.tensor2({((1,), (2,)): -lam + betat, ((2,), (1,)): lam - alphat}),
-    }
-    w = (lam, lam)
-    return BracketSpec(A, table, w), w
+    lam = Fraction(lam)
+    return _spec(FreeAlgebra(("v", "w")), (lam, lam), {
+        (1, 2): {((1,), (2,)): Fraction(alphat), ((2,), (1,)): -Fraction(betat)},
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -216,17 +200,11 @@ def cl1_case2(lam, alphat, betat):
 def cl3a(a1, a2, a3, b1, b2, b3):
     """d=3 family of weight (1,1,1); Poisson iff both parameter triples solve
     the survivor condition (see ``triple_condition``)."""
-    A = FreeAlgebra(("v1", "v2", "v3"))
-    table = {
-        (1, 2): A.tensor2({((1,), (2,)): a3, ((2,), (1,)): -b3}),
-        (2, 1): A.tensor2({((1,), (2,)): -1 + b3, ((2,), (1,)): 1 - a3}),
-        (1, 3): A.tensor2({((1,), (3,)): a2, ((3,), (1,)): -b2}),
-        (3, 1): A.tensor2({((1,), (3,)): -1 + b2, ((3,), (1,)): 1 - a2}),
-        (2, 3): A.tensor2({((2,), (3,)): a1, ((3,), (2,)): -b1}),
-        (3, 2): A.tensor2({((2,), (3,)): -1 + b1, ((3,), (2,)): 1 - a1}),
-    }
-    w = (Fraction(1), Fraction(1), Fraction(1))
-    return BracketSpec(A, table, w), w
+    return _spec(FreeAlgebra(("v1", "v2", "v3")), (Fraction(1),) * 3, {
+        (1, 2): {((1,), (2,)): a3, ((2,), (1,)): -b3},
+        (1, 3): {((1,), (3,)): a2, ((3,), (1,)): -b2},
+        (2, 3): {((2,), (3,)): a1, ((3,), (2,)): -b1},
+    })
 
 
 @_family("cl3b", _binary_triples)
@@ -234,17 +212,11 @@ def cl3b(a1, a2, a3, b1, b2, b3):
     """d=3 family of weight (1,1,-1); the pairs with the third generator use
     one-sided product terms.  Poisson iff (a1,a2,b3) and (b1,b2,a3) solve the
     survivor condition."""
-    A = FreeAlgebra(("v1", "v2", "v3"))
-    table = {
-        (1, 2): A.tensor2({((1,), (2,)): a3, ((2,), (1,)): -b3}),
-        (2, 1): A.tensor2({((1,), (2,)): -1 + b3, ((2,), (1,)): 1 - a3}),
-        (1, 3): A.tensor2({((), (1, 3)): a2, ((3, 1), ()): -b2}),
-        (3, 1): A.tensor2({((), (3, 1)): -1 + b2, ((1, 3), ()): 1 - a2}),
-        (2, 3): A.tensor2({((), (2, 3)): a1, ((3, 2), ()): -b1}),
-        (3, 2): A.tensor2({((), (3, 2)): -1 + b1, ((2, 3), ()): 1 - a1}),
-    }
-    w = (Fraction(1), Fraction(1), Fraction(-1))
-    return BracketSpec(A, table, w), w
+    return _spec(FreeAlgebra(("v1", "v2", "v3")), (Fraction(1), Fraction(1), Fraction(-1)), {
+        (1, 2): {((1,), (2,)): a3, ((2,), (1,)): -b3},
+        (1, 3): {((), (1, 3)): a2, ((3, 1), ()): -b2},
+        (2, 3): {((), (2, 3)): a1, ((3, 2), ()): -b1},
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -268,44 +240,40 @@ def _validate_cld(args):
         raise ValueError("need 0 <= delta <= d")
 
 
+def _blocks(d: int, delta: int, inside_plus, across, inside_minus):
+    """A family of weight sign_weight(d, delta) whose entry for i < j is
+    given per block: both in the +1 block, across the blocks, both in -1."""
+    entries = {}
+    for i in range(1, d + 1):
+        for j in range(i + 1, d + 1):
+            block = inside_plus if j <= delta else across if i <= delta else inside_minus
+            entries[(i, j)] = block(i, j)
+    return _spec(FreeAlgebra.standard(d), sign_weight(d, delta), entries)
+
+
 @_family("cld", _validate_cld)
 def cld(d: int, delta: int):
     """First d >= 4 family of weight sign_weight(d, delta): the bracket of a
     pair is a swap difference inside each sign block and a one-sided product
-    difference across blocks; one orientation per pair is zero."""
-    A = FreeAlgebra.standard(d)
-    table = {}
-    for i in range(1, d + 1):
-        for j in range(i + 1, d + 1):
-            if j <= delta:
-                table[(i, j)] = A.tensor2({((i,), (j,)): 1, ((j,), (i,)): -1})
-            elif i <= delta:
-                table[(i, j)] = A.tensor2({((), (i, j)): 1, ((j, i), ()): -1})
-            else:
-                table[(i, j)] = A.tensor2({((i,), (j,)): -1, ((j,), (i,)): 1})
-    w = sign_weight(d, delta)
-    return BracketSpec(A, table, w), w
+    difference across blocks; the forced orientation is zero."""
+    return _blocks(
+        d, delta,
+        lambda i, j: {((i,), (j,)): 1, ((j,), (i,)): -1},
+        lambda i, j: {((), (i, j)): 1, ((j, i), ()): -1},
+        lambda i, j: {((i,), (j,)): -1, ((j,), (i,)): 1},
+    )
 
 
 @_family("cld2", _validate_cld)
 def cld2(d: int, delta: int):
     """Second d >= 4 family of weight sign_weight(d, delta): single-term
     brackets, with the reversed orientation carrying the opposite sign."""
-    A = FreeAlgebra.standard(d)
-    table = {}
-    for i in range(1, d + 1):
-        for j in range(i + 1, d + 1):
-            if j <= delta:
-                table[(i, j)] = A.tensor2({((i,), (j,)): 1})
-                table[(j, i)] = A.tensor2({((i,), (j,)): -1})
-            elif i <= delta:
-                table[(i, j)] = A.tensor2({((j, i), ()): -1})
-                table[(j, i)] = A.tensor2({((i, j), ()): 1})
-            else:
-                table[(i, j)] = A.tensor2({((i,), (j,)): -1})
-                table[(j, i)] = A.tensor2({((i,), (j,)): 1})
-    w = sign_weight(d, delta)
-    return BracketSpec(A, table, w), w
+    return _blocks(
+        d, delta,
+        lambda i, j: {((i,), (j,)): 1},
+        lambda i, j: {((j, i), ()): -1},
+        lambda i, j: {((i,), (j,)): -1},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -363,14 +331,6 @@ def triple_condition(t) -> bool:
     return t1 * t2 + t2 * t3 - t1 * t3 - t2 == 0
 
 
-def cl3a_conditions(alphas, betas) -> bool:
-    return triple_condition(alphas) and triple_condition(betas)
-
-
-def cl3b_conditions(alphas_b3, betas_a3) -> bool:
-    return triple_condition(alphas_b3) and triple_condition(betas_a3)
-
-
 # ---------------------------------------------------------------------------
 # grid searches
 
@@ -386,15 +346,16 @@ def search_cl1_grid(lam, rhos=None, gamma_values=None):
     By default it is the full 2 x 16 grid rho in {lam,-lam}, gamma in
     {0,-2 lam}^4, built around a nonzero lam.  Passing ``rhos`` or
     ``gamma_values`` samples an exploratory grid instead, which is NOT
-    exhaustive for any classification.
+    exhaustive for any classification.  Repeated values count once, in
+    first-seen order.
     """
     lam = Fraction(lam)
     if rhos is None and gamma_values is None and lam == 0:
         raise ValueError("the grid is built around a nonzero weight")
-    rhos = (lam, -lam) if rhos is None else rhos
-    values = tuple(map(Fraction, (0, -2 * lam) if gamma_values is None else gamma_values))
+    rhos = dict.fromkeys(map(Fraction, (lam, -lam) if rhos is None else rhos))
+    values = tuple(dict.fromkeys(map(Fraction, (0, -2 * lam) if gamma_values is None else gamma_values)))
     rows = []
-    for rho in map(Fraction, rhos):
+    for rho in rhos:
         for gamma in itertools.product(values, repeat=4):
             spec, w = build(FamilyParams("cl1", (lam, rho) + gamma))
             rows.append(
@@ -421,38 +382,31 @@ def search_cl1(lam, rhos=None, gamma_values=None):
 search_cl1_custom = search_cl1  # the exploratory spelling: pass rhos and gamma_values
 
 
+def _search_cl3(family, triples):
+    """All surviving parameter pairs of a d=3 binary family, each pair being
+    the two triples ``triples(*params)`` whose survivor condition decides
+    the point; asserts closed-form agreement pointwise."""
+    survivors = []
+    for params in itertools.product((0, 1), repeat=6):
+        ok = _is_poisson(*build(FamilyParams(family, params)))
+        pair = triples(*params)
+        if ok != all(map(triple_condition, pair)):
+            raise AssertionError(f"condition/verifier mismatch at {params}")
+        if ok:
+            survivors.append(pair)
+    return sorted(survivors)
+
+
 def search_cl3a():
     """All ((a1,a2,a3),(b1,b2,b3)) in {0,1}^3 x {0,1}^3 passing the generic
     checks; asserts agreement with the closed-form conditions pointwise."""
-    survivors = []
-    for alphas in itertools.product((0, 1), repeat=3):
-        for betas in itertools.product((0, 1), repeat=3):
-            spec, w = build(FamilyParams("cl3a", alphas + betas))
-            ok = _is_poisson(spec, w)
-            if ok != cl3a_conditions(alphas, betas):
-                raise AssertionError(
-                    f"condition/verifier mismatch at {alphas}, {betas}"
-                )
-            if ok:
-                survivors.append((alphas, betas))
-    survivors.sort()
-    return survivors
+    return _search_cl3("cl3a", lambda a1, a2, a3, b1, b2, b3: ((a1, a2, a3), (b1, b2, b3)))
 
 
 def search_cl3b():
     """All surviving pairs ((a1,a2,b3),(b1,b2,a3)) of the weight-(1,1,-1)
     family; asserts closed-form agreement pointwise."""
-    survivors = []
-    for raw in itertools.product((0, 1), repeat=6):
-        a1, a2, a3, b1, b2, b3 = raw
-        spec, w = build(FamilyParams("cl3b", raw))
-        ok = _is_poisson(spec, w)
-        if ok != cl3b_conditions((a1, a2, b3), (b1, b2, a3)):
-            raise AssertionError(f"condition/verifier mismatch at {raw}")
-        if ok:
-            survivors.append(((a1, a2, b3), (b1, b2, a3)))
-    survivors.sort()
-    return survivors
+    return _search_cl3("cl3b", lambda a1, a2, a3, b1, b2, b3: ((a1, a2, b3), (b1, b2, a3)))
 
 
 def verify_family_props(d: int, delta: int, pair_deg: int = 3, triple_deg: int = 2):
@@ -471,10 +425,6 @@ def verify_family_props(d: int, delta: int, pair_deg: int = 3, triple_deg: int =
             check_jacobi(spec, triple_deg),
         ]
     return out
-
-
-# fixed builtins exposed to the CLI and the acceptance suite
-BUILTIN_NAMES = ("mdbI", "mdbII", "kontsevich")
 
 
 def builtin(name: str, args=()):

@@ -1,8 +1,10 @@
 """Command-line driver.
 
 Exit codes: 0 all checks passed, 1 at least one check failed (reports are
-still emitted), 2 usage or parse errors.  ``-`` names stdin/stdout so that
-subcommands compose in pipes, e.g.::
+still emitted), 2 usage or parse errors, 141 (128 + SIGPIPE) when the
+reader of stdout went away before the output was written, as in
+``ncdb ... | head``; nothing is printed then.  ``-`` names stdin/stdout so
+that subcommands compose in pipes, e.g.::
 
     ncdb builtin mdbI | ncdb verify - --max-degree 3
 """
@@ -11,13 +13,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
 from . import axioms, classify, repspace, speclang
+from .freealg import exact
 from .localize import LocalisationPlan, localize
 
-EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
+EXIT_OK, EXIT_FAIL, EXIT_USAGE, EXIT_PIPE = 0, 1, 2, 141
 
 
 def _read_text(path: str) -> str:
@@ -87,10 +91,9 @@ def _int_list(text: str):
 
 def _fraction_list(text: str):
     try:
-        vals = tuple(Fraction(x) for x in text.split(","))
+        return tuple(exact(Fraction(x)) for x in text.split(","))
     except ValueError as e:
         raise argparse.ArgumentTypeError(str(e)) from None
-    return tuple(int(v) if v.denominator == 1 else v for v in vals)
 
 
 def _build_parser():
@@ -156,7 +159,15 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:
-        return _dispatch(args)
+        code = _dispatch(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # point stdout at devnull so the flush at exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
     except speclang.ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -8,7 +8,9 @@ that generator invertible).  Words are kept *reduced*: no adjacent pair
 Elements of the algebra, of its tensor square and of its tensor cube are
 sparse maps from words (resp. pairs/triples of words) to exact rational
 coefficients.  Coefficients are plain ``int`` or ``fractions.Fraction``;
-both are exact and interoperate, so no rounding can occur anywhere.
+both are exact and interoperate, so no rounding can occur anywhere.  The
+constructors store every coefficient in one form (:func:`exact`): an
+integral value as ``int``, any other as ``Fraction``.
 
 Interior arithmetic works on hashed keys in whatever order the dicts give;
 a canonical degree-lexicographic order is imposed only on output (iteration
@@ -110,6 +112,19 @@ def cyclic_normal_form(w: Word) -> Word:
 # ---------------------------------------------------------------------------
 # coefficient helpers
 
+def exact(c):
+    """The stored form of a coefficient: ``int`` if integral, else ``Fraction``.
+
+    Anything that is not an ``int`` or a ``Fraction`` (a float, a string) is
+    refused with ValueError.
+    """
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    if isinstance(c, int):
+        return int(c)
+    raise ValueError(f"coefficient {c!r} is not an int or a Fraction")
+
+
 def coef_str(c) -> str:
     if isinstance(c, Fraction) and c.denominator != 1:
         return f"{c.numerator}/{c.denominator}"
@@ -193,14 +208,22 @@ class FreeAlgebra:
 
     # -- constructors -------------------------------------------------------
 
-    def element(self, terms: dict) -> "Element":
+    def _linear(self, cls, terms: dict):
+        """A ``cls`` of validated terms, each coefficient in its stored form."""
         clean = {}
-        for w, c in terms.items():
-            w = tuple(w)
-            self.validate_word(w)
+        for key, c in terms.items():
+            words = tuple(tuple(w) for w in ((key,) if cls.arity == 1 else key))
+            if len(words) != cls.arity:
+                raise ValueError(f"expected {cls.arity} words per term, got {key!r}")
+            for w in words:
+                self.validate_word(w)
+            c = exact(c)
             if c:
-                _merge_term(clean, w, c)
-        return Element(self, clean)
+                _merge_term(clean, words if cls.arity > 1 else words[0], c)
+        return cls(self, clean)
+
+    def element(self, terms: dict) -> "Element":
+        return self._linear(Element, terms)
 
     def zero(self) -> "Element":
         return Element(self, {})
@@ -223,30 +246,13 @@ class FreeAlgebra:
         return Element(self, {w: 1})
 
     def tensor2(self, terms: dict) -> "Tensor2":
-        clean = {}
-        for (w1, w2), c in terms.items():
-            k = (tuple(w1), tuple(w2))
-            self.validate_word(k[0])
-            self.validate_word(k[1])
-            if c:
-                _merge_term(clean, k, c)
-        return Tensor2(self, clean)
+        return self._linear(Tensor2, terms)
 
     def tensor3(self, terms: dict) -> "Tensor3":
-        clean = {}
-        for (w1, w2, w3), c in terms.items():
-            k = (tuple(w1), tuple(w2), tuple(w3))
-            for w in k:
-                self.validate_word(w)
-            if c:
-                _merge_term(clean, k, c)
-        return Tensor3(self, clean)
+        return self._linear(Tensor3, terms)
 
     def zero_t2(self) -> "Tensor2":
         return Tensor2(self, {})
-
-    def zero_t3(self) -> "Tensor3":
-        return Tensor3(self, {})
 
     # -- enumeration and rendering ------------------------------------------
 
@@ -307,7 +313,9 @@ class _Linear:
 
     def items(self):
         """Terms in canonical order."""
-        return sorted(self.terms.items(), key=lambda kv: self._key(kv[0]))
+        if self.arity == 1:
+            return sorted(self.terms.items(), key=lambda kv: word_key(kv[0]))
+        return sorted(self.terms.items(), key=lambda kv: tuple(map(word_key, kv[0])))
 
     def __eq__(self, other):
         return (
@@ -336,22 +344,40 @@ class _Linear:
         return type(self)(self.algebra, {k: -c for k, c in self.terms.items()})
 
     def scale(self, c):
+        c = exact(c)
         if not c:
             return type(self)(self.algebra, {})
         return type(self)(self.algebra, {k: c * v for k, v in self.terms.items()})
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.scale(other)
+        if type(other) is not type(self):
+            return NotImplemented
+        if other.algebra != self.algebra:
+            raise ValueError("algebra mismatch")
+        terms = {}
+        for ka, c1 in self.terms.items():
+            for kb, c2 in other.terms.items():
+                key = concat(ka, kb) if self.arity == 1 else tuple(map(concat, ka, kb))
+                _merge_term(terms, key, c1 * c2)
+        return type(self)(self.algebra, terms)
 
     def __rmul__(self, c):
         if isinstance(c, (int, Fraction)):
             return self.scale(c)
         return NotImplemented
 
+    def __str__(self):
+        return render_terms(self.algebra, self.items(), self.arity)
+
+    __repr__ = __str__
+
 
 class Element(_Linear):
     """A sparse rational combination of words: an element of the algebra."""
 
-    @staticmethod
-    def _key(w):
-        return word_key(w)
+    arity = 1
 
     def degree(self):
         """Maximal word degree, or None for the zero element."""
@@ -359,47 +385,11 @@ class Element(_Linear):
             return None
         return max(len(w) for w in self.terms)
 
-    def coefficient(self, w: Word):
-        return self.terms.get(tuple(w), 0)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        if isinstance(other, Element):
-            if other.algebra != self.algebra:
-                raise ValueError("algebra mismatch")
-            terms = {}
-            for w1, c1 in self.terms.items():
-                for w2, c2 in other.terms.items():
-                    _merge_term(terms, concat(w1, w2), c1 * c2)
-            return Element(self.algebra, terms)
-        return NotImplemented
-
-    def __str__(self):
-        return render_terms(self.algebra, self.items(), arity=1)
-
-    __repr__ = __str__
-
 
 class Tensor2(_Linear):
     """Sparse element of the tensor square, keyed by pairs of words."""
 
-    @staticmethod
-    def _key(k):
-        return (word_key(k[0]), word_key(k[1]))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        if isinstance(other, Tensor2):
-            if other.algebra != self.algebra:
-                raise ValueError("algebra mismatch")
-            terms = {}
-            for (a1, a2), c1 in self.terms.items():
-                for (b1, b2), c2 in other.terms.items():
-                    _merge_term(terms, (concat(a1, b1), concat(a2, b2)), c1 * c2)
-            return Tensor2(self.algebra, terms)
-        return NotImplemented
+    arity = 2
 
     def flip(self) -> "Tensor2":
         """Swap the tensor factors term by term."""
@@ -415,32 +405,11 @@ class Tensor2(_Linear):
             _merge_term(terms, concat(a, b), c)
         return Element(self.algebra, terms)
 
-    def __str__(self):
-        return render_terms(self.algebra, self.items(), arity=2)
-
-    __repr__ = __str__
-
 
 class Tensor3(_Linear):
     """Sparse element of the tensor cube, keyed by triples of words."""
 
-    @staticmethod
-    def _key(k):
-        return tuple(word_key(w) for w in k)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        if isinstance(other, Tensor3):
-            if other.algebra != self.algebra:
-                raise ValueError("algebra mismatch")
-            terms = {}
-            for ka, c1 in self.terms.items():
-                for kb, c2 in other.terms.items():
-                    key = tuple(concat(x, y) for x, y in zip(ka, kb))
-                    _merge_term(terms, key, c1 * c2)
-            return Tensor3(self.algebra, terms)
-        return NotImplemented
+    arity = 3
 
     def m3(self) -> Element:
         """Multiply the three factors together."""
@@ -448,11 +417,6 @@ class Tensor3(_Linear):
         for (a, b, c), v in self.terms.items():
             _merge_term(terms, concat(concat(a, b), c), v)
         return Element(self.algebra, terms)
-
-    def __str__(self):
-        return render_terms(self.algebra, self.items(), arity=3)
-
-    __repr__ = __str__
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .freealg import FreeAlgebra, reduce_word, word_key
+from .freealg import FreeAlgebra, coef_str, exact, reduce_word, render_terms, word_key
 from .bracket import BracketSpec
 
 KEYWORDS = {"name", "algebra", "weight", "bracket", "inv"}
@@ -127,8 +127,9 @@ class SpecDocument:
     """Parsed form of a .ndb file.
 
     ``entries`` maps (i, j) generator index pairs to sorted tuples of
-    ((word, word), coefficient) terms; zero entries are dropped and term
-    order is canonical, so document equality is structural equality.
+    ((word, word), coefficient) terms, each coefficient in the stored form
+    of :func:`ncdb.freealg.exact`; zero entries are dropped and term order
+    is canonical, so document equality is structural equality.
     """
 
     generators: tuple
@@ -145,7 +146,7 @@ class SpecDocument:
         norm = {}
         for pair, terms in self.entries.items():
             terms = tuple(sorted(
-                ((k, Fraction(c)) for k, c in dict(terms).items() if c),
+                ((k, exact(c)) for k, c in dict(terms).items() if exact(c)),
                 key=lambda kc: (word_key(kc[0][0]), word_key(kc[0][1])),
             ))
             if terms:
@@ -225,7 +226,7 @@ class _Parser:
         name = None
         gens = None
         weights = None
-        raw_entries = []  # (pair_names, terms, token) resolved after algebra
+        raw_entries = []  # (pair names, terms) resolved after the algebra block
         while self.cur.kind != "EOF":
             t = self.cur
             if t.kind != "IDENT":
@@ -252,10 +253,6 @@ class _Parser:
         if gens is None:
             raise ParseError("missing algebra block", self.cur.line, self.cur.col)
         index = {g.name: i + 1 for i, g in enumerate(gens)}
-        alg = FreeAlgebra(
-            tuple(g.name for g in gens),
-            tuple(i + 1 for i, g in enumerate(gens) if g.invertible),
-        )
         entries = {}
         for (n1, t1), (n2, t2), terms in raw_entries:
             pair = []
@@ -269,13 +266,8 @@ class _Parser:
                     f"duplicate bracket entry for ({n1},{n2})", t1.line, t1.col
                 )
             resolved = {}
-            for (w1, w2), c, tok in terms:
-                try:
-                    k = (self.resolve_word(w1, index, alg), self.resolve_word(w2, index, alg))
-                except ParseError:
-                    raise
-                except ValueError as e:
-                    raise ParseError(str(e), tok.line, tok.col) from None
+            for (w1, w2), c in terms:
+                k = (self.resolve_word(w1, index, gens), self.resolve_word(w2, index, gens))
                 resolved[k] = resolved.get(k, 0) + c
             entries[pair] = tuple(resolved.items())
         if weights is not None and len(weights) != len(gens):
@@ -286,13 +278,13 @@ class _Parser:
             )
         return SpecDocument(tuple(gens), entries, weights, name)
 
-    def resolve_word(self, word, index, alg):
+    def resolve_word(self, word, index, gens):
         letters = []
         for nm, exp, tok in word:
             if nm not in index:
                 raise ParseError(f"undeclared generator {nm!r}", tok.line, tok.col)
             g = index[nm]
-            if exp < 0 and g not in alg.inverted:
+            if exp < 0 and not gens[g - 1].invertible:
                 raise ParseError(
                     f"generator {nm!r} is not invertible", tok.line, tok.col
                 )
@@ -366,7 +358,6 @@ class _Parser:
         return terms
 
     def term(self, sign):
-        tok = self.cur
         c1, w1 = self.side()
         if self.cur.kind != "TENSOR":
             if c1 == 0 and not w1:
@@ -377,7 +368,7 @@ class _Parser:
         c = sign * c1 * c2
         if c == 0:
             return []
-        return [((w1, w2), Fraction(c), tok)]
+        return [((w1, w2), c)]
 
     def side(self):
         """One tensor factor: optional rational coefficient times a word.
@@ -386,14 +377,7 @@ class _Parser:
         multiple of the unit monomial; '0' makes the whole term vanish.
         """
         if self.cur.kind == "INT":
-            num = int(self.advance().text)
-            c = Fraction(num)
-            if self.at_sym("/"):
-                self.advance()
-                den = int(self.expect("INT").text)
-                if den == 0:
-                    self.fail("a nonzero denominator")
-                c = Fraction(num, den)
+            c = self.rational()
             if self.at_sym("*"):
                 self.advance()
                 return c, self.word()
@@ -435,40 +419,6 @@ def parse(text: str) -> SpecDocument:
 # renderer
 
 
-def _render_coef(c: Fraction) -> str:
-    c = Fraction(c)
-    if c.denominator != 1:
-        return f"{c.numerator}/{c.denominator}"
-    return str(c.numerator)
-
-
-def _render_side(alg: FreeAlgebra, c, w, with_sign: bool) -> str:
-    mag = -c if c < 0 else c
-    word = alg.render_word(w)
-    if w and mag == 1:
-        body = word
-    elif not w:
-        body = _render_coef(mag)
-    else:
-        body = f"{_render_coef(mag)}*{word}"
-    if with_sign and c < 0:
-        return "-" + body
-    return body
-
-
-def render_tensor(alg: FreeAlgebra, terms) -> str:
-    if not terms:
-        return "0"
-    parts = []
-    for (w1, w2), c in terms:
-        body = _render_side(alg, abs(c), w1, False) + f" {TENSOR_SEP} " + alg.render_word(w2)
-        if not parts:
-            parts.append(("-" if c < 0 else "") + body)
-        else:
-            parts.append(("- " if c < 0 else "+ ") + body)
-    return " ".join(parts)
-
-
 def render(doc: SpecDocument) -> str:
     alg = doc.algebra
     lines = []
@@ -479,11 +429,11 @@ def render(doc: SpecDocument) -> str:
     )
     lines.append(f"algebra {gens};")
     if doc.weights is not None:
-        lines.append("weight " + " ".join(_render_coef(w) for w in doc.weights) + ";")
+        lines.append("weight " + " ".join(coef_str(w) for w in doc.weights) + ";")
     for (i, j) in sorted(doc.entries):
         n1, n2 = doc.generators[i - 1].name, doc.generators[j - 1].name
         lines.append(
-            f"bracket {{{n1},{n2}}} = {render_tensor(alg, doc.entries[(i, j)])};"
+            f"bracket {{{n1},{n2}}} = {render_terms(alg, doc.entries[(i, j)], 2)};"
         )
     return "\n".join(lines) + "\n"
 

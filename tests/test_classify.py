@@ -9,6 +9,7 @@ from ncdb.classify import (
     FamilyParams,
     build,
     builtin,
+    cl1_survivors,
     search_cl1,
     search_cl1_grid,
     search_cl3a,
@@ -141,6 +142,15 @@ class TestSearchCL1:
         assert search_cl1_custom(1, (F(2), F(-2), F(1, 2)), (F(0), F(-2))) == []
         got = search_cl1_custom(1, (F(1), F(-1)), (F(0), F(-2)))
         assert set(got) == set(search_cl1(1))
+
+    def test_exploratory_grid_counts_repeated_values_once(self):
+        # at lam = 0 the default gamma values 0 and -2 lam coincide
+        rows = search_cl1_grid(0, rhos=(0,))
+        assert len(rows) == 1 and len(cl1_survivors(rows)) == 1
+        rows = search_cl1_grid(1, gamma_values=(0, 0, -2))
+        assert len(rows) == 32
+        assert set(cl1_survivors(rows)) == self.EXPECTED
+        assert len(search_cl1_grid(1, rhos=(1, F(2, 2), -1))) == 32
 
     def test_kontsevich_is_a_case1_member(self):
         spec, w = builtin("kontsevich")

@@ -249,3 +249,14 @@ class TestOrderingAndRendering:
         y = x + x + x
         assert y == A3.gen(1)
         assert all(isinstance(c, (int, Fraction)) for c in y.terms.values())
+        # integral coefficients are stored as int, whatever type they came in
+        for make, key in ((A3.element, (1,)), (A3.tensor2, ((1,), ())), (A3.tensor3, ((1,), (), ()))):
+            assert type(make({key: Fraction(4, 2)}).terms[key]) is int
+            assert make({key: Fraction(1, 2)}).terms[key] == Fraction(1, 2)
+            for bad in (0.5, 0.0, "1"):
+                with pytest.raises(ValueError):
+                    make({key: bad})
+        with pytest.raises(ValueError):
+            A3.tensor2({((1,), (2,), (3,)): 1})
+        with pytest.raises(ValueError):
+            A3.gen(1).scale(0.5)

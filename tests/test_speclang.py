@@ -1,12 +1,18 @@
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from ncdb.axioms import modified_double_poisson_battery
 from ncdb.cli import _emit_reports, main
-from ncdb.classify import builtin
+from ncdb.classify import FamilyParams, build, builtin
+from ncdb.localize import LocalisationPlan, localize
 from ncdb.freealg import reduce_word
 from ncdb.speclang import (
     GenDecl,
@@ -99,6 +105,14 @@ class TestParse:
         with pytest.raises(ParseError):
             parse("algebra inv v;")
 
+    def test_document_coefficients_are_exact(self):
+        gens = (GenDecl("v"), GenDecl("w"))
+        doc = SpecDocument(gens, {(1, 2): ((((1,), (2,)), Fraction(6, 3)),)})
+        assert type(doc.entries[(1, 2)][0][1]) is int
+        for bad in (0.1, 0.0):
+            with pytest.raises(ValueError):
+                SpecDocument(gens, {(1, 2): ((((1,), (2,)), bad),)})
+
     def test_like_terms_collected(self):
         doc = parse("algebra v w; bracket {v,w} = v (x) w + v (x) w - 2*v (x) w;")
         assert doc.entries == {}
@@ -123,6 +137,34 @@ class TestRender:
         spec, _ = builtin("mdbII")
         doc = doc_from_spec(spec)
         assert render(doc) == render(parse(render(doc)))
+
+    @pytest.mark.parametrize("family, params", [
+        ("mdbI", ()), ("mdbII", ()), ("kontsevich", ()),
+        ("cl1", (Fraction(2, 3), Fraction(-1, 2), Fraction(1, 5), -2, Fraction(3, 4), 0)),
+        ("cl1_case1", (Fraction(3, 2), 1, Fraction(-1, 3))),
+        ("cl1_case2", (2, Fraction(1, 2), 3)),
+        ("cl3a", (1, 0, 0, 0, 1, 1)), ("cl3b", (0, 1, 0, 0, 0, 0)),
+        ("cld", (4, 2)), ("cld2", (4, 1)), ("kontsevich_laurent", ()),
+    ])
+    def test_round_trip_keeps_table_and_reports(self, family, params):
+        if family == "kontsevich_laurent":
+            base, w = builtin("kontsevich")
+            spec, w = localize(base, w, LocalisationPlan(base.algebra, (1, 2)))
+        else:
+            spec, w = build(FamilyParams(family, params))
+        parsed, pw = parse(render(doc_from_spec(spec))).to_spec()
+
+        def typed(s):
+            return {p: {k: (c, type(c)) for k, c in u.terms.items()} for p, u in s.table.items()}
+
+        assert typed(parsed) == typed(spec)
+        assert pw == w
+
+        def battery(s, weights):
+            reports, used = modified_double_poisson_battery(s, weights, 3, 2)
+            return json.dumps([[r.as_dict() for r in reports], repr(used)], sort_keys=True)
+
+        assert battery(parsed, pw) == battery(spec, w)
 
     def test_quadratic_warning(self):
         doc = parse("algebra v w; bracket {v,w} = v*v (x) w;")
@@ -271,6 +313,20 @@ class TestCli:
         )
         assert code == 0
         assert "algebra v1 v2 v3 v4;" in out
+
+    def test_broken_pipe_exits_141_quietly(self):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "ncdb.cli", "builtin", "cld", "--params", "8,4"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 141
+        assert proc.stderr == b""
 
     def test_input_caps_exit_2(self, capsys, monkeypatch, tmp_path):
         f = tmp_path / "long.ndb"
