@@ -10,13 +10,10 @@ from .freealg import (
     cyclic_normal_form,
     inner_act,
     otimes1_left,
-    otimes1_right,
     outer_act,
     pure_t2,
     reduce_mod_commutators,
     reduce_word,
-    segment,
-    split_word,
 )
 from .bracket import BracketSpec
 from .axioms import (

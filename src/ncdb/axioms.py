@@ -38,6 +38,7 @@ from .freealg import (
     Tensor3,
     _merge_term,
     concat,
+    exact,
 )
 from .bracket import BracketSpec
 
@@ -239,7 +240,7 @@ def _id_element(spec: BracketSpec, res: dict) -> str:
 
 
 def _weights(spec: BracketSpec, weights) -> tuple:
-    weights = tuple(weights)
+    weights = tuple(Fraction(exact(w)) for w in weights)
     if len(weights) != len(spec.algebra.letters):
         raise ValueError(f"expected {len(spec.algebra.letters)} weights, got {len(weights)}")
     return weights
@@ -269,46 +270,32 @@ def check_weight(spec: BracketSpec, weights) -> VerificationReport:
     weights must be the negated base weights (the unique consistent extension).
     """
     w = _weights(spec, weights)
-    witnesses = pair_witnesses(
-        spec, lambda i, j: (Fraction(w[i] + w[j]) * HALF, Fraction(w[i] - w[j]) * HALF)
-    )
-    params = {"weights": [str(Fraction(x)) for x in w], "pairs": len(w) ** 2}
+    witnesses = pair_witnesses(spec, lambda i, j: ((w[i] + w[j]) * HALF, (w[i] - w[j]) * HALF))
+    params = {"weights": [str(x) for x in w], "pairs": len(w) ** 2}
     return report("weighted_skew_symmetry", spec, params, witnesses)
+
+
+def _read_form(spec: BracketSpec, i: int, j: int) -> tuple:
+    """The (s, k) that :func:`pair_witnesses` compares the (i, j) skew defect
+    against: its x_i (x) x_j and 1 (x) x_i x_j coefficients."""
+    terms = skew_defect(spec, i, j).terms
+    return terms.get(((i,), (j,)), 0), terms.get(((), (i, j)), 0)
 
 
 def infer_weight(spec: BracketSpec):
     """Solve the weighted-skew condition for the weight vector, or None.
 
-    Weights are read off positive generator pairs; inverse letters always
-    carry the negated weight of their generator.  The result is validated
-    with :func:`check_weight` before being returned.
+    The weights are read off the pairs (x_1, x_j), where (s, k) is
+    ((l_1 + l_j)/2, (l_1 - l_j)/2): l_1 = s + k from (x_1, x_2) and
+    l_j = s - k from each (x_1, x_j).  Inverse letters carry the negated
+    weight of their generator.  The result is validated with
+    :func:`check_weight` on every letter pair before being returned.
     """
     alg = spec.algebra
-    d = alg.d
-    lam = [None] * d
-    for i in range(1, d + 1):
-        for j in range(1, d + 1):
-            if i == j:
-                continue
-            defect = skew_defect(spec, i, j)
-            terms = defect.terms
-            s = terms.get(((i,), (j,)), 0)  # (lam_i + lam_j)/2
-            t = terms.get(((), (i, j)), 0)  # (lam_i - lam_j)/2
-            li = s + t
-            lj = s - t
-            if lam[i - 1] is None:
-                lam[i - 1] = li
-            if lam[j - 1] is None:
-                lam[j - 1] = lj
-    if d == 1:
-        lam = [0]
-    if any(v is None for v in lam):
-        return None
-    full = tuple(lam) + tuple(-lam[i - 1] for i in alg.inverted)
-    full = tuple(Fraction(v) for v in full)
-    if not check_weight(spec, full).passed:
-        return None
-    return full
+    forms = [_read_form(spec, 1, j) for j in range(2, alg.d + 1)]
+    base = [sum(forms[0]) if forms else 0] + [s - k for s, k in forms]
+    full = tuple(Fraction(v) for v in alg.letter_weights(base))
+    return full if check_weight(spec, full).passed else None
 
 
 def check_mixed_type(spec: BracketSpec, mtype: MixedType) -> VerificationReport:
@@ -325,9 +312,12 @@ def check_mixed_type(spec: BracketSpec, mtype: MixedType) -> VerificationReport:
 def infer_mixed_type(spec: BracketSpec):
     """Coefficient extraction of the quadratic type from the skew defects.
 
-    Returns None if some defect falls outside the four-dimensional quadratic
-    span.  Diagonal entries of the symmetric part are a free gauge; they are
-    set from the weight equations when those are solvable, else to zero.
+    Each pair i < j gives (s, k) = (sym[i][j], skew[i][j]).  Returns None
+    when the skew defects are not the type so read, which
+    :func:`check_mixed_type` decides on every pair, the diagonal included:
+    a defect outside the four-dimensional quadratic span fails there.
+    Diagonal entries of the symmetric part are a free gauge; they are set
+    from the weight equations when those are solvable, else to zero.
     """
     alg = spec.algebra
     if alg.has_inverses:
@@ -335,32 +325,17 @@ def infer_mixed_type(spec: BracketSpec):
     d = alg.d
     sym = [[0] * d for _ in range(d)]
     skw = [[0] * d for _ in range(d)]
-    for i in range(1, d + 1):
-        defect = skew_defect(spec, i, i)
-        if defect:
-            return None
-    for i in range(1, d + 1):
-        for j in range(i + 1, d + 1):
-            defect = skew_defect(spec, i, j)
-            terms = dict(defect.terms)
-            lam = terms.pop(((i,), (j,)), 0)
-            lam2 = terms.pop(((j,), (i,)), 0)
-            mu_ij = terms.pop(((), (i, j)), 0)
-            mu_ji = terms.pop(((j, i), ()), 0)
-            if terms or lam2 != -lam or mu_ji != -mu_ij:
-                return None
-            sym[i - 1][j - 1] = sym[j - 1][i - 1] = lam
-            skw[i - 1][j - 1] = mu_ij
-            skw[j - 1][i - 1] = -mu_ij
+    for i, j in itertools.combinations(range(d), 2):
+        s, k = _read_form(spec, i + 1, j + 1)
+        sym[i][j] = sym[j][i] = s
+        skw[i][j], skw[j][i] = k, -k
     # gauge-fix the diagonal from the weight equations when consistent
     for i in range(d):
         vals = {sym[i][j] + skw[i][j] for j in range(d) if j != i}
         if len(vals) == 1:
             sym[i][i] = vals.pop()
     mt = MixedType(tuple(map(tuple, sym)), tuple(map(tuple, skw)))
-    if not check_mixed_type(spec, mt).passed:
-        return None
-    return mt
+    return mt if check_mixed_type(spec, mt).passed else None
 
 
 def check_wsk_condition(mtype: MixedType) -> bool:
@@ -379,7 +354,7 @@ def check_wsk_condition(mtype: MixedType) -> bool:
 def check_poisson_property(spec: BracketSpec, weights) -> VerificationReport:
     """The double Jacobiator on letter triples takes its prescribed value."""
     w = _weights(spec, weights)
-    params = {"weights": [str(Fraction(x)) for x in w], "triples": len(w) ** 3}
+    params = {"weights": [str(x) for x in w], "triples": len(w) ** 3}
     return report("poisson_property", spec, params, triple_witnesses(spec, w))
 
 
@@ -389,15 +364,13 @@ def check_lambda_double_lie(spec: BracketSpec, lam) -> VerificationReport:
     alg = spec.algebra
     if alg.has_inverses:
         raise ValueError("defined for free algebras only")
+    lam = Fraction(exact(lam))
     for (i, j), u in spec.table.items():
         for (w1, w2) in u.terms:
             if len(w1) != 1 or len(w2) != 1 or w1[0] < 0 or w2[0] < 0:
                 names = (alg.render_word((i,)), alg.render_word((j,)))
                 witness = Witness(names, "a combination of generator (x) generator terms", str(u), str(u))
-                return VerificationReport(
-                    "lambda_double_lie", False, {"algebra": alg.describe(), "reason": "not V(x)V-valued"}, [witness]
-                )
-    lam = Fraction(lam)
+                return report("lambda_double_lie", spec, {"reason": "not V(x)V-valued"}, [witness])
     witnesses = pair_witnesses(spec, lambda i, j: (lam, 0)) + triple_witnesses(spec, (lam,) * alg.d)
     return report("lambda_double_lie", spec, {"lambda": str(lam)}, witnesses)
 

@@ -9,7 +9,10 @@ positive generators (absent pairs are zero).  Everything else is derived:
   letter positions, equivalent to iterating the two Leibniz rules
       <<a,bc>> = (b (x) 1) <<a,c>> + <<a,b>> (1 (x) c)
       <<ab,c>> = (1 (x) a) <<b,c>> + <<a,c>> (b (x) 1);
-* the bracket is extended bilinearly over sparse elements.
+* every public operation -- the double, multiplied and three triple
+  brackets -- is one bilinear extension (``BracketSpec._extend``) of a
+  monomial kernel over sparse operands; only the kernel and the place its
+  key lands differ.
 
 The sweeps in :mod:`ncdb.axioms` iterate over many monomial pairs/triples,
 so the spec memoizes raw dict-level results per word pair; caches are only
@@ -18,6 +21,7 @@ ever filled with idempotent pure values and are safe to share.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from types import MappingProxyType
 
 from .freealg import (
@@ -28,6 +32,7 @@ from .freealg import (
     _merge_term,
     concat,
     cyclic_normal_form,
+    exact,
 )
 
 
@@ -47,7 +52,7 @@ class BracketSpec:
         # read-only: the memo caches below are derived from it
         self.table = MappingProxyType(clean)
         if weight is not None:
-            weight = tuple(weight)
+            weight = tuple(Fraction(exact(w)) for w in weight)
             if len(weight) != len(algebra.letters):
                 raise ValueError(
                     f"weight length {len(weight)} != letter count {len(algebra.letters)}"
@@ -152,17 +157,12 @@ class BracketSpec:
                     continue
                 wp = w[:b]
                 ws = w[b + 1 :]
-                if reduced:
-                    for (p, q), c in lb.items():
-                        word = concat(concat(concat(wp, p), mid), concat(q, ws))
-                        _merge_term(res, word, c)
-                else:
-                    for (p, q), c in lb.items():
-                        word = wp + p + mid + q + ws
-                        v = res.get(word)
-                        res[word] = c if v is None else v + c
-        if not reduced:
-            res = {k: v for k, v in res.items() if v}
+                for (p, q), c in lb.items():
+                    # concat cancels x x^-1 on a Laurent algebra; a free one takes the faster +
+                    word = concat(concat(concat(wp, p), mid), concat(q, ws)) if reduced else wp + p + mid + q + ws
+                    v = res.get(word)
+                    res[word] = c if v is None else v + c
+        res = {k: v for k, v in res.items() if v}
         self._mb_cache[key] = res
         return res
 
@@ -199,65 +199,42 @@ class BracketSpec:
 
     # -- public bracket operations ----------------------------------------------
 
-    def _check(self, *elts):
-        for e in elts:
-            if e.algebra != self.algebra:
-                raise ValueError("algebra mismatch")
+    def _extend(self, cls, a, b, kernel, place=None):
+        """The bilinear extension behind every public bracket: the sum of
+        ca*cb*kernel(u, w) over the terms ca*u of ``a`` and cb*w of ``b``,
+        each kernel key k stored as ``place(u, w, k)`` (k itself by default)."""
+        if a.algebra != self.algebra or b.algebra != self.algebra:
+            raise ValueError("algebra mismatch")
+        terms = {}
+        for u, cu in a.terms.items():
+            for w, cw in b.terms.items():
+                c = cu * cw
+                for k, v in kernel(u, w).items():
+                    _merge_term(terms, k if place is None else place(u, w, k), c * v)
+        return cls(self.algebra, terms)
 
     def dbracket(self, a: Element, b: Element) -> Tensor2:
         """The double bracket <<a, b>>, extended bilinearly."""
-        self._check(a, b)
-        terms = {}
-        for u, cu in a.terms.items():
-            for w, cw in b.terms.items():
-                c = cu * cw
-                for k, v in self._dbr_words(u, w).items():
-                    _merge_term(terms, k, c * v)
-        return Tensor2(self.algebra, terms)
+        return self._extend(Tensor2, a, b, self._dbr_words)
 
     def mbracket(self, a: Element, b: Element) -> Element:
         """The multiplied bracket {a, b} = m o <<a, b>>."""
-        self._check(a, b)
-        terms = {}
-        for u, cu in a.terms.items():
-            for w, cw in b.terms.items():
-                c = cu * cw
-                for k, v in self._mb_words(u, w).items():
-                    _merge_term(terms, k, c * v)
-        return Element(self.algebra, terms)
+        return self._extend(Element, a, b, self._mb_words)
 
     def tbracket_L(self, a: Element, u: Tensor2) -> Tensor3:
         """<<a, b (x) c>>_L = <<a, b>> (x) c."""
-        self._check(a, u)
-        terms = {}
-        for (w1, w2), cu in u.terms.items():
-            for wa, ca in a.terms.items():
-                c = ca * cu
-                for (p, q), v in self._dbr_words(wa, w1).items():
-                    _merge_term(terms, (p, q, w2), c * v)
-        return Tensor3(self.algebra, terms)
+        return self._extend(Tensor3, a, u, lambda x, t: self._dbr_words(x, t[0]),
+                            lambda x, t, pq: pq + t[1:])
 
     def tbracket_R(self, a: Element, u: Tensor2) -> Tensor3:
         """<<a, b (x) c>>_R = b (x) <<a, c>>."""
-        self._check(a, u)
-        terms = {}
-        for (w1, w2), cu in u.terms.items():
-            for wa, ca in a.terms.items():
-                c = ca * cu
-                for (p, q), v in self._dbr_words(wa, w2).items():
-                    _merge_term(terms, (w1, p, q), c * v)
-        return Tensor3(self.algebra, terms)
+        return self._extend(Tensor3, a, u, lambda x, t: self._dbr_words(x, t[1]),
+                            lambda x, t, pq: t[:1] + pq)
 
     def tbracket_swapL(self, u: Tensor2, a: Element) -> Tensor3:
         """<<b (x) c, a>>_L = <<b, a>> otimes_1 c, inserting c in the middle."""
-        self._check(u, a)
-        terms = {}
-        for (w1, w2), cu in u.terms.items():
-            for wa, ca in a.terms.items():
-                c = ca * cu
-                for (p, q), v in self._dbr_words(w1, wa).items():
-                    _merge_term(terms, (p, w2, q), c * v)
-        return Tensor3(self.algebra, terms)
+        return self._extend(Tensor3, u, a, lambda t, x: self._dbr_words(t[0], x),
+                            lambda t, x, pq: (pq[0], t[1], pq[1]))
 
     def djac(self, a: Element, b: Element, c: Element) -> Tensor3:
         """Double Jacobiator <<a,<<b,c>>>>_L - <<b,<<a,c>>>>_R - <<<<a,b>>,c>>_L."""

@@ -30,7 +30,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .freealg import FreeAlgebra
+from .freealg import FreeAlgebra, exact
 from .bracket import BracketSpec
 from .axioms import (
     check_h0_skew,
@@ -59,7 +59,7 @@ class FamilyParams:
     args: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "args", tuple(self.args))
+        object.__setattr__(self, "args", tuple(map(exact, self.args)))
         if self.variant not in _FAMILIES:
             raise ValueError(f"unknown family {self.variant!r}")
         _FAMILIES[self.variant][0](self.args)
@@ -232,6 +232,8 @@ def _validate_cld(args):
     if len(args) != 2:
         raise ValueError("expected (d, delta)")
     d, delta = args
+    if not (isinstance(d, int) and isinstance(delta, int)):
+        raise ValueError("d and delta must be integers")
     if d < 4:
         raise ValueError("family defined for d >= 4")
     if d > 64:
@@ -281,48 +283,25 @@ def cld2(d: int, delta: int):
 
 
 def cl1_conditions(lam, rho, gamma) -> bool:
-    """Closed-form Poisson conditions for the d=2 ansatz.
+    """Closed-form Poisson conditions for the d=2 ansatz: rho = -lam with
+    g1 = g2 = 0 and g3, g4 in {0, -2 lam}, or rho = lam with g3 = g4 = 0 and
+    g1, g2 in {0, -2 lam}.
 
-    Three groups, all polynomial identities in (lam, rho, gamma):
-    the first-orientation Jacobiator conditions, the reversed-orientation
-    conditions, and the mixed-triple conditions that discard two candidate
-    quadruples.
+    This is the mixed-triple group of the paper's conditions, and it decides
+    alone for every rational input: in both cases every product in the
+    first-orientation group (g1 g3, g2 g4, g (lam + g/2)) and in the
+    reversed-orientation group (lam + rho + g' times lam - rho + g'') has a
+    zero factor, so those two groups are implied.
     """
     lam, rho = Fraction(lam), Fraction(rho)
     g1, g2, g3, g4 = (Fraction(g) for g in gamma)
-    half = Fraction(1, 2)
-    cond1 = (
-        g1 * g3 == 0
-        and g2 * g4 == 0
-        and all(g * (lam + g * half) == 0 for g in (g1, g2, g3, g4))
-    )
-    if not cond1:
-        return False
-    cond2 = (
-        (lam + rho + g2) * (lam - rho + g3) == 0
-        and (lam + rho + g1) * (lam - rho + g4) == 0
-        and all((lam + rho + g) * (lam - rho + g) == 0 for g in (g1, g2, g3, g4))
-    )
-    if not cond2:
-        return False
-    # mixed-triple conditions, by the sign of rho relative to lam
     if rho == -lam:
-        cond3 = (
-            g1 == 0
-            and g2 == 0
-            and g3 * (g3 + 2 * lam) == 0
-            and g4 * (g4 + 2 * lam) == 0
-        )
+        zero, free = (g1, g2), (g3, g4)
     elif rho == lam:
-        cond3 = (
-            g3 == 0
-            and g4 == 0
-            and g1 * (g1 + 2 * lam) == 0
-            and g2 * (g2 + 2 * lam) == 0
-        )
+        zero, free = (g3, g4), (g1, g2)
     else:
-        cond3 = False
-    return cond3
+        return False
+    return not any(zero) and all(g * (g + 2 * lam) == 0 for g in free)
 
 
 def triple_condition(t) -> bool:

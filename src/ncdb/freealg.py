@@ -60,22 +60,6 @@ def concat(a: Word, b: Word) -> Word:
     return a[:i] + b[j:]
 
 
-def split_word(w: Word, pos: int):
-    """Split at the 1-based position ``pos``: (prefix, letter, suffix)."""
-    if not 1 <= pos <= len(w):
-        raise IndexError(f"position {pos} out of range for word of degree {len(w)}")
-    return w[: pos - 1], w[pos - 1], w[pos:]
-
-
-def segment(w: Word, alpha: int, gamma: int) -> Word:
-    """Subword from position alpha to gamma inclusive (1-based); unit if alpha > gamma."""
-    if not (1 <= alpha <= len(w) and 1 <= gamma <= len(w)):
-        raise IndexError(f"positions ({alpha},{gamma}) out of range for degree {len(w)}")
-    if alpha > gamma:
-        return ()
-    return w[alpha - 1 : gamma]
-
-
 def cyclic_reduce(w: Word) -> Word:
     """Strip cancelling first/last letters until the word is cyclically reduced."""
     i, j = 0, len(w)
@@ -192,6 +176,13 @@ class FreeAlgebra:
     def letters(self) -> tuple:
         """All one-letter monomials: positive generators, then inverses in order."""
         return tuple(range(1, self.d + 1)) + tuple(-i for i in self.inverted)
+
+    def letter_weights(self, base) -> tuple:
+        """The weight vector on ``letters``: ``base`` on the positive
+        generators, and on each inverse letter the negated weight of its
+        generator (the unique consistent extension)."""
+        base = tuple(base)
+        return base + tuple(-base[i - 1] for i in self.inverted)
 
     def laurent(self) -> "FreeAlgebra":
         """The same generators with every one of them inverted."""
@@ -463,11 +454,6 @@ def otimes1_left(u: Tensor2, c: Element) -> Tensor3:
         for w, y in c.terms.items():
             _merge_term(terms, (a, w, b), x * y)
     return Tensor3(u.algebra, terms)
-
-
-def otimes1_right(c: Element, u: Tensor2) -> Tensor3:
-    """Same middle insertion written with the element on the left."""
-    return otimes1_left(u, c)
 
 
 def reduce_mod_commutators(x: Element) -> Element:

@@ -54,6 +54,6 @@ def localize(spec: BracketSpec, weights, plan: LocalisationPlan):
     table = {
         key: loc_alg.tensor2(dict(u.terms)) for key, u in spec.table.items()
     }
-    ext_weights = weights + tuple(-weights[i - 1] for i in plan.invert)
+    ext_weights = loc_alg.letter_weights(weights)
     loc_spec = BracketSpec(loc_alg, table, ext_weights)
     return loc_spec, ext_weights

@@ -140,7 +140,7 @@ class SpecDocument:
     def __post_init__(self):
         self.generators = tuple(self.generators)
         if self.weights is not None:
-            self.weights = tuple(Fraction(w) for w in self.weights)
+            self.weights = tuple(Fraction(exact(w)) for w in self.weights)
             if len(self.weights) != len(self.generators):
                 raise ValueError("one weight per generator required")
         norm = {}
@@ -170,9 +170,7 @@ class SpecDocument:
         table = {
             pair: alg.tensor2(dict(terms)) for pair, terms in self.entries.items()
         }
-        weights = None
-        if self.weights is not None:
-            weights = self.weights + tuple(-self.weights[i - 1] for i in alg.inverted)
+        weights = None if self.weights is None else alg.letter_weights(self.weights)
         return BracketSpec(alg, table, weights), weights
 
 

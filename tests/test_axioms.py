@@ -102,6 +102,17 @@ class TestMixedType:
         spec = BracketSpec(alg, {(1, 2): alg.tensor2({((1, 1), (2,)): 1})})
         assert infer_mixed_type(spec) is None
 
+    @pytest.mark.parametrize("entries", [
+        {(1, 1): {((1,), (1,)): 1}},   # nonzero diagonal defect 2 v1 (x) v1
+        {(1, 2): {((1,), (2,)): 1}},   # v1 (x) v2 without -v2 (x) v1
+        {(1, 2): {((), (1, 2)): 1}},   # 1 (x) v1v2 without -v2v1 (x) 1
+    ])
+    def test_defect_off_its_read_form_fails(self, entries):
+        # each is read as some type on the pairs i < j, which check_mixed_type refutes
+        alg = FreeAlgebra.standard(2)
+        spec = BracketSpec(alg, {pair: alg.tensor2(terms) for pair, terms in entries.items()})
+        assert infer_mixed_type(spec) is None
+
     def test_validation(self):
         with pytest.raises(ValueError):
             MixedType(((0, 1), (2, 0)), ((0, 0), (0, 0)))  # not symmetric
@@ -126,6 +137,28 @@ class TestWeight:
         spec = BracketSpec(alg, {(1, 2): alg.tensor2({((1,), (2,)): 1, ((), (1, 2)): 1})})
         # defect has an asymmetric swap part: v1 (x) v2 appears without -v2 (x) v1
         assert infer_weight(spec) is None
+
+    def test_pair_off_the_first_generator_contradicts(self, mdbI):
+        # the (x1, xj) pairs still read (1, -1, -1); the extra 1 (x) x2x3 in
+        # <<x2, x3>> breaks weighted skew symmetry on the (x2, x3) pair only
+        table = dict(mdbI.table)
+        table[(2, 3)] = table[(2, 3)] + mdbI.algebra.tensor2({((), (2, 3)): 1})
+        spec = BracketSpec(mdbI.algebra, table)
+        assert infer_weight(spec) is None
+        failing = {w.inputs for w in check_weight(spec, (1, -1, -1)).witnesses}
+        assert failing == {("x2", "x3"), ("x3", "x2")}
+
+    def test_non_exact_weights_refused(self, mdbI):
+        for call in (
+            lambda: check_weight(mdbI, (0.1, -1, -1)),
+            lambda: check_poisson_property(mdbI, (0.1, -1, -1)),
+            lambda: check_lambda_double_lie(mdbI, 0.1),
+            lambda: BracketSpec(mdbI.algebra, {}, (0.1, -1, -1)),
+        ):
+            with pytest.raises(ValueError):
+                call()
+        weight = BracketSpec(mdbI.algebra, {}, (1, Fraction(-2, 2), -1)).weight
+        assert weight == (1, -1, -1) and all(type(w) is Fraction for w in weight)
 
     def test_rescaling_scales_weight(self, mdbI):
         scaled = mdbI.scale(Fraction(3, 2))

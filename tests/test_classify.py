@@ -9,6 +9,7 @@ from ncdb.classify import (
     FamilyParams,
     build,
     builtin,
+    cl1_conditions,
     cl1_survivors,
     search_cl1,
     search_cl1_grid,
@@ -85,6 +86,12 @@ class TestBuild:
             FamilyParams("cl3a", (0, 0, 2, 0, 0, 0))  # binary parameters
         with pytest.raises(ValueError):
             FamilyParams("nosuch", ())
+        with pytest.raises(ValueError):
+            FamilyParams("cl1", (0.1, -0.1, 0, 0, 0, 0))  # exact parameters only
+        for args in ((4, F(3, 2)), (F(9, 2), 2), (4.0, 2)):
+            with pytest.raises(ValueError):
+                FamilyParams("cld", args)  # integer d and delta
+        assert FamilyParams("cld", (F(4), F(2))).args == (4, 2)
 
 
 class TestSearchCL1:
@@ -112,6 +119,31 @@ class TestSearchCL1:
         assert len(rows) == 32
         for row in rows:
             assert row["generic"] == row["closed_form"], row
+
+    def test_closed_form_is_all_three_groups(self):
+        """cl1_conditions keeps only the mixed-triple group; on a rational
+        grid it agrees with the conjunction of all three groups."""
+
+        def three_groups(lam, rho, gamma):
+            g1, g2, g3, g4 = gamma
+            first = g1 * g3 == 0 and g2 * g4 == 0 and all(g * (lam + g / 2) == 0 for g in gamma)
+            reversed_ = ((lam + rho + g2) * (lam - rho + g3) == 0
+                         and (lam + rho + g1) * (lam - rho + g4) == 0
+                         and all((lam + rho + g) * (lam - rho + g) == 0 for g in gamma))
+            if rho == -lam:
+                mixed = g1 == g2 == 0 and all(g * (g + 2 * lam) == 0 for g in (g3, g4))
+            else:
+                mixed = rho == lam and g3 == g4 == 0 and all(g * (g + 2 * lam) == 0 for g in (g1, g2))
+            return first and reversed_ and mixed
+
+        verdicts = set()
+        for lam in (F(1), F(-1, 2), F(0)):
+            for rho in (lam, -lam, F(1, 3)):
+                for gamma in itertools.product((F(0), -2 * lam, -lam, F(1)), repeat=4):
+                    verdict = cl1_conditions(lam, rho, gamma)
+                    assert verdict == three_groups(lam, rho, gamma), (lam, rho, gamma)
+                    verdicts.add(verdict)
+        assert verdicts == {True, False}
 
     def test_closed_form_agrees_for_other_scales(self):
         for lam in (F(2), F(1, 2), F(-3)):

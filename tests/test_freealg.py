@@ -9,13 +9,10 @@ from ncdb.freealg import (
     cyclic_normal_form,
     inner_act,
     otimes1_left,
-    otimes1_right,
     outer_act,
     pure_t2,
     reduce_mod_commutators,
     reduce_word,
-    segment,
-    split_word,
     word_key,
 )
 
@@ -66,17 +63,6 @@ class TestWords:
         for _ in range(500):
             seq = rng.choices([1, -1, 2, -2, 3, -3], k=rng.randint(0, 12))
             assert reduce_word(seq) == naive_reduce(seq)
-
-    def test_split_and_segment(self):
-        w = (1, 2, 3)
-        assert split_word(w, 2) == ((1,), 2, (3,))
-        assert split_word((1,), 1) == ((), 1, ())
-        assert segment(w, 3, 2) == ()
-        assert segment(w, 1, 2) == (1, 2)
-        with pytest.raises(IndexError):
-            split_word(w, 4)
-        with pytest.raises(IndexError):
-            segment(w, 0, 2)
 
     def test_word_validation(self):
         with pytest.raises(ValueError):
@@ -167,7 +153,6 @@ class TestTensors:
         u = pure_t2(A3.gen(1), A3.gen(2))
         t = A3.tensor3({((1,), (3,), (2,)): 1})
         assert otimes1_left(u, A3.gen(3)) == t
-        assert otimes1_right(A3.gen(3), u) == t
         assert otimes1_left(u, A3.zero()).is_zero()
 
     def test_m2_m3(self):

@@ -112,6 +112,11 @@ class TestParse:
         for bad in (0.1, 0.0):
             with pytest.raises(ValueError):
                 SpecDocument(gens, {(1, 2): ((((1,), (2,)), bad),)})
+        # weights are refused the same way, and stored as Fraction
+        doc = SpecDocument(gens, {}, (1, Fraction(1, 2)))
+        assert doc.weights == (1, Fraction(1, 2)) and all(type(w) is Fraction for w in doc.weights)
+        with pytest.raises(ValueError):
+            SpecDocument(gens, {}, (0.1, 1))
 
     def test_like_terms_collected(self):
         doc = parse("algebra v w; bracket {v,w} = v (x) w + v (x) w - 2*v (x) w;")
@@ -335,6 +340,11 @@ class TestCli:
         assert code == 2 and not out and "exceeds 64" in err
         code, out, err = self.run(["builtin", "cld", "--params", "65,1"], capsys=capsys, monkeypatch=monkeypatch)
         assert code == 2 and not out and "at most 64" in err
+
+    @pytest.mark.parametrize("params", ["4,3/2", "9/2,2"])
+    def test_non_integral_cld_params_exit_2(self, params, capsys, monkeypatch):
+        code, out, err = self.run(["builtin", "cld", "--params", params], capsys=capsys, monkeypatch=monkeypatch)
+        assert code == 2 and not out and "must be integers" in err
 
     @pytest.fixture
     def mdbI_file(self, capsys, monkeypatch, tmp_path):
