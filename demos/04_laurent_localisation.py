@@ -6,7 +6,7 @@ weight.  The extended structure passes the same axiom battery, inverse
 letters included.
 """
 
-from ncdb import LocalisationPlan, check_jacobi, check_poisson_property, check_weight, localize
+from ncdb import check_jacobi, check_poisson_property, check_weight, localize
 from ncdb.classify import builtin
 
 spec, weights = builtin("kontsevich")
@@ -14,8 +14,7 @@ print("base bracket on K<v,w>:")
 print("  <<v,w>> =", spec.dbracket(spec.algebra.gen(1), spec.algebra.gen(2)))
 print("  weights:", [str(w) for w in weights])
 
-plan = LocalisationPlan(spec.algebra, (1, 2))
-loc, ext = localize(spec, weights, plan)
+loc, ext = localize(spec, weights, (1, 2))
 print("\nafter inverting both generators:", loc.algebra)
 print("  extended weights:", [str(w) for w in ext])
 

@@ -8,11 +8,6 @@ from .freealg import (
     Tensor3,
     concat,
     cyclic_normal_form,
-    inner_act,
-    otimes1_left,
-    outer_act,
-    pure_t2,
-    reduce_mod_commutators,
     reduce_word,
 )
 from .bracket import BracketSpec
@@ -33,8 +28,8 @@ from .axioms import (
     modified_double_poisson_battery,
 )
 from .classify import FamilyParams, build, search_cl1, search_cl3a, search_cl3b, verify_family_props
-from .localize import LocalisationPlan, localize
-from .repspace import MatrixPoint, check_induced_poisson, eval_element, eval_trace, induced_trace_bracket
+from .localize import localize
+from .repspace import MatrixPoint, check_induced_poisson, eval_trace, induced_trace_bracket
 from .speclang import SpecDocument, parse, render, doc_from_spec
 
 __version__ = "0.1.0"

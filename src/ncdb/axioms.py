@@ -116,6 +116,9 @@ class MixedType:
         object.__setattr__(self, "skew", skew)
         if any(len(r) != d for r in sym) or len(skew) != d or any(len(r) != d for r in skew):
             raise ValueError("matrices must be square of the same size")
+        for row in sym + skew:
+            for x in row:
+                exact(x)  # refuses floats and strings; the entries are kept as given
         for i in range(d):
             if skew[i][i] != 0:
                 raise ValueError("skew part must have zero diagonal")

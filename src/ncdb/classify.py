@@ -32,12 +32,7 @@ from fractions import Fraction
 
 from .freealg import FreeAlgebra, exact
 from .bracket import BracketSpec
-from .axioms import (
-    check_h0_skew,
-    check_jacobi,
-    check_poisson_property,
-    check_weight,
-)
+from .axioms import check_poisson_property, check_weight, modified_double_poisson_battery
 
 TRIPLE_SOLUTIONS = (
     (0, 0, 0),
@@ -358,9 +353,6 @@ def search_cl1(lam, rhos=None, gamma_values=None):
     return cl1_survivors(search_cl1_grid(lam, rhos, gamma_values))
 
 
-search_cl1_custom = search_cl1  # the exploratory spelling: pass rhos and gamma_values
-
-
 def _search_cl3(family, triples):
     """All surviving parameter pairs of a d=3 binary family, each pair being
     the two triples ``triples(*params)`` whose survivor condition decides
@@ -397,12 +389,7 @@ def verify_family_props(d: int, delta: int, pair_deg: int = 3, triple_deg: int =
     out = {}
     for name in ("cld", "cld2"):
         spec, w = build(FamilyParams(name, (d, delta)))
-        out[name] = [
-            check_weight(spec, w),
-            check_poisson_property(spec, w),
-            check_h0_skew(spec, pair_deg),
-            check_jacobi(spec, triple_deg),
-        ]
+        out[name] = modified_double_poisson_battery(spec, w, pair_deg, triple_deg)[0]
     return out
 
 

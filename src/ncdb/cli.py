@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import axioms, classify, repspace, speclang
 from .freealg import exact
-from .localize import LocalisationPlan, localize
+from .localize import localize
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE, EXIT_PIPE = 0, 1, 2, 141
 
@@ -212,8 +212,7 @@ def _dispatch(args) -> int:
             if weights is None:
                 print("error: spec admits no weight vector; cannot localise", file=sys.stderr)
                 return EXIT_FAIL
-        plan = LocalisationPlan(spec.algebra, args.invert)
-        loc, _ = localize(spec, weights, plan)
+        loc, _ = localize(spec, weights, args.invert)
         _write_text(args.output, speclang.render(speclang.doc_from_spec(loc)))
         return EXIT_OK
 

@@ -231,11 +231,6 @@ class FreeAlgebra:
         self.validate_word((g,))
         return Element(self, {(g,): 1})
 
-    def monomial(self, *letters) -> "Element":
-        w = tuple(letters)
-        self.validate_word(w)
-        return Element(self, {w: 1})
-
     def tensor2(self, terms: dict) -> "Tensor2":
         return self._linear(Tensor2, terms)
 
@@ -401,71 +396,6 @@ class Tensor3(_Linear):
     """Sparse element of the tensor cube, keyed by triples of words."""
 
     arity = 3
-
-    def m3(self) -> Element:
-        """Multiply the three factors together."""
-        terms = {}
-        for (a, b, c), v in self.terms.items():
-            _merge_term(terms, concat(concat(a, b), c), v)
-        return Element(self.algebra, terms)
-
-
-# ---------------------------------------------------------------------------
-# bimodule actions and mixed constructors
-
-
-def pure_t2(c1: Element, c2: Element) -> Tensor2:
-    """The pure tensor c1 (x) c2, extended bilinearly."""
-    if c1.algebra != c2.algebra:
-        raise ValueError("algebra mismatch")
-    terms = {}
-    for w1, a in c1.terms.items():
-        for w2, b in c2.terms.items():
-            _merge_term(terms, (w1, w2), a * b)
-    return Tensor2(c1.algebra, terms)
-
-
-def outer_act(c1: Element, u: Tensor2, c2: Element) -> Tensor2:
-    """(c1 (x) 1) u (1 (x) c2): multiply into the outside of the two factors."""
-    terms = {}
-    for (a, b), c in u.terms.items():
-        for w1, x in c1.terms.items():
-            for w2, y in c2.terms.items():
-                _merge_term(terms, (concat(w1, a), concat(b, w2)), c * x * y)
-    return Tensor2(u.algebra, terms)
-
-
-def inner_act(c1: Element, u: Tensor2, c2: Element) -> Tensor2:
-    """(1 (x) c1) u (c2 (x) 1): multiply into the inside of the two factors."""
-    terms = {}
-    for (a, b), c in u.terms.items():
-        for w1, x in c1.terms.items():
-            for w2, y in c2.terms.items():
-                _merge_term(terms, (concat(a, w2), concat(w1, b)), c * x * y)
-    return Tensor2(u.algebra, terms)
-
-
-def otimes1_left(u: Tensor2, c: Element) -> Tensor3:
-    """(a (x) b) mapped to a (x) c (x) b, bilinearly: insert c in the middle."""
-    if u.algebra != c.algebra:
-        raise ValueError("algebra mismatch")
-    terms = {}
-    for (a, b), x in u.terms.items():
-        for w, y in c.terms.items():
-            _merge_term(terms, (a, w, b), x * y)
-    return Tensor3(u.algebra, terms)
-
-
-def reduce_mod_commutators(x: Element) -> Element:
-    """Canonical representative of x in A/[A,A].
-
-    Every word is replaced by its cyclic normal form; x lies in [A,A] iff the
-    result is zero.  Idempotent and linear.
-    """
-    terms = {}
-    for w, c in x.terms.items():
-        _merge_term(terms, cyclic_normal_form(w), c)
-    return Element(x.algebra, terms)
 
 
 # ---------------------------------------------------------------------------

@@ -3,46 +3,33 @@
 Inverting generators i1,...,ir extends a weighted bracket uniquely: the
 positive-generator table is unchanged, brackets with inverse letters are
 derived on demand (never stored), and the weight vector gains one negated
-entry per inverted generator, in plan order.
+entry per inverted generator, in the order given.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .freealg import FreeAlgebra
 from .bracket import BracketSpec
 from .axioms import check_weight
 
 
-@dataclass(frozen=True)
-class LocalisationPlan:
-    """An ordered choice of distinct generator indices to invert."""
+def localize(spec: BracketSpec, weights, invert):
+    """Extend ``spec`` of weight ``weights`` by inverting the generators
+    with the 1-based indices ``invert``, in that order.
 
-    algebra: FreeAlgebra
-    invert: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "invert", tuple(self.invert))
-        if self.algebra.has_inverses:
-            raise ValueError("base algebra is already localised")
-        if len(set(self.invert)) != len(self.invert) or not self.invert:
-            raise ValueError("invert must be a nonempty sequence of distinct indices")
-        for i in self.invert:
-            if not 1 <= i <= self.algebra.d:
-                raise ValueError(f"generator index {i} out of range")
-
-
-def localize(spec: BracketSpec, weights, plan: LocalisationPlan):
-    """Extend ``spec`` of weight ``weights`` along ``plan``.
-
-    Requires the weighted skew condition on the base algebra (the extension
-    theorem's hypothesis); raises ValueError when it fails.  Returns the
-    localised spec and the extended weight vector
-    (w_1, ..., w_d, -w_{i_1}, ..., -w_{i_r}).
+    ``invert`` must be nonempty and ``spec`` must be on a free algebra, or
+    the inversions it already has would be dropped.  ``FreeAlgebra`` refuses
+    repeated and out-of-range indices.  Requires the weighted skew condition
+    on the base algebra (the extension theorem's hypothesis).  Every refusal
+    is a ValueError.  Returns the localised spec and the extended weight
+    vector (w_1, ..., w_d, -w_{i_1}, ..., -w_{i_r}).
     """
-    if plan.algebra != spec.algebra:
-        raise ValueError("plan is for a different algebra")
+    invert = tuple(invert)
+    if not invert:
+        raise ValueError("invert must name at least one generator")
+    if spec.algebra.has_inverses:
+        raise ValueError("base algebra is already localised")
+    loc_alg = FreeAlgebra(spec.algebra.names, invert)
     weights = tuple(weights)
     base_check = check_weight(spec, weights)
     if not base_check.passed:
@@ -50,7 +37,6 @@ def localize(spec: BracketSpec, weights, plan: LocalisationPlan):
             "base spec is not a mixed double algebra of the given weight; "
             f"first witness: {base_check.witnesses[0].inputs if base_check.witnesses else 'n/a'}"
         )
-    loc_alg = FreeAlgebra(spec.algebra.names, plan.invert)
     table = {
         key: loc_alg.tensor2(dict(u.terms)) for key, u in spec.table.items()
     }

@@ -8,8 +8,8 @@ can be asserted with equality -- there are no tolerances anywhere.
 Evaluation runs on integers.  A :class:`MatrixPoint` clears denominators
 once: with D the lcm of the denominators of every letter matrix (stored
 inverses included) it keeps the integer matrices N_g = D * M_g, so a word w
-has N(w) = D**len(w) * M(w).  ``word_matrix`` and ``word_trace`` divide back
-and return exact ``Fraction`` values.
+has N(w) = D**len(w) * M(w).  ``word_trace`` divides back and returns an
+exact ``Fraction``.
 
 :func:`check_induced_poisson` clears the remaining denominators once per
 spec and point.  E is the lcm of the coefficient denominators of every
@@ -31,29 +31,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
 
-from .freealg import Element, FreeAlgebra
+from .freealg import Element, FreeAlgebra, exact
 from .bracket import BracketSpec
-from .axioms import VerificationReport, check_double_poisson, report, sweep
-
-# Fraction matrices, tuples of row tuples: the plain reference arithmetic
-
-
-def mat_identity(n):
-    return tuple(
-        tuple(Fraction(1) if i == j else Fraction(0) for j in range(n)) for i in range(n)
-    )
-
-
-def mat_mul(a, b):
-    n = len(a)
-    bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(ra[k] * cb[k] for k in range(n)) for cb in bt) for ra in a
-    )
-
-
-def mat_trace(a):
-    return sum(a[i][i] for i in range(len(a)))
+from .axioms import VerificationReport, report, sweep
 
 
 def mat_inverse(a):
@@ -78,33 +58,42 @@ def mat_inverse(a):
 class MatrixPoint:
     """One exact-rational point of the N-dimensional representation space.
 
-    ``mats`` maps each positive generator index to its matrix; matrices for
-    inverted generators have exact stored inverses (``invs``), computed by
-    elimination.  Both mappings are read-only after construction.  ``denom``
-    is the common denominator D of all letter matrices; the word cache holds
-    the integer matrices N(w) = D**len(w) * M(w) and their traces.
+    ``mats`` maps each positive generator index to its ``size`` x ``size``
+    matrix of ``int`` or ``Fraction`` entries; for each inverted generator
+    the point stores the exact inverse (``invs``), computed by elimination.
+    Both mappings are read-only after construction.  ``denom`` is the common
+    denominator D of all letter matrices; the word cache holds the integer
+    matrices N(w) = D**len(w) * M(w) and their traces.
     """
 
     algebra: FreeAlgebra
     size: int
     mats: dict
-    invs: dict = field(default_factory=dict)
-    _words: dict = field(default_factory=dict, repr=False)
-    _traces: dict = field(default_factory=dict, repr=False)
+    invs: dict = field(init=False)
+    _words: dict = field(default_factory=dict, init=False, repr=False)
+    _traces: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
+        n = self.size
+        if not isinstance(n, int) or n < 1:
+            raise ValueError(f"size must be a positive int, got {n!r}")
         for i in range(1, self.algebra.d + 1):
-            if i not in self.mats:
+            m = self.mats.get(i)
+            if m is None:
                 raise ValueError(f"missing matrix for generator {i}")
+            if len(m) != n or any(len(row) != n for row in m):
+                raise ValueError(f"matrix for generator {i} is not {n} x {n}")
+            for row in m:
+                for x in row:
+                    exact(x)
+        invs = {}
         for i in self.algebra.inverted:
-            if i not in self.invs:
-                inv = mat_inverse(self.mats[i])
-                if inv is None:
-                    raise ValueError(f"matrix for generator {i} is singular")
-                self.invs[i] = inv
+            invs[i] = mat_inverse(self.mats[i])
+            if invs[i] is None:
+                raise ValueError(f"matrix for generator {i} is singular")
         # read-only copies: the integer caches below are built from them
         self.mats = MappingProxyType(dict(self.mats))
-        self.invs = MappingProxyType(dict(self.invs))
+        self.invs = MappingProxyType(invs)
         letters = {g: self.letter_matrix(g) for g in self.algebra.letters}
         d = math.lcm(*(x.denominator for m in letters.values() for row in m for x in row))
         self.denom = d
@@ -113,7 +102,6 @@ class MatrixPoint:
             g: tuple(zip(*(tuple(x.numerator * (d // x.denominator) for x in row) for row in m)))
             for g, m in letters.items()
         }
-        n = self.size
         self._words[()] = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
     @classmethod
@@ -128,17 +116,13 @@ class MatrixPoint:
                 for _ in range(size)
             )
 
-        mats, invs = {}, {}
+        mats = {}
         for i in range(1, algebra.d + 1):
             m = draw()
-            if i in algebra.inverted:
-                inv = mat_inverse(m)
-                while inv is None:
-                    m = draw()
-                    inv = mat_inverse(m)
-                invs[i] = inv
+            while i in algebra.inverted and mat_inverse(m) is None:
+                m = draw()
             mats[i] = m
-        return cls(algebra, size, mats, invs)
+        return cls(algebra, size, mats)
 
     def letter_matrix(self, g: int):
         if g > 0:
@@ -175,28 +159,8 @@ class MatrixPoint:
             self._traces[w] = t
         return t
 
-    def word_matrix(self, w):
-        scale = self.denom ** len(w)
-        return tuple(tuple(Fraction(x, scale) for x in row) for row in self._int_matrix(w))
-
     def word_trace(self, w):
         return Fraction(self._int_trace(w), self.denom ** len(w))
-
-
-def eval_element(x: Element, p: MatrixPoint):
-    """Evaluate an element at the point: multiplicative on words, linear."""
-    if x.algebra != p.algebra:
-        raise ValueError("algebra mismatch")
-    n = p.size
-    out = [[Fraction(0)] * n for _ in range(n)]
-    for w, c in x.terms.items():
-        m = p.word_matrix(w)
-        for i in range(n):
-            row = out[i]
-            mr = m[i]
-            for j in range(n):
-                row[j] += c * mr[j]
-    return tuple(tuple(row) for row in out)
 
 
 def eval_trace(x: Element, p: MatrixPoint):
@@ -286,27 +250,3 @@ def check_induced_poisson(spec: BracketSpec, p: MatrixPoint, maxdeg: int = 3,
     params["triples"], more = sweep(spec, ids, 3, triple,
                                     lambda t: str(Fraction(t, e * pair_scale)), "0", all_witnesses)
     return report("induced_trace_poisson", spec, params, witnesses + more)
-
-
-def coordinate_bracket(spec: BracketSpec, a: Element, b: Element, p: MatrixPoint):
-    """Entrywise bracket {a_ij, b_uv} of matrix coordinate functions.
-
-    Only defined for brackets passing the double Poisson check (trivial
-    weight); for nonzero weights only trace functions carry an induced
-    bracket.  Returns a nested tuple indexed [i][j][u][v].
-    """
-    if not check_double_poisson(spec).passed:
-        raise ValueError("coordinate brackets require a double Poisson bracket")
-    n = p.size
-    u = spec.dbracket(a, b)
-    out = [[[[Fraction(0)] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
-    for (w1, w2), c in u.terms.items():
-        m1 = p.word_matrix(w1)
-        m2 = p.word_matrix(w2)
-        for i in range(n):
-            for j in range(n):
-                for uu in range(n):
-                    for v in range(n):
-                        # {a_ij, b_uv} = <<a,b>>'_uj <<a,b>>''_iv
-                        out[i][j][uu][v] += c * m1[uu][j] * m2[i][v]
-    return tuple(tuple(tuple(tuple(r) for r in plane) for plane in block) for block in out)

@@ -29,7 +29,7 @@ from ncdb.classify import (
     search_cl3b,
     verify_family_props,
 )
-from ncdb.localize import LocalisationPlan, localize
+from ncdb.localize import localize
 from ncdb.repspace import MatrixPoint, check_induced_poisson
 from ncdb.speclang import parse, render
 from test_speclang import random_document
@@ -120,7 +120,7 @@ def test_criterion_5_localisation():
     letters included), and exact bounded Jacobi on Laurent monomials."""
     t0 = time.time()
     spec, w = builtin("kontsevich")
-    loc, wext = localize(spec, w, LocalisationPlan(spec.algebra, (1, 2)))
+    loc, wext = localize(spec, w, (1, 2))
     # extension rule: base weights followed by their negations in plan order,
     # i.e. the multiset {1, 1, -1, -1}
     assert wext == w + (-w[0], -w[1])

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from ncdb.freealg import FreeAlgebra, Tensor3, concat, _merge_term, reduce_mod_commutators
+from ncdb.freealg import FreeAlgebra, Tensor3, concat, _merge_term
 from ncdb.bracket import BracketSpec
 from ncdb.axioms import (
     MixedType,
@@ -22,6 +22,8 @@ from ncdb.axioms import (
     infer_weight,
 )
 from ncdb.classify import FamilyParams, build, builtin
+
+from oracles import reduce_mod_commutators
 
 
 @pytest.fixture(scope="module")
@@ -118,6 +120,10 @@ class TestMixedType:
             MixedType(((0, 1), (2, 0)), ((0, 0), (0, 0)))  # not symmetric
         with pytest.raises(ValueError):
             MixedType(((0, 0), (0, 0)), ((1, 0), (0, 0)))  # nonzero diagonal
+        with pytest.raises(ValueError):
+            MixedType(((0, 0.5), (0.5, 0)), ((0, 0), (0, 0)))  # float entries
+        with pytest.raises(ValueError):
+            MixedType(((0, 0), (0, 0)), ((0, "1"), ("-1", 0)))  # string entries
 
 
 class TestWeight:

@@ -3,16 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from ncdb.freealg import (
-    FreeAlgebra,
-    Tensor3,
-    inner_act,
-    outer_act,
-    pure_t2,
-    reduce_mod_commutators,
-)
+from ncdb.freealg import FreeAlgebra, Tensor3, reduce_word
 from ncdb.bracket import BracketSpec
 from ncdb.classify import builtin
+
+from oracles import inner_act, outer_act, pure_t2, reduce_mod_commutators
 
 
 @pytest.fixture(scope="module")
@@ -194,6 +189,36 @@ class TestMbracket:
             a = alg.element({rng.choice(words): rng.randint(-3, 3) for _ in range(2)})
             b = alg.element({rng.choice(words): rng.randint(-3, 3) for _ in range(2)})
             assert mdbII.mbracket(a, b) == mdbII.dbracket(a, b).m2()
+
+    @staticmethod
+    def _one_inverse_table():
+        # seeded rational table on K<x1^±1, x2>: terms of up to two letters,
+        # inverse letters included, so words cancel inside the kernel
+        rng = random.Random(41)
+        alg = FreeAlgebra.standard(2, "x", (1,))
+        table = {}
+        for i in (1, 2):
+            for j in (1, 2):
+                terms = {}
+                for _ in range(3):
+                    w = [rng.choice(alg.letters) for _ in range(rng.randint(0, 2))]
+                    cut = rng.randint(0, len(w))
+                    terms[reduce_word(w[:cut]), reduce_word(w[cut:])] = Fraction(
+                        rng.randint(-3, 3), rng.randint(1, 3))
+                table[(i, j)] = alg.tensor2(terms)
+        return BracketSpec(alg, table)
+
+    @pytest.mark.parametrize("which", ["kontsevich_laurent", "one_inverse"])
+    def test_laurent_kernel_equals_m2_of_dbracket(self, which, kont_laurent):
+        # the concat branch of the monomial kernel against the double bracket
+        spec = kont_laurent if which == "kontsevich_laurent" else self._one_inverse_table()
+        rng = random.Random(f"m2/{which}")
+        alg = spec.algebra
+        words = alg.words_up_to(3)
+        for _ in range(40):
+            a = alg.element({rng.choice(words): rng.randint(-3, 3) for _ in range(2)})
+            b = alg.element({rng.choice(words): rng.randint(-3, 3) for _ in range(2)})
+            assert spec.mbracket(a, b) == spec.dbracket(a, b).m2()
 
 
 class TestTripleBrackets:

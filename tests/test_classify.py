@@ -167,12 +167,10 @@ class TestSearchCL1:
                 assert not ok
 
     def test_exploratory_grid(self):
-        from ncdb.classify import search_cl1_custom
-
         # widening rho away from +-lam finds nothing (emergent obstruction),
         # while including +-lam recovers the standard survivors
-        assert search_cl1_custom(1, (F(2), F(-2), F(1, 2)), (F(0), F(-2))) == []
-        got = search_cl1_custom(1, (F(1), F(-1)), (F(0), F(-2)))
+        assert search_cl1(1, (F(2), F(-2), F(1, 2)), (F(0), F(-2))) == []
+        got = search_cl1(1, (F(1), F(-1)), (F(0), F(-2)))
         assert set(got) == set(search_cl1(1))
 
     def test_exploratory_grid_counts_repeated_values_once(self):

@@ -20,7 +20,7 @@ import pytest
 from ncdb import axioms, classify, cli
 from ncdb.bracket import BracketSpec
 from ncdb.freealg import FreeAlgebra, reduce_word
-from ncdb.localize import LocalisationPlan, localize
+from ncdb.localize import localize
 from ncdb.repspace import MatrixPoint, check_induced_poisson
 
 F = Fraction
@@ -37,7 +37,7 @@ def _scaled_mdb2():
 
 def _laurent_kontsevich():
     spec, w = classify.builtin("kontsevich")
-    return localize(spec, w, LocalisationPlan(spec.algebra, (1, 2)))[0]
+    return localize(spec, w, (1, 2))[0]
 
 
 def _random_spec(seed):
@@ -148,8 +148,8 @@ SEARCHES = {
     "search_cl1_0": lambda: classify.search_cl1(0),
     "search_cl1_grid_1": lambda: classify.search_cl1_grid(1),
     "search_cl1_grid_1/2": lambda: classify.search_cl1_grid(F(1, 2)),
-    "search_cl1_custom_wide": lambda: classify.search_cl1_custom(1, (F(2), F(-2), F(1, 2)), (F(0), F(-2))),
-    "search_cl1_custom_std": lambda: classify.search_cl1_custom(F(3, 2), (F(3, 2), F(-3, 2)), (0, -3)),
+    "search_cl1_custom_wide": lambda: classify.search_cl1(1, (F(2), F(-2), F(1, 2)), (F(0), F(-2))),
+    "search_cl1_custom_std": lambda: classify.search_cl1(F(3, 2), (F(3, 2), F(-3, 2)), (0, -3)),
     "search_cl3a": classify.search_cl3a,
     "search_cl3b": classify.search_cl3b,
     "family_props_4_2": lambda: classify.verify_family_props(4, 2),

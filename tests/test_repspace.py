@@ -7,19 +7,10 @@ from ncdb.freealg import FreeAlgebra
 from ncdb.bracket import BracketSpec
 from ncdb.axioms import check_h0_skew
 from ncdb.classify import builtin
-from ncdb.localize import LocalisationPlan, localize
-from ncdb.repspace import (
-    MatrixPoint,
-    check_induced_poisson,
-    coordinate_bracket,
-    eval_element,
-    eval_trace,
-    induced_trace_bracket,
-    mat_identity,
-    mat_inverse,
-    mat_mul,
-    mat_trace,
-)
+from ncdb.localize import localize
+from ncdb.repspace import MatrixPoint, check_induced_poisson, eval_trace, induced_trace_bracket, mat_inverse
+
+from oracles import coordinate_bracket, eval_element, mat_identity, mat_mul, mat_trace, word_matrix
 
 
 @pytest.fixture(scope="module")
@@ -60,6 +51,36 @@ class TestMatrices:
         p = MatrixPoint.random(alg, 3, seed=1)
         for i in (1, 2):
             assert mat_mul(p.mats[i], p.invs[i]) == mat_identity(3)
+
+    def test_inverses_are_derived_not_given(self):
+        alg = FreeAlgebra(("x",), inverted=(1,))
+        p = MatrixPoint(alg, 1, {1: ((2,),)})
+        assert p.invs[1] == ((Fraction(1, 2),),)
+        assert p.word_trace((-1,)) == Fraction(1, 2)
+        with pytest.raises(TypeError):
+            MatrixPoint(alg, 1, {1: ((2,),)}, invs={1: ((5,),)})
+        with pytest.raises(ValueError):
+            MatrixPoint(alg, 1, {1: ((0,),)})  # singular
+
+    def test_matrix_shape_and_entries_checked(self):
+        alg = FreeAlgebra.standard(2)
+        eye2 = ((1, 0), (0, 1))
+        p = MatrixPoint(alg, 2, {1: eye2, 2: ((Fraction(1, 2), 0), (0, 3))})
+        assert p.word_trace((1, 2)) == Fraction(7, 2)
+        assert p.word_trace(()) == 2
+        bad = [
+            (3, {1: eye2, 2: eye2}),                          # n x n for size n + 1
+            (1, {1: eye2, 2: eye2}),                          # n x n for size n - 1
+            (2, {1: eye2, 2: ((1, 0), (0,))}),                # ragged row
+            (2, {1: eye2, 2: ((1, 0), (0, 1), (0, 0))}),      # one row too many
+            (2, {1: eye2, 2: ((1.5, 0), (0, 1))}),            # float entry
+            (2, {1: eye2, 2: (("1", 0), (0, 1))}),            # string entry
+            (2, {1: eye2}),                                   # missing generator
+            (0, {1: (), 2: ()}),                              # empty point
+        ]
+        for size, mats in bad:
+            with pytest.raises(ValueError):
+                MatrixPoint(alg, size, mats)
 
 
 class TestEvaluation:
@@ -146,7 +167,7 @@ class TestInducedPoisson:
 
     def test_laurent_point(self):
         spec, w = builtin("kontsevich")
-        loc, _ = localize(spec, w, LocalisationPlan(spec.algebra, (1, 2)))
+        loc, _ = localize(spec, w, (1, 2))
         for seed in (13, 113):
             p = MatrixPoint.random(loc.algebra, 2, seed=seed)
             assert check_induced_poisson(loc, p, 2).passed
@@ -182,10 +203,9 @@ class TestIntegerTraces:
         assert p.denom > 1
         for _ in range(40):
             w = tuple(rng.choice(alg.letters) for _ in range(rng.randint(0, 6)))
-            m = mat_identity(3)
-            for g in w:
-                m = mat_mul(m, p.letter_matrix(g))
-            assert p.word_matrix(w) == m
+            m = word_matrix(p, w)
+            scale = p.denom ** len(w)
+            assert p._int_matrix(w) == tuple(tuple(x * scale for x in row) for row in m)
             assert p.word_trace(w) == mat_trace(m)
 
     def test_witnesses_match_fraction_brackets(self, mdbII):

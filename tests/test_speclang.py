@@ -12,7 +12,7 @@ import pytest
 from ncdb.axioms import modified_double_poisson_battery
 from ncdb.cli import _emit_reports, main
 from ncdb.classify import FamilyParams, build, builtin
-from ncdb.localize import LocalisationPlan, localize
+from ncdb.localize import localize
 from ncdb.freealg import reduce_word
 from ncdb.speclang import (
     GenDecl,
@@ -154,7 +154,7 @@ class TestRender:
     def test_round_trip_keeps_table_and_reports(self, family, params):
         if family == "kontsevich_laurent":
             base, w = builtin("kontsevich")
-            spec, w = localize(base, w, LocalisationPlan(base.algebra, (1, 2)))
+            spec, w = localize(base, w, (1, 2))
         else:
             spec, w = build(FamilyParams(family, params))
         parsed, pw = parse(render(doc_from_spec(spec))).to_spec()
@@ -300,6 +300,24 @@ class TestCli:
             ["verify", "-", "--max-degree", "2"], stdin_text=out, capsys=capsys, monkeypatch=monkeypatch
         )
         assert code == 0
+
+    @pytest.mark.parametrize("invert,localised", [
+        ("3", False),    # out of range
+        ("1,1", False),  # repeated
+        ("0", False),    # below range
+        ("2", True),     # the base is already localised
+    ])
+    def test_localize_refusals_exit_2(self, invert, localised, capsys, monkeypatch):
+        _, text, _ = self.run(["builtin", "kontsevich"], capsys=capsys, monkeypatch=monkeypatch)
+        if localised:
+            _, text, _ = self.run(["localize", "-", "--invert", "1"], stdin_text=text,
+                                  capsys=capsys, monkeypatch=monkeypatch)
+            assert "algebra v inv w;" in text
+        code, out, err = self.run(["localize", "-", "--invert", invert], stdin_text=text,
+                                  capsys=capsys, monkeypatch=monkeypatch)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
     def test_rep_command(self, capsys, monkeypatch, tmp_path):
         code, text, _ = self.run(["builtin", "mdbI"], capsys=capsys, monkeypatch=monkeypatch)
