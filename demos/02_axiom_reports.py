@@ -37,7 +37,7 @@ for row in mt.skew:
 print("\nthe Jacobiator takes its prescribed value on all generator triples:")
 print(check_poisson_property(spec, weights).summary())
 
-print("\nindependent bounded brute force over monomials:")
+print("\nindependent bounded sweeps over monomials:")
 print(check_h0_skew(spec, 4).summary())
 print(check_jacobi(spec, 3).summary())
 

@@ -17,11 +17,14 @@ Every check is one of two generator-level comparisons or one bounded sweep.
   double Poisson, (lambda, ..., lambda) for lambda-double-Lie.
 
 Both are sufficient for the axiom on the whole algebra because the brackets
-are Leibniz extensions.  :func:`sweep` is the deliberately independent brute
-force: it runs a residual kernel over unordered pairs or ordered triples of
-monomials up to a degree.  Its kernels are the cyclic normal form of
-{a,b} + {b,a} (``check_h0_skew``), the Jacobiator itself (``check_jacobi``)
-and an integer trace at a matrix point (``repspace.check_induced_poisson``).
+are Leibniz extensions.  :func:`sweep` is the bounded check on monomials,
+independent of those comparisons: it runs a residual kernel over unordered
+pairs or ordered triples of monomials up to a degree.  Its kernels are the
+cyclic normal form of {a,b} + {b,a} (``check_h0_skew``, every pair), an
+integer trace at a matrix point (``repspace.check_induced_poisson``, every
+triple) and the Jacobiator itself (``check_jacobi``), brute force in a and b
+only: for fixed (a, b) it is a derivation in c, so a row that vanishes on
+the letters is decided there.
 """
 
 from __future__ import annotations
@@ -212,10 +215,11 @@ def sweep(spec: BracketSpec, ids, arity: int, residual, render, expected: str, a
 
     For pairs ``residual(a, b)`` is the residual; for triples
     ``residual(a, b)`` returns the residual as a function of c, so work that
-    depends on (a, b) alone is done once per pair.  A residual is falsy when
-    the identity holds; a failing cell becomes a witness whose residual
-    text is ``render`` of it.  Stops at the first witness unless
-    ``all_witnesses``.  Returns (cells visited, witnesses).
+    depends on (a, b) alone is done once per pair, or None when the row is
+    known to hold on every c: its cells are counted and not visited.  A
+    residual is falsy when the identity holds; a failing cell becomes a
+    witness whose residual text is ``render`` of it.  Stops at the first
+    witness unless ``all_witnesses``.  Returns (cells visited, witnesses).
     """
     if arity == 2:
         rows = (((a,), functools.partial(residual, a), ids[i:]) for i, a in enumerate(ids))
@@ -226,6 +230,9 @@ def sweep(spec: BracketSpec, ids, arity: int, residual, render, expected: str, a
     count = 0
     witnesses = []
     for head, at, tails in rows:
+        if at is None:
+            count += len(tails)
+            continue
         for z in tails:
             count += 1
             res = at(z)
@@ -379,7 +386,7 @@ def check_lambda_double_lie(spec: BracketSpec, lam) -> VerificationReport:
 
 
 # ---------------------------------------------------------------------------
-# bounded brute-force sweeps
+# bounded sweeps on monomials
 
 
 def check_h0_skew(spec: BracketSpec, maxdeg: int = 4, all_witnesses: bool = False) -> VerificationReport:
@@ -412,9 +419,28 @@ def check_jacobi(spec: BracketSpec, maxdeg: int = 3, all_witnesses: bool = False
 
     Triples containing the unit monomial vanish identically ({1,-} = 0 = {-,1})
     and are skipped; the reported triple count is over nonunit monomials.
+
+    The sweep is brute force in a and b only.  Applying m to the Leibniz
+    rule <<a,bc>> = (b (x) 1)<<a,c>> + <<a,b>>(1 (x) c) gives
+    {a,bc} = b{a,c} + {a,b}c, so D_u = {u,-} is a derivation for every
+    monomial u; ``BracketSpec._mb_words`` computes it as exactly this
+    positional sum over the letters of its second argument.  On a Laurent
+    algebra the brackets of inverse letters are forced by <<a,1>> = 0, so
+    D_u(x^-1) = -x^-1 D_u(x) x^-1 and D_u is a derivation there too.  For
+    fixed a and b the residual c -> D_a(D_b(c)) - D_b(D_a(c)) - D_{{a,b}}(c)
+    is a commutator of derivations minus a linear combination of them, so a
+    derivation D.  On a monomial c = x_1 ... x_k over ``algebra.letters``
+    (inverse letters included), D(c) is the sum over i of
+    x_1 ... x_{i-1} D(x_i) x_{i+1} ... x_k.  Hence a row (a, b) whose
+    residual vanishes on every letter vanishes on every monomial c of any
+    degree: it is counted as ``len(words)`` passing triples and not
+    scanned.  Any other row is scanned cell by cell in order, so the first
+    witness, the witness list and the triple count are those of the full
+    sweep.
     """
     words = spec.algebra.words_up_to(maxdeg, include_unit=False)
     mb = spec._mb_ids
+    letters = [spec._wid((g,)) for g in spec.algebra.letters]
 
     def residual(a, b):
         ab = mb(a, b).items()
@@ -436,7 +462,7 @@ def check_jacobi(spec: BracketSpec, maxdeg: int = 3, all_witnesses: bool = False
                     res[u] = -cw * cu if v is None else v - cw * cu
             return any(res.values()) and res
 
-        return at
+        return at if any(map(at, letters)) else None  # a derivation in c
 
     triples, witnesses = sweep(spec, [spec._wid(w) for w in words], 3, residual,
                                lambda res: _id_element(spec, res), "0", all_witnesses)

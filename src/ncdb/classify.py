@@ -382,7 +382,7 @@ def search_cl3b():
 
 def verify_family_props(d: int, delta: int, pair_deg: int = 3, triple_deg: int = 2):
     """Check both d >= 4 families at (d, delta): weighted skew symmetry and
-    the Poisson property on generators, plus bounded brute-force sweeps.
+    the Poisson property on generators, plus the bounded monomial sweeps.
 
     Returns a dict family name -> list of reports.
     """

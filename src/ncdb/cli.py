@@ -103,12 +103,12 @@ def _build_parser():
     v = sub.add_parser("verify", help="full modified-double-Poisson battery")
     v.add_argument("file", help=".ndb file, or - for stdin")
     v.add_argument("--max-degree", type=_positive_int, default=None,
-                   help="bound for both brute-force sweeps (default: pairs 4, triples 3)")
+                   help="bound for both monomial sweeps (default: pairs 4, triples 3)")
     v.add_argument("--pair-degree", type=_positive_int, default=None)
     v.add_argument("--triple-degree", type=_positive_int, default=None)
     v.add_argument("--json", action="store_true")
 
-    j = sub.add_parser("jacobi", help="bounded brute-force Jacobi identity")
+    j = sub.add_parser("jacobi", help="Jacobi identity on bounded monomials")
     j.add_argument("file")
     j.add_argument("--max-degree", type=_positive_int, default=3)
     j.add_argument("--all-witnesses", action="store_true")

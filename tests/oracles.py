@@ -2,13 +2,14 @@
 
 Each is the plain, direct spelling of something ncdb computes another way:
 bimodule actions written term by term, classes modulo commutators through
-``cyclic_normal_form``, and matrix evaluation by ``Fraction`` products of the
-letter matrices, never through a point's integer word cache.
+``cyclic_normal_form``, matrix evaluation by ``Fraction`` products of the
+letter matrices, never through a point's integer word cache, and the Jacobi
+sweep on every triple, with no row decided on the letters.
 """
 
 from fractions import Fraction
 
-from ncdb.axioms import check_double_poisson
+from ncdb.axioms import check_double_poisson, report, sweep
 from ncdb.freealg import Element, Tensor2, Tensor3, _merge_term, concat, cyclic_normal_form
 
 # ---------------------------------------------------------------------------
@@ -137,3 +138,40 @@ def coordinate_bracket(spec, a: Element, b: Element, p):
                         # {a_ij, b_uv} = <<a,b>>'_uj <<a,b>>''_iv
                         out[i][j][uu][v] += c * m1[uu][j] * m2[i][v]
     return tuple(tuple(tuple(tuple(r) for r in plane) for plane in block) for block in out)
+
+
+# ---------------------------------------------------------------------------
+# the Jacobi sweep without its row reduction
+
+
+def unreduced_check_jacobi(spec, maxdeg, all_witnesses=False):
+    """``check_jacobi`` as the plain sweep: {a,{b,c}} - {b,{a,c}} - {{a,b},c}
+    on every triple of nonunit monomials up to ``maxdeg``, each cell through
+    :func:`ncdb.axioms.sweep`, no row skipped."""
+    alg = spec.algebra
+    words = alg.words_up_to(maxdeg, include_unit=False)
+
+    def br(x, y):  # {x, y} on id-keyed elements, bilinearly
+        out = {}
+        for u, cu in x.items():
+            for w, cw in y.items():
+                for k, v in spec._mb_ids(u, w).items():
+                    out[k] = out.get(k, 0) + cu * cw * v
+        return out
+
+    def residual(a, b):
+        def at(c):
+            x, y, z = {a: 1}, {b: 1}, {c: 1}
+            res = {}
+            for sign, part in ((1, br(x, br(y, z))), (-1, br(y, br(x, z))), (-1, br(br(x, y), z))):
+                for k, v in part.items():
+                    res[k] = res.get(k, 0) + sign * v
+            return any(res.values()) and res
+
+        return at
+
+    def render(res):
+        return str(Element(alg, {spec._id_words[k]: v for k, v in res.items() if v}))
+
+    triples, witnesses = sweep(spec, [spec._wid(w) for w in words], 3, residual, render, "0", all_witnesses)
+    return report("jacobi_identity", spec, {"maxdeg": maxdeg, "triples": triples, "words": len(words)}, witnesses)

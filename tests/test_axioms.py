@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from ncdb import axioms
 from ncdb.freealg import FreeAlgebra, Tensor3, concat, _merge_term
 from ncdb.bracket import BracketSpec
 from ncdb.axioms import (
@@ -21,9 +22,11 @@ from ncdb.axioms import (
     infer_mixed_type,
     infer_weight,
 )
-from ncdb.classify import FamilyParams, build, builtin
+from ncdb.classify import FamilyParams, build, builtin, search_cl1
+from ncdb.localize import localize
 
-from oracles import reduce_mod_commutators
+from oracles import reduce_mod_commutators, unreduced_check_jacobi
+from test_golden_reports import _random_spec
 
 
 @pytest.fixture(scope="module")
@@ -258,6 +261,25 @@ class TestJacobi:
         assert not r.passed
         assert r.witnesses[0].inputs == ("v1", "v2", "v3")
 
+    @pytest.mark.parametrize("name", ["mdbI", "mdbII", "kontsevich"])
+    def test_builtins_degree4(self, name):
+        spec, _ = builtin(name)
+        r = check_jacobi(spec, 4)
+        assert r.passed and r.params["triples"] == len(spec.algebra.words_up_to(4, include_unit=False)) ** 3
+
+    def test_cl1_survivors_degree4(self):
+        survivors = search_cl1(1)
+        assert survivors
+        for rho, gamma in survivors:
+            spec, _ = build(FamilyParams("cl1", (Fraction(1), rho) + gamma))
+            assert check_jacobi(spec, 4).passed, (rho, gamma)
+
+    def test_laurent_kontsevich_degree3(self):
+        spec, w = builtin("kontsevich")
+        loc, _ = localize(spec, w, (1, 2))
+        r = check_jacobi(loc, 3)
+        assert r.passed and r.params["triples"] == 52 ** 3
+
 
 class TestLambdaDoubleLie:
     def test_cl3a_survivor_is_1_double_lie(self):
@@ -354,3 +376,44 @@ def test_sweeps_match_bracket_arithmetic(make):
                 expected.append(((name(a), name(b)), str(reduce_mod_commutators(x))))
     r = check_h0_skew(spec, 2, all_witnesses=True)
     assert expected and [(w.inputs, w.residual) for w in r.witnesses] == expected
+
+
+JACOBI_SPECS = {
+    **{f"random_{k}": (lambda k=k: _random_spec(k)) for k in (0, 1, 4)},
+    "mdbII_scaled": _scaled_mdb2,
+    "cl3a_point": lambda: build(FamilyParams("cl3a", (0, 0, 0, 1, 0, 1)))[0],
+    "cl3b_point": lambda: build(FamilyParams("cl3b", (0, 0, 0, 0, 1, 0)))[0],
+}
+JACOBI_CASES = (
+    [(name, 2, True) for name in JACOBI_SPECS]
+    + [(name, 3, True) for name in ("random_0", "random_4")]
+    + [(name, 3, False) for name in JACOBI_SPECS]
+)
+
+
+@pytest.mark.parametrize("name,maxdeg,all_witnesses", JACOBI_CASES)
+def test_jacobi_row_reduction_matches_full_sweep(name, maxdeg, all_witnesses):
+    """Deciding rows on the letters keeps every report byte of the full sweep."""
+    make = JACOBI_SPECS[name]
+    full = unreduced_check_jacobi(make(), maxdeg, all_witnesses).to_json()
+    assert check_jacobi(make(), maxdeg, all_witnesses).to_json() == full
+
+
+def test_jacobi_row_reduction_runs_both_paths(monkeypatch):
+    """The -3/7 mdbII at degree 2 decides some rows on the letters and scans
+    the others, so the comparison above exercises both paths."""
+    decided = []  # per (a, b) row: True when skipped, False when scanned
+    real = axioms.sweep
+
+    def spy(spec, ids, arity, residual, *rest):
+        def watched(a, b):
+            at = residual(a, b)
+            decided.append(at is None)
+            return at
+
+        return real(spec, ids, arity, watched, *rest)
+
+    monkeypatch.setattr(axioms, "sweep", spy)
+    r = check_jacobi(_scaled_mdb2(), 2, all_witnesses=True)
+    assert True in decided and False in decided
+    assert r.to_json() == unreduced_check_jacobi(_scaled_mdb2(), 2, True).to_json()
