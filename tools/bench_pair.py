@@ -3,15 +3,14 @@
 Usage, from the root of a checkout::
 
     python3 tools/bench_pair.py --base REV --out BENCH.json \\
-        [--head REV] [--workloads verify,rep,classify] [--pairs 3] [--seed 0]
+        [--head HEAD] [--workloads verify,rep,classify] [--pairs 3] [--seed 0]
 
-The base tree is the committed files of ``--base``, unpacked with
-``git archive`` into a temporary directory; the head tree is the committed
-files of ``--head`` the same way, or this working tree when ``--head`` is
-omitted.  For each workload the script runs ``perfbench/run.py`` of each
-tree in its own process, for the run length ``BENCHMARK.json`` sets, in
-pairs whose order alternates (base first, then head first, ...), so a drift
-in machine speed falls on both sides alike.
+Each side is the committed files of its revision, unpacked with
+``git archive`` into a fresh temporary directory, so both sides start alike.
+For each workload the script runs ``perfbench/run.py`` of each tree in its
+own process, for the run length ``BENCHMARK.json`` sets, in pairs whose
+order alternates (base first, then head first, ...), so a drift in machine
+speed falls on both sides alike.
 
 The output JSON holds, per workload and end-to-end metric of
 ``BENCHMARK.json``, the per-pair values of both sides, their medians and
@@ -41,9 +40,8 @@ def _git(*args) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True, text=True).stdout.strip()
 
 
-def _unpack(rev: str, into: Path) -> Path:
-    """The committed files of ``rev`` in a fresh directory under ``into``."""
-    dest = into / rev
+def _unpack(rev: str, dest: Path) -> Path:
+    """The committed files of ``rev`` in the fresh directory ``dest``."""
     data = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True, capture_output=True).stdout
     with tarfile.open(fileobj=io.BytesIO(data)) as t:
         t.extractall(dest)
@@ -57,7 +55,7 @@ def _run(tree: Path, workload: str, seed: int) -> dict:
     if not lines:
         raise RuntimeError(f"{tree}: {workload} printed nothing (exit {p.returncode}):\n{p.stderr}")
     out = json.loads(lines[-1])
-    print(f"  {tree.name:12s} {workload:8s} correct={out['correct']} "
+    print(f"  {tree.name:4s} {workload:8s} correct={out['correct']} "
           + " ".join(f"{k}={v['value']:.4g}" for k, v in out["metrics"].items()), flush=True)
     return out
 
@@ -106,7 +104,7 @@ def compare(base: Path, head: Path, workloads, pairs: int, seed: int) -> dict:
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--base", required=True, help="git revision of the base tree")
-    p.add_argument("--head", help="git revision of the head tree (default: this working tree)")
+    p.add_argument("--head", default="HEAD", help="git revision of the head tree")
     p.add_argument("--workloads", default="verify,rep,classify")
     p.add_argument("--pairs", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
@@ -115,14 +113,14 @@ def main(argv=None) -> int:
     if args.pairs < 1:
         p.error("--pairs must be at least 1")
     base_rev = _git("rev-parse", "--short", args.base)
-    head_rev = _git("rev-parse", "--short", args.head) if args.head else None
+    head_rev = _git("rev-parse", "--short", args.head)
     with tempfile.TemporaryDirectory(prefix="bench_pair_") as tmp:
-        base = _unpack(base_rev, Path(tmp))
-        head = _unpack(head_rev, Path(tmp)) if head_rev else ROOT
+        base = _unpack(base_rev, Path(tmp) / "base")
+        head = _unpack(head_rev, Path(tmp) / "head")
         workloads = compare(base, head, args.workloads.split(","), args.pairs, args.seed)
     out = {
         "base": base_rev,
-        "head": head_rev or f"working tree on {_git('rev-parse', '--short', 'HEAD')}",
+        "head": head_rev,
         "seed": args.seed,
         "seconds": BENCHMARK["run_seconds"],
         "machine": {"cpus": os.cpu_count(), "python": platform.python_version(),
