@@ -41,11 +41,10 @@ from .freealg import (
     Tensor3,
     _merge_term,
     concat,
+    cyclic_normal_form,
     exact,
 )
 from .bracket import BracketSpec
-
-HALF = Fraction(1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -150,18 +149,36 @@ def skew_defect(spec: BracketSpec, x: int, y: int) -> Tensor2:
     return spec.letter_bracket(x, y) + spec.letter_bracket(y, x).flip()
 
 
+def weight_form(lx, ly) -> tuple:
+    """(s, k) = ((lx + ly)/2, (lx - ly)/2) for letters x, y of weights lx, ly:
+    weighted skew symmetry prescribes :func:`form_terms` (x, y, s, k) as their
+    skew defect, and :func:`poisson_rhs` scales by the same s and k."""
+    return Fraction(lx + ly, 2), Fraction(lx - ly, 2)
+
+
+def form_terms(x: int, y: int, s, k) -> dict:
+    """Raw terms of s * (x (x) y - y (x) x) + k * (1 (x) xy - yx (x) 1)."""
+    terms = {}
+    if s:
+        _merge_term(terms, ((y,), (x,)), -s)
+        _merge_term(terms, ((x,), (y,)), s)
+    if k:  # concat: a Laurent pair x, x^-1 cancels here
+        _merge_term(terms, ((), concat((x,), (y,))), k)
+        _merge_term(terms, (concat((y,), (x,)), ()), -k)
+    return terms
+
+
 def poisson_rhs(spec: BracketSpec, x: int, y: int, z: int, lx, ly) -> Tensor3:
     """Prescribed double Jacobiator value on a letter triple of weights lx, ly:
-    each term c * p (x) q of <<x, z>> gives -(lx+ly)/2 * c * p (x) y (x) q
-    plus (lx-ly)/2 * c * p (x) 1 (x) yq."""
-    half_sum = Fraction(lx + ly) * HALF
-    half_diff = Fraction(lx - ly) * HALF
+    with (s, k) = :func:`weight_form` (lx, ly), each term c * p (x) q of
+    <<x, z>> gives -s * c * p (x) y (x) q plus k * c * p (x) 1 (x) yq."""
+    s, k = weight_form(lx, ly)
     terms = {}
     for (p, q), c in spec._letter_raw(x, z).items():
-        if half_sum:
-            _merge_term(terms, (p, (y,), q), -half_sum * c)
-        if half_diff:
-            _merge_term(terms, (p, (), concat((y,), q)), half_diff * c)
+        if s:
+            _merge_term(terms, (p, (y,), q), -s * c)
+        if k:
+            _merge_term(terms, (p, (), concat((y,), q)), k * c)
     return Tensor3(spec.algebra, terms)
 
 
@@ -183,20 +200,8 @@ def _letter_witnesses(spec: BracketSpec, arity: int, lhs, rhs) -> list:
 def pair_witnesses(spec: BracketSpec, form) -> list:
     """Letter pairs whose skew defect is not the quadratic form
     s * (x (x) y - y (x) x) + k * (1 (x) xy - yx (x) 1), (s, k) = form(i, j)."""
-    alg = spec.algebra
-
-    def rhs(idx, cell):
-        (x, y), (s, k) = cell, form(*idx)
-        terms = {}
-        if s:
-            _merge_term(terms, ((x,), (y,)), s)
-            _merge_term(terms, ((y,), (x,)), -s)
-        if k:  # concat: a Laurent pair x, x^-1 cancels here
-            _merge_term(terms, ((), concat((x,), (y,))), k)
-            _merge_term(terms, (concat((y,), (x,)), ()), -k)
-        return Tensor2(alg, terms)
-
-    return _letter_witnesses(spec, 2, lambda x, y: skew_defect(spec, x, y), rhs)
+    return _letter_witnesses(spec, 2, lambda x, y: skew_defect(spec, x, y),
+                             lambda idx, cell: Tensor2(spec.algebra, form_terms(*cell, *form(*idx))))
 
 
 def triple_witnesses(spec: BracketSpec, weights) -> list:
@@ -249,13 +254,6 @@ def _id_element(spec: BracketSpec, res: dict) -> str:
     return str(Element(spec.algebra, {spec._id_words[k]: v for k, v in res.items() if v}))
 
 
-def _weights(spec: BracketSpec, weights) -> tuple:
-    weights = tuple(Fraction(exact(w)) for w in weights)
-    if len(weights) != len(spec.algebra.letters):
-        raise ValueError(f"expected {len(spec.algebra.letters)} weights, got {len(weights)}")
-    return weights
-
-
 # ---------------------------------------------------------------------------
 # generator-level checks
 
@@ -279,8 +277,8 @@ def check_weight(spec: BracketSpec, weights) -> VerificationReport:
     On a localised algebra the letter list includes the inverse letters, whose
     weights must be the negated base weights (the unique consistent extension).
     """
-    w = _weights(spec, weights)
-    witnesses = pair_witnesses(spec, lambda i, j: ((w[i] + w[j]) * HALF, (w[i] - w[j]) * HALF))
+    w = spec.algebra.weight_vector(weights)
+    witnesses = pair_witnesses(spec, lambda i, j: weight_form(w[i], w[j]))
     params = {"weights": [str(x) for x in w], "pairs": len(w) ** 2}
     return report("weighted_skew_symmetry", spec, params, witnesses)
 
@@ -363,7 +361,7 @@ def check_wsk_condition(mtype: MixedType) -> bool:
 
 def check_poisson_property(spec: BracketSpec, weights) -> VerificationReport:
     """The double Jacobiator on letter triples takes its prescribed value."""
-    w = _weights(spec, weights)
+    w = spec.algebra.weight_vector(weights)
     params = {"weights": [str(x) for x in w], "triples": len(w) ** 3}
     return report("poisson_property", spec, params, triple_witnesses(spec, w))
 
@@ -398,19 +396,20 @@ def check_h0_skew(spec: BracketSpec, maxdeg: int = 4, all_witnesses: bool = Fals
     """
     words = spec.algebra.words_up_to(maxdeg)
     mb = spec._mb_ids
-    cnf = spec._cnf_id
+    word_of = spec._id_words
 
     def residual(a, b):  # {a,b} + {b,a} on cyclic normal forms
         res = {}
         for part in (mb(a, b), mb(b, a)):
             for w, c in part.items():
-                k = cnf(w)
+                k = cyclic_normal_form(word_of[w])
                 v = res.get(k)
                 res[k] = c if v is None else v + c
         return any(res.values()) and res
 
     pairs, witnesses = sweep(spec, [spec._wid(w) for w in words], 2, residual,
-                             lambda res: _id_element(spec, res), "0 mod commutators", all_witnesses)
+                             lambda res: str(Element(spec.algebra, {k: v for k, v in res.items() if v})),
+                             "0 mod commutators", all_witnesses)
     return report("h0_skew_symmetry", spec, {"maxdeg": maxdeg, "pairs": pairs, "words": len(words)}, witnesses)
 
 

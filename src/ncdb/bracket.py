@@ -14,14 +14,15 @@ positive generators (absent pairs are zero).  Everything else is derived:
   monomial kernel over sparse operands; only the kernel and the place its
   key lands differ.
 
-The sweeps in :mod:`ncdb.axioms` iterate over many monomial pairs/triples,
-so the spec memoizes raw dict-level results per word pair; caches are only
-ever filled with idempotent pure values and are safe to share.
+Each computed value has one memo, read by the route that fills it: the
+sweeps in :mod:`ncdb.axioms` and :mod:`ncdb.repspace` read {u, w} on
+interned word ids (``_mb_ids``), the element-level ``mbracket`` reads it
+per word pair (``_mb_cache``), and ``_mb_words`` itself keeps nothing.
+Memos are only ever filled with idempotent pure values and are safe to share.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from types import MappingProxyType
 
 from .freealg import (
@@ -31,8 +32,6 @@ from .freealg import (
     Tensor3,
     _merge_term,
     concat,
-    cyclic_normal_form,
-    exact,
 )
 
 
@@ -51,20 +50,13 @@ class BracketSpec:
                 clean[(i, j)] = u
         # read-only: the memo caches below are derived from it
         self.table = MappingProxyType(clean)
-        if weight is not None:
-            weight = tuple(Fraction(exact(w)) for w in weight)
-            if len(weight) != len(algebra.letters):
-                raise ValueError(
-                    f"weight length {len(weight)} != letter count {len(algebra.letters)}"
-                )
-        self.weight = weight
+        self.weight = None if weight is None else algebra.weight_vector(weight)
         self._letter_cache = {}  # (x, y) -> raw {(w1, w2): coef}
-        self._mb_cache = {}      # (u, w) -> raw {word: coef}
+        self._mb_cache = {}      # (u, w) -> raw {word: coef}, read by mbracket only
         # interning: sweeps key everything by small word ids instead of tuples
         self._word_ids = {(): 0}
         self._id_words = [()]
-        self._mb_id_cache = {}   # (uid, wid) -> {word id: coef}
-        self._cnf_ids = {}       # word id -> id of its cyclic normal form
+        self._mb_id_cache = {}   # (uid, wid) -> {word id: coef}, read by the sweeps
 
     def __repr__(self):
         return f"BracketSpec({self.algebra}, {len(self.table)} entries)"
@@ -140,11 +132,7 @@ class BracketSpec:
         return res
 
     def _mb_words(self, u, w) -> dict:
-        """Raw multiplied bracket {u, w} of two monomials, memoized."""
-        key = (u, w)
-        cached = self._mb_cache.get(key)
-        if cached is not None:
-            return cached
+        """Raw multiplied bracket {u, w} of two monomials (not memoized)."""
         res = {}
         lr = self._letter_raw
         reduced = self.algebra.has_inverses
@@ -162,9 +150,14 @@ class BracketSpec:
                     word = concat(concat(concat(wp, p), mid), concat(q, ws)) if reduced else wp + p + mid + q + ws
                     v = res.get(word)
                     res[word] = c if v is None else v + c
-        res = {k: v for k, v in res.items() if v}
-        self._mb_cache[key] = res
-        return res
+        return {k: v for k, v in res.items() if v}
+
+    def _mb_row(self, u, w) -> dict:
+        """{u, w} memoized per word pair for :meth:`mbracket`."""
+        row = self._mb_cache.get((u, w))
+        if row is None:
+            row = self._mb_cache[u, w] = self._mb_words(u, w)
+        return row
 
     # -- interned-id variants used by the bounded sweeps -------------------------
 
@@ -190,13 +183,6 @@ class BracketSpec:
         self._mb_id_cache[key] = out
         return out
 
-    def _cnf_id(self, wid: int) -> int:
-        i = self._cnf_ids.get(wid)
-        if i is None:
-            i = self._wid(cyclic_normal_form(self._id_words[wid]))
-            self._cnf_ids[wid] = i
-        return i
-
     # -- public bracket operations ----------------------------------------------
 
     def _extend(self, cls, a, b, kernel, place=None):
@@ -219,7 +205,7 @@ class BracketSpec:
 
     def mbracket(self, a: Element, b: Element) -> Element:
         """The multiplied bracket {a, b} = m o <<a, b>>."""
-        return self._extend(Element, a, b, self._mb_words)
+        return self._extend(Element, a, b, self._mb_row)
 
     def tbracket_L(self, a: Element, u: Tensor2) -> Tensor3:
         """<<a, b (x) c>>_L = <<a, b>> (x) c."""

@@ -32,7 +32,7 @@ from fractions import Fraction
 
 from .freealg import FreeAlgebra, exact
 from .bracket import BracketSpec
-from .axioms import check_poisson_property, check_weight, modified_double_poisson_battery
+from .axioms import check_poisson_property, check_weight, form_terms, modified_double_poisson_battery, weight_form
 
 TRIPLE_SOLUTIONS = (
     (0, 0, 0),
@@ -91,13 +91,12 @@ def weighted_table(A: FreeAlgebra, weights, entries) -> dict:
     it the (j, i) entry that weighted skew symmetry forces,
     <<x_j, x_i>> = -flip<<x_i, x_j>> + s (x_j (x) x_i - x_i (x) x_j)
                    + k (1 (x) x_j x_i - x_i x_j (x) 1),
-    with s, k = (l_j + l_i)/2, (l_j - l_i)/2.
+    with s, k = (l_j + l_i)/2, (l_j - l_i)/2, both rules taken from
+    :mod:`ncdb.axioms` (``weight_form``, ``form_terms``).
     """
     table = {}
     for (i, j), terms in entries.items():
-        s = Fraction(weights[j - 1] + weights[i - 1], 2)
-        k = Fraction(weights[j - 1] - weights[i - 1], 2)
-        forced = {((i,), (j,)): -s, ((j,), (i,)): s, ((), (j, i)): k, ((i, j), ()): -k}
+        forced = form_terms(j, i, *weight_form(weights[j - 1], weights[i - 1]))
         for (a, b), c in terms.items():
             forced[(b, a)] = forced.get((b, a), 0) - c
         table[(i, j)] = A.tensor2(terms)

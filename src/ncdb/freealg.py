@@ -184,6 +184,14 @@ class FreeAlgebra:
         base = tuple(base)
         return base + tuple(-base[i - 1] for i in self.inverted)
 
+    def weight_vector(self, weights) -> tuple:
+        """``weights`` as exact ``Fraction``s, one per letter of ``letters``;
+        a float, a string or a vector of another length is a ValueError."""
+        weights = tuple(Fraction(exact(w)) for w in weights)
+        if len(weights) != len(self.letters):
+            raise ValueError(f"expected {len(self.letters)} weights, got {len(weights)}")
+        return weights
+
     def laurent(self) -> "FreeAlgebra":
         """The same generators with every one of them inverted."""
         return FreeAlgebra(self.names, tuple(range(1, self.d + 1)))

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from ncdb import axioms
-from ncdb.freealg import FreeAlgebra, Tensor3, concat, _merge_term
+from ncdb.freealg import FreeAlgebra, Tensor3, concat, cyclic_normal_form, _merge_term
 from ncdb.bracket import BracketSpec
 from ncdb.axioms import (
     MixedType,
@@ -24,6 +24,7 @@ from ncdb.axioms import (
 )
 from ncdb.classify import FamilyParams, build, builtin, search_cl1
 from ncdb.localize import localize
+from ncdb.repspace import MatrixPoint, check_induced_poisson
 
 from oracles import reduce_mod_commutators, unreduced_check_jacobi
 from test_golden_reports import _random_spec
@@ -168,6 +169,22 @@ class TestWeight:
                 call()
         weight = BracketSpec(mdbI.algebra, {}, (1, Fraction(-2, 2), -1)).weight
         assert weight == (1, -1, -1) and all(type(w) is Fraction for w in weight)
+
+    @pytest.mark.parametrize("laurent", [False, True])
+    def test_weight_length_refused(self, mdbI, laurent):
+        """One rule for every weight vector: one weight per letter, inverse
+        letters included; n - 1 and n + 1 weights are refused alike."""
+        spec = localize(builtin("kontsevich")[0], (1, -1), (1, 2))[0] if laurent else mdbI
+        n = len(spec.algebra.letters)
+        for m in (n - 1, n + 1):
+            w = (1,) * m
+            for call in (
+                lambda: BracketSpec(spec.algebra, {}, w),
+                lambda: check_weight(spec, w),
+                lambda: check_poisson_property(spec, w),
+            ):
+                with pytest.raises(ValueError, match=f"expected {n} weights, got {m}"):
+                    call()
 
     def test_rescaling_scales_weight(self, mdbI):
         scaled = mdbI.scale(Fraction(3, 2))
@@ -416,3 +433,29 @@ def test_jacobi_row_reduction_runs_both_paths(monkeypatch):
     monkeypatch.setattr(axioms, "sweep", spy)
     check_jacobi(_scaled_mdb2(), 2, all_witnesses=True)
     assert True in decided and False in decided
+
+
+def test_sweeps_leave_the_element_memo_to_mbracket(monkeypatch):
+    """The sweeps memoize {u, w} on word ids only; ``_mb_cache`` is filled
+    and read by the element-level ``mbracket`` alone."""
+    spec = builtin("mdbI")[0]
+    check_h0_skew(spec, 3)
+    check_jacobi(spec, 3)
+    check_induced_poisson(spec, MatrixPoint.random(spec.algebra, 2, 0), 2)
+    assert spec._mb_id_cache and not spec._mb_cache
+
+    calls = []
+    kernel = spec._mb_words
+    monkeypatch.setattr(spec, "_mb_words", lambda u, w: calls.append((u, w)) or kernel(u, w))
+    a = spec.algebra.element({(1, 2): 1, (3,): 2})
+    b = spec.algebra.element({(2, 3, 1): -1})
+    first = spec.mbracket(a, b)
+    assert len(calls) == 2 and len(spec._mb_cache) == 2
+    assert spec.mbracket(a, b) == first and len(calls) == 2
+
+
+def test_h0_skew_reads_the_normal_form_cache():
+    """Words of one class meet within a sweep, so the normal-form cache hits."""
+    cyclic_normal_form.cache_clear()
+    check_h0_skew(builtin("mdbI")[0], 3)
+    assert cyclic_normal_form.cache_info().hits > 0
