@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 Word = tuple  # tuple of nonzero signed ints
+MAX_WORDS = 100_000  # most words ``words_up_to`` builds
 
 # ---------------------------------------------------------------------------
 # words
@@ -251,7 +252,20 @@ class FreeAlgebra:
     # -- enumeration and rendering ------------------------------------------
 
     def words_up_to(self, maxdeg: int, include_unit: bool = True):
-        """All reduced words of degree <= maxdeg, in deglex order."""
+        """All reduced words of degree <= maxdeg, in deglex order.
+
+        More than ``MAX_WORDS`` words is a ValueError, raised before any is
+        built: every sweep over them is at least quadratic in their number.
+        """
+        # reduced words of each length: a word ending in one of the 2 * len(inverted)
+        # invertible letters cannot be followed by that letter's inverse
+        n, m = len(self.letters), 2 * len(self.inverted)
+        total, count, ending_invertible = int(include_unit), 1, 0
+        for _ in range(maxdeg):
+            count, ending_invertible = n * count - ending_invertible, m * count - ending_invertible
+            total += count
+            if total > MAX_WORDS:
+                raise ValueError(f"degree {maxdeg} gives more than {MAX_WORDS} words")
         letters = sorted(self.letters, key=letter_key)
         out = [()] if include_unit else []
         level = [()]

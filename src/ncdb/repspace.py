@@ -14,18 +14,24 @@ exact ``Fraction``.
 :func:`check_induced_poisson` clears the remaining denominators once per
 spec and point.  E is the lcm of the coefficient denominators of every
 letter bracket, and L = 3*maxdeg + 2*max(t - 2, 0) bounds the length of any
-word the sweep can meet, t being the longest p (x) q term of a letter
-bracket.  Every word is traced as the integer T(w) = D**(L - len(w)) *
-tr N(w) = D**L * tr M(w), and every bracket coefficient c enters as the
-integer E * c.  A trace {u, w} is then an exact integer scaled by E * D**L,
-and a Jacobi sum one scaled by E**2 * D**L; a sum is zero exactly when the
+word the check can meet, t being the longest p (x) q term of a letter
+bracket.  A pair trace tr{u, w} is summed as the integer E * D**L * tr{u, w}:
+each word w enters as T(w) = D**(L - len(w)) * tr N(w) = D**L * tr M(w) and
+each bracket coefficient c as the integer E * c.  For the triples, each row
+(a, b) forms one integer matrix per letter x, the sum of E**2 * c *
+D**(L - len(w)) * N(w) over the terms c*w of J(a,b,x), which is E**2 * D**L
+times the matrix of J(a,b,x); each word x_1 ... x_k keeps its rotations
+N(x_{i+1} ... x_k x_1 ... x_{i-1}) times D**(maxdeg - k), so every cell is an
+integer scaled by E**2 * D**(L + maxdeg - 1).  A sum is zero exactly when the
 rational it stands for is.  Only a witness divides back, through
 ``Fraction(sum, scale)``, so its text is the reduced rational.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -54,6 +60,15 @@ def mat_inverse(a):
     return tuple(tuple(row[n:]) for row in m)
 
 
+MAX_SIZE = 64  # largest matrix point: each word matrix holds size**2 integers
+
+
+def _checked_size(n):
+    if not isinstance(n, int) or not 1 <= n <= MAX_SIZE:
+        raise ValueError(f"size must be an int from 1 to {MAX_SIZE}, got {n!r}")
+    return n
+
+
 @dataclass
 class MatrixPoint:
     """One exact-rational point of the N-dimensional representation space.
@@ -74,9 +89,7 @@ class MatrixPoint:
     _traces: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        n = self.size
-        if not isinstance(n, int) or n < 1:
-            raise ValueError(f"size must be a positive int, got {n!r}")
+        n = _checked_size(self.size)
         for i in range(1, self.algebra.d + 1):
             m = self.mats.get(i)
             if m is None:
@@ -109,6 +122,7 @@ class MatrixPoint:
         """Seeded sample with entries p/q, p in [-9,9], q in [1,9]; matrices
         for inverted generators are redrawn until exactly nonsingular."""
         rng = random.Random(seed)
+        _checked_size(size)
 
         def draw():
             return tuple(
@@ -194,6 +208,15 @@ def check_induced_poisson(spec: BracketSpec, p: MatrixPoint, maxdeg: int = 3,
     skipped): tr({a,b} + {b,a}) == 0 and tr({a,{b,c}} - {b,{a,c}} - {{a,b},c})
     == 0, exactly over the rationals (summed as scaled integers, see the
     module docstring).
+
+    Triples go through the derivation rule of :func:`ncdb.axioms.check_jacobi`
+    (proved there): for fixed a and b, c -> J(a,b,c) is a derivation, and
+    trace is cyclic, so on c = x_1 ... x_k
+        tr J(a,b,c) = sum_i tr(J(a,b,x_i) x_{i+1} ... x_k x_1 ... x_{i-1}).
+    Each row (a, b) evaluates J(a,b,x) at the point once per letter x
+    (inverse letters included), and each cell sums its rotations' traces.
+    Every cell is still evaluated at the point, never read off the symbolic
+    Jacobiator, so this check stays independent of ``check_jacobi``.
     """
     alg = spec.algebra
     words = alg.words_up_to(maxdeg, include_unit=False)
@@ -208,45 +231,63 @@ def check_induced_poisson(spec: BracketSpec, p: MatrixPoint, maxdeg: int = 3,
     mb = spec._mb_ids
     word_of = spec._id_words
 
-    def traced(wid):  # T(w) = D**(L - len(w)) * tr N(w)
+    def scaled(wid):  # (D**(L - len(w)), w)
         w = word_of[wid]
         if len(w) > bound:
             raise RuntimeError(f"word of length {len(w)} exceeds the trace bound {bound}")
-        return dpow[len(w)] * p._int_trace(w)
+        return dpow[len(w)], w
 
-    def int_row(key):  # {u, w} as [(word id, E * coef)]
-        return [(k, c.numerator * (e // c.denominator)) for k, c in mb(*key).items()]
+    def traced(wid):  # T(w) = D**(L - len(w)) * tr N(w)
+        f, w = scaled(wid)
+        return f * p._int_trace(w)
 
-    def mb_trace(key):  # E * D**L * tr({u, w}), converting its row without keeping it
+    def mb_trace(key):  # E * D**L * tr({u, w})
         t = 0
         for k, c in mb(*key).items():
             t += c.numerator * (e // c.denominator) * trace_of[k]
         return t
 
     trace_of = _Memo(traced)
-    rows = _Memo(int_row)  # only ever indexed by pairs of sweep words
     mbt = _Memo(mb_trace)
-
-    def triple(a, b):
-        ab = rows[a, b]
-
-        def at(c):
-            t = 0
-            for w, cw in rows[b, c]:
-                t += cw * mbt[a, w]
-            for w, cw in rows[a, c]:
-                t -= cw * mbt[b, w]
-            for w, cw in ab:
-                t -= cw * mbt[w, c]
-            return t
-
-        return at
 
     params = {"size": p.size, "maxdeg": maxdeg}
     params["pairs"], witnesses = sweep(spec, ids, 2, lambda a, b: mbt[a, b] + mbt[b, a],
                                        lambda t: str(Fraction(t, pair_scale)), "0", all_witnesses)
     if witnesses and not all_witnesses:
         return report("induced_trace_skew", spec, params, witnesses)
+
+    # the rotations v = x_i ... x_k x_1 ... x_{i-1} of each word, each as x_i and the
+    # transposed, flattened D**(maxdeg - k) * N(x_{i+1} ... x_{i-1})
+    rotation_ids = {}
+    cyclic = {c: [rotation_ids.setdefault(w[i:] + w[:i], len(rotation_ids)) for i in range(len(w))]
+              for c, w in zip(ids, words)}
+    rotations = [(v[0], [p.denom ** (maxdeg - len(v)) * y for col in zip(*p._int_matrix(v[1:])) for y in col])
+                 for v in rotation_ids]
+
+    def triple(a, b):
+        ab = mb(a, b)
+        at_letter = {}
+        for g in alg.letters:  # E**2 * D**L * J(a,b,x) at the point, flattened
+            x = spec._wid((g,))
+            jx = {}
+            for sign, terms in ((1, ((cw, mb(a, w)) for w, cw in mb(b, x).items())),
+                                (-1, ((cw, mb(b, w)) for w, cw in mb(a, x).items())),
+                                (-1, ((cw, mb(w, x)) for w, cw in ab.items()))):
+                for cw, inner in terms:
+                    for k, ck in inner.items():
+                        jx[k] = jx.get(k, 0) + sign * cw * ck
+            m = [0] * (p.size * p.size)
+            for k, c in jx.items():
+                if c:
+                    f, w = scaled(k)
+                    f *= c.numerator * (e * e // c.denominator)
+                    m = [s + f * y for s, y in zip(m, itertools.chain.from_iterable(p._int_matrix(w)))]
+            at_letter[g] = m
+
+        at_rotation = [sum(map(operator.mul, at_letter[g], r)) for g, r in rotations]
+        return {c: sum(map(at_rotation.__getitem__, vs)) for c, vs in cyclic.items()}.__getitem__
+
+    triple_scale = e * pair_scale * p.denom ** (maxdeg - 1)
     params["triples"], more = sweep(spec, ids, 3, triple,
-                                    lambda t: str(Fraction(t, e * pair_scale)), "0", all_witnesses)
+                                    lambda t: str(Fraction(t, triple_scale)), "0", all_witnesses)
     return report("induced_trace_poisson", spec, params, witnesses + more)

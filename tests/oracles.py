@@ -3,14 +3,17 @@
 Each is the plain, direct spelling of something ncdb computes another way:
 bimodule actions written term by term, classes modulo commutators through
 ``cyclic_normal_form``, matrix evaluation by ``Fraction`` products of the
-letter matrices, never through a point's integer word cache, and the Jacobi
-sweep on every triple, with no row decided on the letters.
+letter matrices, never through a point's integer word cache, the Jacobi
+sweep on every triple, with no row decided on the letters, and the induced
+trace check on every triple without the derivation rule.
 """
 
+import math
 from fractions import Fraction
 
 from ncdb.axioms import check_double_poisson, report, sweep
 from ncdb.freealg import Element, Tensor2, Tensor3, _merge_term, concat, cyclic_normal_form
+from ncdb.repspace import _Memo
 
 # ---------------------------------------------------------------------------
 # bimodule actions and mixed constructors
@@ -175,3 +178,69 @@ def unreduced_check_jacobi(spec, maxdeg, all_witnesses=False):
 
     triples, witnesses = sweep(spec, [spec._wid(w) for w in words], 3, residual, render, "0", all_witnesses)
     return report("jacobi_identity", spec, {"maxdeg": maxdeg, "triples": triples, "words": len(words)}, witnesses)
+
+
+# ---------------------------------------------------------------------------
+# the induced trace check without the derivation rule
+
+
+def unreduced_check_induced_poisson(spec, p, maxdeg=3, all_witnesses=False):
+    """``check_induced_poisson`` on the per-cell route: each triple (a, b, c)
+    sums E * c_w * E * D**L * tr({u, w}) over the words w of {b, c}, {a, c}
+    and {a, b}, so it needs {a, w} for every long word w of {b, c}; nothing
+    is evaluated on the letters of c.  The pair stage is the package's own."""
+    alg = spec.algebra
+    words = alg.words_up_to(maxdeg, include_unit=False)
+    ids = [spec._wid(w) for w in words]
+    # E, L and the powers D**(L - k) of the module docstring
+    raws = [spec._letter_raw(x, y) for x in alg.letters for y in alg.letters]
+    e = math.lcm(*(c.denominator for raw in raws for c in raw.values()))
+    longest = max((len(l) + len(r) for raw in raws for l, r in raw), default=0)
+    bound = 3 * maxdeg + 2 * max(longest - 2, 0)
+    dpow = [p.denom ** (bound - k) for k in range(bound + 1)]
+    pair_scale = e * dpow[0]
+    mb = spec._mb_ids
+    word_of = spec._id_words
+
+    def traced(wid):  # T(w) = D**(L - len(w)) * tr N(w)
+        w = word_of[wid]
+        if len(w) > bound:
+            raise RuntimeError(f"word of length {len(w)} exceeds the trace bound {bound}")
+        return dpow[len(w)] * p._int_trace(w)
+
+    def int_row(key):  # {u, w} as [(word id, E * coef)]
+        return [(k, c.numerator * (e // c.denominator)) for k, c in mb(*key).items()]
+
+    def mb_trace(key):  # E * D**L * tr({u, w}), converting its row without keeping it
+        t = 0
+        for k, c in mb(*key).items():
+            t += c.numerator * (e // c.denominator) * trace_of[k]
+        return t
+
+    trace_of = _Memo(traced)
+    rows = _Memo(int_row)  # only ever indexed by pairs of sweep words
+    mbt = _Memo(mb_trace)
+
+    def triple(a, b):
+        ab = rows[a, b]
+
+        def at(c):
+            t = 0
+            for w, cw in rows[b, c]:
+                t += cw * mbt[a, w]
+            for w, cw in rows[a, c]:
+                t -= cw * mbt[b, w]
+            for w, cw in ab:
+                t -= cw * mbt[w, c]
+            return t
+
+        return at
+
+    params = {"size": p.size, "maxdeg": maxdeg}
+    params["pairs"], witnesses = sweep(spec, ids, 2, lambda a, b: mbt[a, b] + mbt[b, a],
+                                       lambda t: str(Fraction(t, pair_scale)), "0", all_witnesses)
+    if witnesses and not all_witnesses:
+        return report("induced_trace_skew", spec, params, witnesses)
+    params["triples"], more = sweep(spec, ids, 3, triple,
+                                    lambda t: str(Fraction(t, e * pair_scale)), "0", all_witnesses)
+    return report("induced_trace_poisson", spec, params, witnesses + more)

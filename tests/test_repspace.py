@@ -6,11 +6,19 @@ import pytest
 from ncdb.freealg import FreeAlgebra
 from ncdb.bracket import BracketSpec
 from ncdb.axioms import check_h0_skew
-from ncdb.classify import builtin
+from ncdb.classify import FamilyParams, build, builtin
 from ncdb.localize import localize
-from ncdb.repspace import MatrixPoint, check_induced_poisson, eval_trace, induced_trace_bracket, mat_inverse
+from ncdb.repspace import MAX_SIZE, MatrixPoint, check_induced_poisson, eval_trace, induced_trace_bracket, mat_inverse
 
-from oracles import coordinate_bracket, eval_element, mat_identity, mat_mul, mat_trace, word_matrix
+from oracles import (
+    coordinate_bracket,
+    eval_element,
+    mat_identity,
+    mat_mul,
+    mat_trace,
+    unreduced_check_induced_poisson,
+    word_matrix,
+)
 
 
 @pytest.fixture(scope="module")
@@ -81,6 +89,16 @@ class TestMatrices:
         for size, mats in bad:
             with pytest.raises(ValueError):
                 MatrixPoint(alg, size, mats)
+
+    def test_size_cap(self):
+        alg = FreeAlgebra.standard(2)
+        assert MatrixPoint.random(alg, MAX_SIZE, seed=0).size == MAX_SIZE
+        eye = tuple(tuple(int(i == j) for j in range(MAX_SIZE + 1)) for i in range(MAX_SIZE + 1))
+        with pytest.raises(ValueError, match="from 1 to 64"):
+            MatrixPoint(alg, MAX_SIZE + 1, {1: eye, 2: eye})
+        for size in (MAX_SIZE + 1, 100000):  # refused before any entry is drawn
+            with pytest.raises(ValueError, match="from 1 to 64"):
+                MatrixPoint.random(alg, size, seed=0)
 
 
 class TestEvaluation:
@@ -191,6 +209,57 @@ class TestInducedPoisson:
         r1 = check_induced_poisson(builtin("mdbII")[0], p1, 2)
         r2 = check_induced_poisson(builtin("mdbII")[0], p2, 2)
         assert r1.to_json() == r2.to_json()
+
+
+def _scaled(spec, pair, factor):
+    table = dict(spec.table)
+    table[pair] = table[pair].scale(factor)
+    return BracketSpec(spec.algebra, table)
+
+
+def _laurent_kontsevich():
+    spec, w = builtin("kontsevich")
+    return localize(spec, w, (1, 2))[0]
+
+
+TRACE_SPECS = {
+    "mdbI": lambda: builtin("mdbI")[0],
+    "cl3a_point": lambda: build(FamilyParams("cl3a", (0, 0, 0, 1, 0, 1)))[0],
+    "cl3b_point": lambda: build(FamilyParams("cl3b", (0, 0, 0, 0, 1, 0)))[0],
+    "mdbII_scaled": lambda: _scaled(builtin("mdbII")[0], (2, 3), Fraction(-3, 7)),
+    "kontsevich": lambda: builtin("kontsevich")[0],
+    "kontsevich_scaled": lambda: _scaled(builtin("kontsevich")[0], (1, 2), Fraction(2, 3)),
+    "laurent": _laurent_kontsevich,
+    "laurent_scaled": lambda: _scaled(_laurent_kontsevich(), (1, 2), Fraction(2, 3)),
+}
+# (spec, size, maxdeg, all_witnesses); the cl3 points fail at the triple stage.  On two
+# generators every cyclic word up to degree 5 is a rotation of its reversal, so the
+# order of a rotation shows only with three: cl3a at degree 3 with every witness
+TRACE_CASES = [
+    ("mdbI", 1, 2, False), ("mdbI", 2, 2, True),
+    ("cl3a_point", 3, 3, False), ("cl3a_point", 2, 2, True), ("cl3a_point", 2, 3, True),
+    ("cl3b_point", 2, 3, False), ("cl3b_point", 3, 2, True),
+    ("mdbII_scaled", 2, 3, False), ("mdbII_scaled", 1, 2, True),
+    ("kontsevich", 1, 3, True),
+    ("kontsevich_scaled", 2, 3, True), ("kontsevich_scaled", 3, 3, False),
+    ("laurent", 2, 2, False), ("laurent", 3, 2, True),
+    ("laurent_scaled", 1, 3, False), ("laurent_scaled", 2, 2, True),
+]
+
+
+@pytest.mark.parametrize("name,size,maxdeg,all_witnesses", TRACE_CASES)
+def test_trace_derivation_rule_matches_per_cell_sweep(name, size, maxdeg, all_witnesses):
+    """Evaluating J(a,b,-) on the letters at the point keeps every report
+    byte of the per-cell sweep, and still visits every triple."""
+    runs = []
+    for check in (unreduced_check_induced_poisson, check_induced_poisson):
+        spec = TRACE_SPECS[name]()
+        runs.append(check(spec, MatrixPoint.random(spec.algebra, size, seed=7), maxdeg, all_witnesses))
+    full, rep = runs
+    same = rep.to_json() == full.to_json()  # not asserted inline: a diff of megabytes is slow
+    assert same, next(((x, y) for x, y in zip(full.witnesses, rep.witnesses) if x != y), "counts differ")
+    if rep.passed:
+        assert rep.params["triples"] == len(spec.algebra.words_up_to(maxdeg, include_unit=False)) ** 3
 
 
 class TestIntegerTraces:

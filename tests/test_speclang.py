@@ -381,6 +381,18 @@ class TestCli:
         assert code == 2 and not out
         assert "at least 1" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["jacobi", "--max-degree", "11"],   # 3 generators: 265,719 words, just past the cap
+        ["jacobi", "--max-degree", "40"],
+        ["h0skew", "--max-degree", "11"],
+        ["rep", "--size", "65"],
+        ["rep", "--size", "100000"],
+    ])
+    def test_unbounded_sizes_exit_2(self, argv, mdbI_file, capsys, monkeypatch):
+        code, out, err = self.run(argv[:1] + [mdbI_file] + argv[1:], capsys=capsys, monkeypatch=monkeypatch)
+        assert code == 2 and not out
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_emit_reports_refuses_empty_list(self):
         with pytest.raises(ValueError):
             _emit_reports([], as_json=True)
