@@ -188,7 +188,7 @@ def unreduced_check_induced_poisson(spec, p, maxdeg=3, all_witnesses=False):
     """``check_induced_poisson`` on the per-cell route: each triple (a, b, c)
     sums E * c_w * E * D**L * tr({u, w}) over the words w of {b, c}, {a, c}
     and {a, b}, so it needs {a, w} for every long word w of {b, c}; nothing
-    is evaluated on the letters of c.  The pair stage is the package's own."""
+    is evaluated on the letters of c.  Its pair stage is the package's, copied."""
     alg = spec.algebra
     words = alg.words_up_to(maxdeg, include_unit=False)
     ids = [spec._wid(w) for w in words]

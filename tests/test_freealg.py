@@ -71,12 +71,11 @@ class TestWords:
         with pytest.raises(ValueError):
             L2.validate_word((1, -1))  # not reduced
 
-
     @pytest.mark.parametrize("alg", [A3, L2, FreeAlgebra(("u", "v", "w"), inverted=(2,))])
     @pytest.mark.parametrize("include_unit", [True, False])
     def test_word_count_cap(self, alg, include_unit, monkeypatch):
         """The count made before enumerating is exact: a cap of exactly the
-        number of words passes, one less is refused before any word is built."""
+        number of words passes, one less is refused."""
         for maxdeg in (1, 2, 4):
             words = alg.words_up_to(maxdeg, include_unit)
             assert len(set(words)) == len(words)
@@ -86,6 +85,7 @@ class TestWords:
             with pytest.raises(ValueError, match=f"more than {len(words) - 1} words"):
                 alg.words_up_to(maxdeg, include_unit)
             monkeypatch.undo()
+
 
 class TestElementArithmetic:
     def test_distributivity(self):

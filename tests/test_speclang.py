@@ -382,7 +382,7 @@ class TestCli:
         assert "at least 1" in err
 
     @pytest.mark.parametrize("argv", [
-        ["jacobi", "--max-degree", "11"],   # 3 generators: 265,719 words, just past the cap
+        ["jacobi", "--max-degree", "11"],   # 3 generators: 265,719 words, the first degree past the cap
         ["jacobi", "--max-degree", "40"],
         ["h0skew", "--max-degree", "11"],
         ["rep", "--size", "65"],
