@@ -214,6 +214,24 @@ def triple_witnesses(spec: BracketSpec, weights) -> list:
     )
 
 
+MAX_CELLS = 50_000_000  # most cells one sweep may count; Jacobi to degree 5 on three generators has 363**3
+
+
+def sweep_ids(spec: BracketSpec, words, arity: int) -> list:
+    """The interned ids of ``words`` for :func:`sweep`.
+
+    A sweep of ``arity`` over them that would count more than ``MAX_CELLS``
+    cells (n (n + 1) / 2 unordered pairs or n**3 triples of n words) is a
+    ValueError, raised before any bracket is computed: the word cap bounds
+    the words, not the cells, and a sweep's memos grow with its cells.
+    """
+    n = len(words)
+    cells = n * (n + 1) // 2 if arity == 2 else n ** 3
+    if cells > MAX_CELLS:
+        raise ValueError(f"{n} monomials give a sweep of {cells} cells, more than {MAX_CELLS}")
+    return [spec._wid(w) for w in words]
+
+
 def sweep(spec: BracketSpec, ids, arity: int, residual, render, expected: str, all_witnesses: bool):
     """The bounded sweep over unordered pairs a <= b (arity 2) or ordered
     triples (arity 3) of interned monomial ids, in order.
@@ -393,12 +411,31 @@ def check_h0_skew(spec: BracketSpec, maxdeg: int = 4, all_witnesses: bool = Fals
     The residual is symmetric in (a, b), so unordered pairs are swept.  On a
     localised algebra the sweep runs over reduced Laurent monomials and the
     commutator classes are cyclic classes of cyclically reduced words.
+
+    The residual, {a,b} + {b,a} on cyclic normal forms, is computed once per
+    unordered pair of cyclic classes, at their normal forms, and read for
+    every pair of the sweep.  This is exact.  ``BracketSpec._mb_words``
+    sums over the letters x of u, and u enters each summand only through x
+    and the rotation of u that follows it; a rotation of u has the same
+    letters and rotations, so {bc, w} = {cb, w}.  So {-, w} vanishes on
+    [A,A], and {u, w} = {cnf(u), w} exactly: cnf(u) is reached from u by
+    rotations and, on a Laurent algebra, by cancellation, as in
+    x (y x^-1) -> (y x^-1) x = y.  In the second argument the Leibniz rule
+    {u, bc} = b{u,c} + {u,b}c gives {u, bc} - {u, cb} = [b,{u,c}] + [{u,b},c],
+    so {u, -} maps [A,A] into itself and {u, w} = {u, cnf(w)} mod [A,A].
+    Hence the residual at (a, b) is the residual at (cnf(a), cnf(b)), and
+    at (cnf(b), cnf(a)) since it is symmetric.  The sweep still visits and
+    counts every pair in order, and witnesses name the original monomials,
+    so the report is that of the pair-by-pair sweep.
     """
     words = spec.algebra.words_up_to(maxdeg)
+    ids = sweep_ids(spec, words, 2)
     mb = spec._mb_ids
     word_of = spec._id_words
+    cls = {a: spec._wid(cyclic_normal_form(w)) for a, w in zip(ids, words)}
 
-    def residual(a, b):  # {a,b} + {b,a} on cyclic normal forms
+    @functools.cache
+    def class_residual(a, b):  # {a,b} + {b,a} on cyclic normal forms
         res = {}
         for part in (mb(a, b), mb(b, a)):
             for w, c in part.items():
@@ -407,7 +444,7 @@ def check_h0_skew(spec: BracketSpec, maxdeg: int = 4, all_witnesses: bool = Fals
                 res[k] = c if v is None else v + c
         return any(res.values()) and res
 
-    pairs, witnesses = sweep(spec, [spec._wid(w) for w in words], 2, residual,
+    pairs, witnesses = sweep(spec, ids, 2, lambda a, b: class_residual(*sorted((cls[a], cls[b]))),
                              lambda res: str(Element(spec.algebra, {k: v for k, v in res.items() if v})),
                              "0 mod commutators", all_witnesses)
     return report("h0_skew_symmetry", spec, {"maxdeg": maxdeg, "pairs": pairs, "words": len(words)}, witnesses)
@@ -419,9 +456,8 @@ def check_jacobi(spec: BracketSpec, maxdeg: int = 3, all_witnesses: bool = False
     Triples containing the unit monomial vanish identically ({1,-} = 0 = {-,1})
     and are skipped; the reported triple count is over nonunit monomials.
 
-    The sweep is brute force in a and b only.  Applying m to the Leibniz
-    rule <<a,bc>> = (b (x) 1)<<a,c>> + <<a,b>>(1 (x) c) gives
-    {a,bc} = b{a,c} + {a,b}c, so D_u = {u,-} is a derivation for every
+    Applying m to the Leibniz rule <<a,bc>> = (b (x) 1)<<a,c>> + <<a,b>>(1 (x) c)
+    gives {a,bc} = b{a,c} + {a,b}c, so D_u = {u,-} is a derivation for every
     monomial u; ``BracketSpec._mb_words`` computes it as exactly this
     positional sum over the letters of its second argument.  On a Laurent
     algebra the brackets of inverse letters are forced by <<a,1>> = 0, so
@@ -436,12 +472,25 @@ def check_jacobi(spec: BracketSpec, maxdeg: int = 3, all_witnesses: bool = False
     scanned.  Any other row is scanned cell by cell in order, so the first
     witness, the witness list and the triple count are those of the full
     sweep.
+
+    Each row, its letter test included, is built once per pair of cyclic
+    classes of (a, b), at their normal forms: J(a,b,c) = J(cnf(a),cnf(b),c)
+    exactly.  By the proof in :func:`check_h0_skew`, {u, w} = {cnf(u), w}
+    exactly and {u, w} = {u, cnf(w)} mod [A,A], and {-, c} vanishes on
+    [A,A].  Replacing a changes only first arguments: {a,{b,c}}, {a,c} and
+    {a,b}.  Replacing b changes the first arguments of {b,c} and
+    {b,{a,c}}, and {a,b} by an element of [A,A], which {-, c} maps to 0.
+    The third argument stays a word: J is a derivation in c, so rotating c
+    changes J by a commutator, not by 0.
     """
     words = spec.algebra.words_up_to(maxdeg, include_unit=False)
+    ids = sweep_ids(spec, words, 3)
     mb = spec._mb_ids
     letters = [spec._wid((g,)) for g in spec.algebra.letters]
+    cls = {a: spec._wid(cyclic_normal_form(w)) for a, w in zip(ids, words)}
 
-    def residual(a, b):
+    @functools.cache
+    def row(a, b):
         ab = mb(a, b).items()
 
         def at(c):
@@ -463,7 +512,7 @@ def check_jacobi(spec: BracketSpec, maxdeg: int = 3, all_witnesses: bool = False
 
         return at if any(map(at, letters)) else None  # a derivation in c
 
-    triples, witnesses = sweep(spec, [spec._wid(w) for w in words], 3, residual,
+    triples, witnesses = sweep(spec, ids, 3, lambda a, b: row(cls[a], cls[b]),
                                lambda res: _id_element(spec, res), "0", all_witnesses)
     return report("jacobi_identity", spec, {"maxdeg": maxdeg, "triples": triples, "words": len(words)}, witnesses)
 

@@ -39,7 +39,7 @@ from types import MappingProxyType
 
 from .freealg import Element, FreeAlgebra, exact
 from .bracket import BracketSpec
-from .axioms import VerificationReport, report, sweep
+from .axioms import VerificationReport, report, sweep, sweep_ids
 
 
 def mat_inverse(a):
@@ -220,7 +220,7 @@ def check_induced_poisson(spec: BracketSpec, p: MatrixPoint, maxdeg: int = 3,
     """
     alg = spec.algebra
     words = alg.words_up_to(maxdeg, include_unit=False)
-    ids = [spec._wid(w) for w in words]
+    ids = sweep_ids(spec, words, 3)  # the triple stage is the larger sweep
     # E, L and the powers D**(L - k) of the module docstring
     raws = [spec._letter_raw(x, y) for x in alg.letters for y in alg.letters]
     e = math.lcm(*(c.denominator for raw in raws for c in raw.values()))

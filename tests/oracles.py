@@ -3,9 +3,10 @@
 Each is the plain, direct spelling of something ncdb computes another way:
 bimodule actions written term by term, classes modulo commutators through
 ``cyclic_normal_form``, matrix evaluation by ``Fraction`` products of the
-letter matrices, never through a point's integer word cache, the Jacobi
-sweep on every triple, with no row decided on the letters, and the induced
-trace check on every triple without the derivation rule.
+letter matrices, never through a point's integer word cache, the h0 skew
+sweep bracketing every pair on its own words, the Jacobi sweep on every
+triple, with no row decided on the letters or shared within cyclic classes,
+and the induced trace check on every triple without the derivation rule.
 """
 
 import math
@@ -141,6 +142,34 @@ def coordinate_bracket(spec, a: Element, b: Element, p):
                         # {a_ij, b_uv} = <<a,b>>'_uj <<a,b>>''_iv
                         out[i][j][uu][v] += c * m1[uu][j] * m2[i][v]
     return tuple(tuple(tuple(tuple(r) for r in plane) for plane in block) for block in out)
+
+
+# ---------------------------------------------------------------------------
+# the h0 skew sweep without its class memo
+
+
+def unreduced_check_h0_skew(spec, maxdeg=4, all_witnesses=False):
+    """``check_h0_skew`` on the per-pair route: {a,b} + {b,a} on cyclic
+    normal forms for every unordered pair of monomials up to ``maxdeg``,
+    each pair bracketed on its own words, no residual shared between pairs
+    of the same cyclic classes."""
+    words = spec.algebra.words_up_to(maxdeg)
+    mb = spec._mb_ids
+    word_of = spec._id_words
+
+    def residual(a, b):  # {a,b} + {b,a} on cyclic normal forms
+        res = {}
+        for part in (mb(a, b), mb(b, a)):
+            for w, c in part.items():
+                k = cyclic_normal_form(word_of[w])
+                v = res.get(k)
+                res[k] = c if v is None else v + c
+        return any(res.values()) and res
+
+    pairs, witnesses = sweep(spec, [spec._wid(w) for w in words], 2, residual,
+                             lambda res: str(Element(spec.algebra, {k: v for k, v in res.items() if v})),
+                             "0 mod commutators", all_witnesses)
+    return report("h0_skew_symmetry", spec, {"maxdeg": maxdeg, "pairs": pairs, "words": len(words)}, witnesses)
 
 
 # ---------------------------------------------------------------------------

@@ -26,8 +26,8 @@ from ncdb.classify import FamilyParams, build, builtin, search_cl1
 from ncdb.localize import localize
 from ncdb.repspace import MatrixPoint, check_induced_poisson
 
-from oracles import reduce_mod_commutators, unreduced_check_jacobi
-from test_golden_reports import _random_spec
+from oracles import reduce_mod_commutators, unreduced_check_h0_skew, unreduced_check_jacobi
+from test_golden_reports import _laurent_kontsevich, _random_spec
 
 
 @pytest.fixture(scope="module")
@@ -413,7 +413,8 @@ def test_jacobi_row_reduction_matches_full_sweep(name, maxdeg, all_witnesses):
     """Deciding rows on the letters keeps every report byte of the full sweep."""
     make = JACOBI_SPECS[name]
     full = unreduced_check_jacobi(make(), maxdeg, all_witnesses).to_json()
-    assert check_jacobi(make(), maxdeg, all_witnesses).to_json() == full
+    same = check_jacobi(make(), maxdeg, all_witnesses).to_json() == full  # not inline: a diff of megabytes is slow
+    assert same
 
 
 def test_jacobi_row_reduction_runs_both_paths(monkeypatch):
@@ -459,3 +460,68 @@ def test_h0_skew_reads_the_normal_form_cache():
     cyclic_normal_form.cache_clear()
     check_h0_skew(builtin("mdbI")[0], 3)
     assert cyclic_normal_form.cache_info().hits > 0
+
+
+def _flipped_mdb2():
+    """mdbII with the sign of <<x2,x3>> flipped, keeping mdbII's weights."""
+    spec, w = builtin("mdbII")
+    table = dict(spec.table)
+    table[(2, 3)] = table[(2, 3)].scale(-1)
+    return BracketSpec(spec.algebra, table, w)
+
+
+H0_SPECS = {
+    "mdbI": lambda: builtin("mdbI")[0],
+    "mdbII_flipped": _flipped_mdb2,
+    "cl3a_point": JACOBI_SPECS["cl3a_point"],
+    "cl3b_point": JACOBI_SPECS["cl3b_point"],
+    **{f"random_{k}": (lambda k=k: _random_spec(k)) for k in range(4)},
+    "laurent": _laurent_kontsevich,
+    "laurent_broken": _broken_laurent,
+}
+# every spec fail-fast at degree 4 and with every witness at degree 3; the Laurent
+# ones, whose words such as v*w*v^-1 have shorter normal forms, at degree 4 too
+H0_CASES = ([(name, 4, False) for name in H0_SPECS] + [(name, 3, True) for name in H0_SPECS]
+            + [("laurent", 4, True), ("laurent_broken", 4, True)])
+
+
+@pytest.mark.parametrize("name,maxdeg,all_witnesses", H0_CASES)
+def test_h0_class_memo_matches_per_pair_sweep(name, maxdeg, all_witnesses):
+    """One residual per pair of cyclic classes keeps every report byte of
+    the sweep that brackets each pair on its own words."""
+    make = H0_SPECS[name]
+    full = unreduced_check_h0_skew(make(), maxdeg, all_witnesses)
+    memo = check_h0_skew(make(), maxdeg, all_witnesses)
+    same = memo.to_json() == full.to_json()  # not inline: a diff of megabytes is slow
+    assert same, next(((x, y) for x, y in zip(full.witnesses, memo.witnesses) if x != y), "counts differ")
+
+
+@pytest.mark.parametrize("make,classes", [(H0_SPECS["mdbI"], 45), (_laurent_kontsevich, 51)])
+def test_h0_skew_brackets_once_per_pair_of_classes(make, classes, monkeypatch):
+    """mdbI has 45 cyclic classes up to degree 4 and the Laurent Kontsevich
+    51, so a fresh h0 sweep brackets exactly their ordered pairs, reading
+    {a,b} and {b,a} once per unordered pair."""
+    spec = make()
+    calls = []
+    kernel = spec._mb_ids
+    monkeypatch.setattr(spec, "_mb_ids", lambda u, w: calls.append((u, w)) or kernel(u, w))
+    check_h0_skew(spec, 4)
+    assert len(spec._mb_id_cache) == classes ** 2
+    assert len(calls) == classes * (classes + 1)
+
+
+@pytest.mark.parametrize("check,cells,count", [
+    (check_h0_skew, 91, "pairs"),      # mdbI to degree 2: 13 words with the unit
+    (check_jacobi, 12 ** 3, "triples"),  # and 12 without
+    (lambda spec, deg: check_induced_poisson(spec, MatrixPoint.random(spec.algebra, 1, 0), deg), 12 ** 3, "triples"),
+])
+def test_sweep_cell_cap(check, cells, count, monkeypatch):
+    """A sweep of exactly ``MAX_CELLS`` cells runs; one more is refused
+    before any bracket is computed."""
+    monkeypatch.setattr(axioms, "MAX_CELLS", cells)
+    assert check(builtin("mdbI")[0], 2).params[count] == cells
+    monkeypatch.setattr(axioms, "MAX_CELLS", cells - 1)
+    spec = builtin("mdbI")[0]
+    with pytest.raises(ValueError, match=f"sweep of {cells} cells, more than {cells - 1}"):
+        check(spec, 2)
+    assert not spec._mb_id_cache and not spec._letter_cache

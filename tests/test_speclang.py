@@ -384,7 +384,9 @@ class TestCli:
     @pytest.mark.parametrize("argv", [
         ["jacobi", "--max-degree", "11"],   # 3 generators: 265,719 words, the first degree past the cap
         ["jacobi", "--max-degree", "40"],
+        ["jacobi", "--max-degree", "10"],   # 88,572 words, under the word cap: 6.9e14 cells
         ["h0skew", "--max-degree", "11"],
+        ["h0skew", "--max-degree", "10"],   # 88,573 words: 3.9e9 pairs
         ["rep", "--size", "65"],
         ["rep", "--size", "100000"],
     ])
