@@ -37,7 +37,8 @@ for row in mt.skew:
 print("\nthe Jacobiator takes its prescribed value on all generator triples:")
 print(check_poisson_property(spec, weights).summary())
 
-print("\nindependent bounded sweeps over monomials:")
+print("\nindependent bounded sweeps over monomials; each counts every pair or triple,")
+print("computing the skew residual and each Jacobi (a, b) row once per pair of cyclic classes:")
 print(check_h0_skew(spec, 4).summary())
 print(check_jacobi(spec, 3).summary())
 

@@ -19,12 +19,15 @@ Every check is one of two generator-level comparisons or one bounded sweep.
 Both are sufficient for the axiom on the whole algebra because the brackets
 are Leibniz extensions.  :func:`sweep` is the bounded check on monomials,
 independent of those comparisons: it runs a residual kernel over unordered
-pairs or ordered triples of monomials up to a degree.  Its kernels are the
-cyclic normal form of {a,b} + {b,a} (``check_h0_skew``, every pair), an
-integer trace at a matrix point (``repspace.check_induced_poisson``, every
-triple) and the Jacobiator itself (``check_jacobi``), brute force in a and b
-only: for fixed (a, b) it is a derivation in c, so a row that vanishes on
-the letters is decided there.
+pairs or ordered triples of monomials up to a degree, and counts every
+cell; :func:`sweep_ids` refuses one of more than ``MAX_CELLS`` cells.  Its
+kernels are the cyclic normal form of {a,b} + {b,a} (``check_h0_skew``,
+computed once per pair of cyclic classes of a and b), an integer trace at a
+matrix point (``repspace.check_induced_poisson``, every triple) and the
+Jacobiator itself (``check_jacobi``), whose (a, b) rows are built once per
+pair of cyclic classes: for fixed (a, b) it is a derivation in c, so a row
+that vanishes on the letters is decided there.  Both class rules are
+exact, proved in the two checkers' docstrings.
 """
 
 from __future__ import annotations

@@ -108,13 +108,15 @@ def _build_parser():
     v.add_argument("--triple-degree", type=_positive_int, default=None)
     v.add_argument("--json", action="store_true")
 
-    j = sub.add_parser("jacobi", help="Jacobi identity on bounded monomials")
+    j = sub.add_parser("jacobi", help="Jacobi identity on bounded monomials, each (a, b) row "
+                       "built once per pair of cyclic classes")
     j.add_argument("file")
     j.add_argument("--max-degree", type=_positive_int, default=3)
     j.add_argument("--all-witnesses", action="store_true")
     j.add_argument("--json", action="store_true")
 
-    h = sub.add_parser("h0skew", help="bounded skew symmetry modulo commutators")
+    h = sub.add_parser("h0skew", help="bounded skew symmetry modulo commutators, one residual "
+                       "per pair of cyclic classes")
     h.add_argument("file")
     h.add_argument("--max-degree", type=_positive_int, default=4)
     h.add_argument("--all-witnesses", action="store_true")

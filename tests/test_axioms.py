@@ -496,7 +496,8 @@ def test_h0_class_memo_matches_per_pair_sweep(name, maxdeg, all_witnesses):
     assert same, next(((x, y) for x, y in zip(full.witnesses, memo.witnesses) if x != y), "counts differ")
 
 
-@pytest.mark.parametrize("make,classes", [(H0_SPECS["mdbI"], 45), (_laurent_kontsevich, 51)])
+@pytest.mark.parametrize("make,classes", [(H0_SPECS["mdbI"], 45), (_laurent_kontsevich, 51)],
+                         ids=["mdbI", "laurent"])
 def test_h0_skew_brackets_once_per_pair_of_classes(make, classes, monkeypatch):
     """mdbI has 45 cyclic classes up to degree 4 and the Laurent Kontsevich
     51, so a fresh h0 sweep brackets exactly their ordered pairs, reading
@@ -514,7 +515,7 @@ def test_h0_skew_brackets_once_per_pair_of_classes(make, classes, monkeypatch):
     (check_h0_skew, 91, "pairs"),      # mdbI to degree 2: 13 words with the unit
     (check_jacobi, 12 ** 3, "triples"),  # and 12 without
     (lambda spec, deg: check_induced_poisson(spec, MatrixPoint.random(spec.algebra, 1, 0), deg), 12 ** 3, "triples"),
-])
+], ids=["h0skew", "jacobi", "rep"])
 def test_sweep_cell_cap(check, cells, count, monkeypatch):
     """A sweep of exactly ``MAX_CELLS`` cells runs; one more is refused
     before any bracket is computed."""
