@@ -14,7 +14,12 @@ Every check is one of two generator-level comparisons or one bounded sweep.
   type reads (s, k) off its two matrices; lambda-double-Lie is (lambda, 0).
 * :func:`triple_witnesses` compares, on every ordered letter triple, the
   double Jacobiator with :func:`poisson_rhs` at a weight vector: zero for
-  double Poisson, (lambda, ..., lambda) for lambda-double-Lie.
+  double Poisson, (lambda, ..., lambda) for lambda-double-Lie.  The
+  Jacobiators read their double brackets through one memo that lives for
+  that check, so each bracket of a letter and a word is computed once.
+
+Both compare raw term dicts; a tensor is built, and rendered, only for a
+tuple that fails.
 
 Both are sufficient for the axiom on the whole algebra because the brackets
 are Leibniz extensions.  :func:`sweep` is the bounded check on monomials,
@@ -147,9 +152,12 @@ def report(axiom: str, spec: BracketSpec, params: dict, witnesses: list) -> Veri
     return VerificationReport(axiom, not witnesses, {"algebra": spec.algebra.describe(), **params}, witnesses)
 
 
-def skew_defect(spec: BracketSpec, x: int, y: int) -> Tensor2:
-    """<<x, y>> + flip(<<y, x>>) on single letters."""
-    return spec.letter_bracket(x, y) + spec.letter_bracket(y, x).flip()
+def skew_defect(spec: BracketSpec, x: int, y: int) -> dict:
+    """Raw terms of <<x, y>> + flip(<<y, x>>) on single letters."""
+    terms = dict(spec._letter_raw(x, y))
+    for (p, q), c in spec._letter_raw(y, x).items():
+        _merge_term(terms, (q, p), c)
+    return terms
 
 
 def weight_form(lx, ly) -> tuple:
@@ -171,30 +179,35 @@ def form_terms(x: int, y: int, s, k) -> dict:
     return terms
 
 
-def poisson_rhs(spec: BracketSpec, x: int, y: int, z: int, lx, ly) -> Tensor3:
-    """Prescribed double Jacobiator value on a letter triple of weights lx, ly:
-    with (s, k) = :func:`weight_form` (lx, ly), each term c * p (x) q of
-    <<x, z>> gives -s * c * p (x) y (x) q plus k * c * p (x) 1 (x) yq."""
-    s, k = weight_form(lx, ly)
+def poisson_rhs(spec: BracketSpec, x: int, y: int, z: int, s, k) -> dict:
+    """Raw terms of the prescribed double Jacobiator value on a letter triple
+    whose letters x, y have the :func:`weight_form` (s, k): each term
+    c * p (x) q of <<x, z>> gives -s * c * p (x) y (x) q plus
+    k * c * p (x) 1 (x) yq.  <<x, z>> is a letter bracket, read from the
+    spec's letter cache; the Jacobiator these terms are compared with goes
+    through the per-check memo of :func:`triple_witnesses`."""
     terms = {}
     for (p, q), c in spec._letter_raw(x, z).items():
         if s:
             _merge_term(terms, (p, (y,), q), -s * c)
         if k:
             _merge_term(terms, (p, (), concat((y,), q)), k * c)
-    return Tensor3(spec.algebra, terms)
+    return terms
 
 
-def _letter_witnesses(spec: BracketSpec, arity: int, lhs, rhs) -> list:
-    """Witnesses of every ordered letter tuple where lhs(*letters) differs
-    from rhs(indices, letters); indices point into ``algebra.letters``."""
+def _letter_witnesses(spec: BracketSpec, arity: int, cls, compare) -> list:
+    """Witnesses of every ordered letter tuple whose raw terms
+    ``compare(indices, letters)`` returns as two different dicts (actual,
+    expected); indices point into ``algebra.letters``.  Only a failing tuple
+    becomes a ``cls`` tensor, from those two dicts, to be rendered."""
     alg = spec.algebra
     letters = alg.letters
     witnesses = []
     for idx in itertools.product(range(len(letters)), repeat=arity):
         cell = tuple(letters[i] for i in idx)
-        actual, expected = lhs(*cell), rhs(idx, cell)
+        actual, expected = compare(idx, cell)
         if actual != expected:
+            actual, expected = cls(alg, actual), cls(alg, expected)
             names = tuple(alg.render_word((g,)) for g in cell)
             witnesses.append(Witness(names, str(expected), str(actual), str(actual - expected)))
     return witnesses
@@ -203,18 +216,25 @@ def _letter_witnesses(spec: BracketSpec, arity: int, lhs, rhs) -> list:
 def pair_witnesses(spec: BracketSpec, form) -> list:
     """Letter pairs whose skew defect is not the quadratic form
     s * (x (x) y - y (x) x) + k * (1 (x) xy - yx (x) 1), (s, k) = form(i, j)."""
-    return _letter_witnesses(spec, 2, lambda x, y: skew_defect(spec, x, y),
-                             lambda idx, cell: Tensor2(spec.algebra, form_terms(*cell, *form(*idx))))
+    return _letter_witnesses(spec, 2, Tensor2, lambda idx, cell: (
+        skew_defect(spec, *cell), form_terms(*cell, *form(*idx))))
 
 
 def triple_witnesses(spec: BracketSpec, weights) -> list:
-    """Letter triples whose double Jacobiator is not :func:`poisson_rhs`."""
-    elts = {g: spec.algebra.letter_elt(g) for g in spec.algebra.letters}
-    return _letter_witnesses(
-        spec, 3,
-        lambda x, y, z: spec.djac(elts[x], elts[y], elts[z]),
-        lambda idx, cell: poisson_rhs(spec, *cell, weights[idx[0]], weights[idx[1]]),
-    )
+    """Letter triples whose double Jacobiator is not :func:`poisson_rhs`.
+
+    Each triple's Jacobiator is ``BracketSpec._djac_words`` on its three
+    letters, through a memo of ``_dbr_words`` that lives for this one check:
+    every bracket <<x, p>> of a letter and a word of the table is computed
+    once, however many triples read it.  The weight form of each pair of
+    weights is likewise computed once per check.
+    """
+    dbr = functools.cache(spec._dbr_words)
+    form = functools.cache(weight_form)
+    djac = spec._djac_words
+    return _letter_witnesses(spec, 3, Tensor3, lambda idx, cell: (
+        djac((cell[0],), (cell[1],), (cell[2],), dbr),
+        poisson_rhs(spec, *cell, *form(weights[idx[0]], weights[idx[1]]))))
 
 
 MAX_CELLS = 50_000_000  # most cells one sweep may count; Jacobi to degree 5 on three generators has 363**3
@@ -307,7 +327,7 @@ def check_weight(spec: BracketSpec, weights) -> VerificationReport:
 def _read_form(spec: BracketSpec, i: int, j: int) -> tuple:
     """The (s, k) that :func:`pair_witnesses` compares the (i, j) skew defect
     against: its x_i (x) x_j and 1 (x) x_i x_j coefficients."""
-    terms = skew_defect(spec, i, j).terms
+    terms = skew_defect(spec, i, j)
     return terms.get(((i,), (j,)), 0), terms.get(((), (i, j)), 0)
 
 
@@ -365,19 +385,6 @@ def infer_mixed_type(spec: BracketSpec):
             sym[i][i] = vals.pop()
     mt = MixedType(tuple(map(tuple, sym)), tuple(map(tuple, skw)))
     return mt if check_mixed_type(spec, mt).passed else None
-
-
-def check_wsk_condition(mtype: MixedType) -> bool:
-    """The index condition sym[i][j] - sym[k][l] == skew[i][l] - skew[k][j]."""
-    d = mtype.d
-    rng = range(d)
-    return all(
-        mtype.sym[i][j] - mtype.sym[k][l] == mtype.skew[i][l] - mtype.skew[k][j]
-        for i in rng
-        for j in rng
-        for k in rng
-        for l in rng
-    )
 
 
 def check_poisson_property(spec: BracketSpec, weights) -> VerificationReport:

@@ -9,20 +9,24 @@ positive generators (absent pairs are zero).  Everything else is derived:
   letter positions, equivalent to iterating the two Leibniz rules
       <<a,bc>> = (b (x) 1) <<a,c>> + <<a,b>> (1 (x) c)
       <<ab,c>> = (1 (x) a) <<b,c>> + <<a,c>> (b (x) 1);
-* every public operation -- the double, multiplied and three triple
-  brackets -- is one bilinear extension (``BracketSpec._extend``) of a
-  monomial kernel over sparse operands; only the kernel and the place its
-  key lands differ.
+* every public operation -- the double and multiplied brackets and the
+  double Jacobiator -- is one multilinear extension (``BracketSpec._extend``)
+  of a monomial kernel over sparse operands.  The Jacobiator's kernel
+  (``_djac_words``) composes the double bracket kernel through a ``dbr``
+  argument, so a caller that brackets many monomial triples can pass it a
+  memo of ``_dbr_words``.
 
 Each computed value has one memo, read by the route that fills it: the
 sweeps in :mod:`ncdb.axioms` and :mod:`ncdb.repspace` read {u, w} on
 interned word ids (``_mb_ids``), the element-level ``mbracket`` reads it
-per word pair (``_mb_cache``), and ``_mb_words`` itself keeps nothing.
+per word pair (``_mb_cache``), and ``_mb_words``, ``_dbr_words`` and
+``_djac_words`` themselves keep nothing.
 Memos are only ever filled with idempotent pure values and are safe to share.
 """
 
 from __future__ import annotations
 
+import itertools
 from types import MappingProxyType
 
 from .freealg import (
@@ -65,13 +69,6 @@ class BracketSpec:
         """Table value for a positive generator pair (zero when absent)."""
         u = self.table.get((i, j))
         return u if u is not None else self.algebra.zero_t2()
-
-    def scale(self, c) -> "BracketSpec":
-        return BracketSpec(
-            self.algebra,
-            {k: u.scale(c) for k, u in self.table.items()},
-            None if self.weight is None else tuple(c * w for w in self.weight),
-        )
 
     # -- letter-level bracket -------------------------------------------------
 
@@ -131,6 +128,26 @@ class BracketSpec:
                     )
         return res
 
+    @staticmethod
+    def _djac_words(u, v, w, dbr) -> dict:
+        """Raw double Jacobiator {(w1, w2, w3): coef} of three monomials,
+        with ``dbr`` as the monomial double bracket (not memoized here):
+        <<u,<<v,w>>>>_L - <<v,<<u,w>>>>_R - <<<<u,v>>,w>>_L, that is each
+        term p (x) q of <<v,w>> fed through <<u,p>> (x) q, minus each of
+        <<u,w>> through p (x) <<v,q>>, minus each of <<u,v>> through
+        <<p,w>> with q inserted in the middle."""
+        res = {}
+        for (p, q), c in dbr(v, w).items():
+            for (k1, k2), d in dbr(u, p).items():
+                _merge_term(res, (k1, k2, q), c * d)
+        for (p, q), c in dbr(u, w).items():
+            for (k1, k2), d in dbr(v, q).items():
+                _merge_term(res, (p, k1, k2), -c * d)
+        for (p, q), c in dbr(u, v).items():
+            for (k1, k2), d in dbr(p, w).items():
+                _merge_term(res, (k1, q, k2), -c * d)
+        return res
+
     def _mb_words(self, u, w) -> dict:
         """Raw multiplied bracket {u, w} of two monomials (not memoized)."""
         res = {}
@@ -185,50 +202,33 @@ class BracketSpec:
 
     # -- public bracket operations ----------------------------------------------
 
-    def _extend(self, cls, a, b, kernel, place=None):
-        """The bilinear extension behind every public bracket: the sum of
-        ca*cb*kernel(u, w) over the terms ca*u of ``a`` and cb*w of ``b``,
-        each kernel key k stored as ``place(u, w, k)`` (k itself by default)."""
-        if a.algebra != self.algebra or b.algebra != self.algebra:
+    def _extend(self, cls, kernel, *args):
+        """The multilinear extension behind every public bracket: the sum of
+        c_1 * ... * c_n * kernel(w_1, ..., w_n) over the terms c_i * w_i of
+        each argument."""
+        if any(x.algebra != self.algebra for x in args):
             raise ValueError("algebra mismatch")
         terms = {}
-        for u, cu in a.terms.items():
-            for w, cw in b.terms.items():
-                c = cu * cw
-                for k, v in kernel(u, w).items():
-                    _merge_term(terms, k if place is None else place(u, w, k), c * v)
+        for cell in itertools.product(*(x.terms.items() for x in args)):
+            c = 1
+            for _, ci in cell:
+                c *= ci
+            for k, v in kernel(*(w for w, _ in cell)).items():
+                _merge_term(terms, k, c * v)
         return cls(self.algebra, terms)
 
     def dbracket(self, a: Element, b: Element) -> Tensor2:
         """The double bracket <<a, b>>, extended bilinearly."""
-        return self._extend(Tensor2, a, b, self._dbr_words)
+        return self._extend(Tensor2, self._dbr_words, a, b)
 
     def mbracket(self, a: Element, b: Element) -> Element:
         """The multiplied bracket {a, b} = m o <<a, b>>."""
-        return self._extend(Element, a, b, self._mb_row)
-
-    def tbracket_L(self, a: Element, u: Tensor2) -> Tensor3:
-        """<<a, b (x) c>>_L = <<a, b>> (x) c."""
-        return self._extend(Tensor3, a, u, lambda x, t: self._dbr_words(x, t[0]),
-                            lambda x, t, pq: pq + t[1:])
-
-    def tbracket_R(self, a: Element, u: Tensor2) -> Tensor3:
-        """<<a, b (x) c>>_R = b (x) <<a, c>>."""
-        return self._extend(Tensor3, a, u, lambda x, t: self._dbr_words(x, t[1]),
-                            lambda x, t, pq: t[:1] + pq)
-
-    def tbracket_swapL(self, u: Tensor2, a: Element) -> Tensor3:
-        """<<b (x) c, a>>_L = <<b, a>> otimes_1 c, inserting c in the middle."""
-        return self._extend(Tensor3, u, a, lambda t, x: self._dbr_words(t[0], x),
-                            lambda t, x, pq: (pq[0], t[1], pq[1]))
+        return self._extend(Element, self._mb_row, a, b)
 
     def djac(self, a: Element, b: Element, c: Element) -> Tensor3:
-        """Double Jacobiator <<a,<<b,c>>>>_L - <<b,<<a,c>>>>_R - <<<<a,b>>,c>>_L."""
-        return (
-            self.tbracket_L(a, self.dbracket(b, c))
-            - self.tbracket_R(b, self.dbracket(a, c))
-            - self.tbracket_swapL(self.dbracket(a, b), c)
-        )
+        """Double Jacobiator <<a,<<b,c>>>>_L - <<b,<<a,c>>>>_R - <<<<a,b>>,c>>_L,
+        extended trilinearly from :meth:`_djac_words`."""
+        return self._extend(Tensor3, lambda u, v, w: self._djac_words(u, v, w, self._dbr_words), a, b, c)
 
     def jacobiator(self, a: Element, b: Element, c: Element) -> Element:
         """{a,{b,c}} - {b,{a,c}} - {{a,b},c}, computed exactly."""

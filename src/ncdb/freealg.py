@@ -193,10 +193,6 @@ class FreeAlgebra:
             raise ValueError(f"expected {len(self.letters)} weights, got {len(weights)}")
         return weights
 
-    def laurent(self) -> "FreeAlgebra":
-        """The same generators with every one of them inverted."""
-        return FreeAlgebra(self.names, tuple(range(1, self.d + 1)))
-
     def validate_word(self, w: Word):
         for g in w:
             if g == 0 or abs(g) > self.d:
@@ -235,10 +231,6 @@ class FreeAlgebra:
         if not 1 <= i <= self.d:
             raise ValueError(f"generator index {i} out of range")
         return Element(self, {(i,): 1})
-
-    def letter_elt(self, g: int) -> "Element":
-        self.validate_word((g,))
-        return Element(self, {(g,): 1})
 
     def tensor2(self, terms: dict) -> "Tensor2":
         return self._linear(Tensor2, terms)
@@ -387,12 +379,6 @@ class Element(_Linear):
 
     arity = 1
 
-    def degree(self):
-        """Maximal word degree, or None for the zero element."""
-        if not self.terms:
-            return None
-        return max(len(w) for w in self.terms)
-
 
 class Tensor2(_Linear):
     """Sparse element of the tensor square, keyed by pairs of words."""
@@ -405,13 +391,6 @@ class Tensor2(_Linear):
         for (a, b), c in self.terms.items():
             _merge_term(terms, (b, a), c)
         return Tensor2(self.algebra, terms)
-
-    def m2(self) -> Element:
-        """Multiply the two factors together."""
-        terms = {}
-        for (a, b), c in self.terms.items():
-            _merge_term(terms, concat(a, b), c)
-        return Element(self.algebra, terms)
 
 
 class Tensor3(_Linear):

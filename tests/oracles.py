@@ -6,13 +6,17 @@ bimodule actions written term by term, classes modulo commutators through
 letter matrices, never through a point's integer word cache, the h0 skew
 sweep bracketing every pair on its own words, the Jacobi sweep on every
 triple, with no row decided on the letters or shared within cyclic classes,
-and the induced trace check on every triple without the derivation rule.
+the induced trace check on every triple without the derivation rule, and
+the generator-level comparisons on tensors: the double Jacobiator through
+the three triple brackets of element-level double brackets, compared with
+its prescribed value as a ``Tensor3``, with no memo.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
-from ncdb.axioms import check_double_poisson, report, sweep
+from ncdb.axioms import Witness, check_double_poisson, report, sweep
 from ncdb.freealg import Element, Tensor2, Tensor3, _merge_term, concat, cyclic_normal_form
 from ncdb.repspace import _Memo
 
@@ -62,6 +66,14 @@ def otimes1_left(u: Tensor2, c: Element) -> Tensor3:
     return Tensor3(u.algebra, terms)
 
 
+def m2(u: Tensor2) -> Element:
+    """Multiply the two factors together: a (x) b -> ab, linearly."""
+    terms = {}
+    for (a, b), c in u.terms.items():
+        _merge_term(terms, concat(a, b), c)
+    return Element(u.algebra, terms)
+
+
 def reduce_mod_commutators(x: Element) -> Element:
     """Canonical representative of x in A/[A,A].
 
@@ -72,6 +84,130 @@ def reduce_mod_commutators(x: Element) -> Element:
     for w, c in x.terms.items():
         _merge_term(terms, cyclic_normal_form(w), c)
     return Element(x.algebra, terms)
+
+
+# ---------------------------------------------------------------------------
+# the triple brackets, the double Jacobiator and the generator-level
+# comparisons on tensors
+
+
+def _word(alg, w) -> Element:
+    return Element(alg, {w: 1})
+
+
+def tbracket_L(spec, a: Element, u: Tensor2) -> Tensor3:
+    """<<a, b (x) c>>_L = <<a, b>> (x) c, extended bilinearly."""
+    terms = {}
+    for (b, c), cu in u.terms.items():
+        for (p, q), v in spec.dbracket(a, _word(u.algebra, b)).terms.items():
+            _merge_term(terms, (p, q, c), cu * v)
+    return Tensor3(u.algebra, terms)
+
+
+def tbracket_R(spec, a: Element, u: Tensor2) -> Tensor3:
+    """<<a, b (x) c>>_R = b (x) <<a, c>>, extended bilinearly."""
+    terms = {}
+    for (b, c), cu in u.terms.items():
+        for (p, q), v in spec.dbracket(a, _word(u.algebra, c)).terms.items():
+            _merge_term(terms, (b, p, q), cu * v)
+    return Tensor3(u.algebra, terms)
+
+
+def tbracket_swapL(spec, u: Tensor2, a: Element) -> Tensor3:
+    """<<b (x) c, a>>_L = <<b, a>> otimes_1 c, inserting c in the middle."""
+    terms = {}
+    for (b, c), cu in u.terms.items():
+        for (p, q), v in spec.dbracket(_word(u.algebra, b), a).terms.items():
+            _merge_term(terms, (p, c, q), cu * v)
+    return Tensor3(u.algebra, terms)
+
+
+def djac(spec, a: Element, b: Element, c: Element) -> Tensor3:
+    """<<a,<<b,c>>>>_L - <<b,<<a,c>>>>_R - <<<<a,b>>,c>>_L on elements."""
+    return (
+        tbracket_L(spec, a, spec.dbracket(b, c))
+        - tbracket_R(spec, b, spec.dbracket(a, c))
+        - tbracket_swapL(spec, spec.dbracket(a, b), c)
+    )
+
+
+def _form(alg, x, y, s, k) -> Tensor2:
+    """s * (x (x) y - y (x) x) + k * (1 (x) xy - yx (x) 1) on letters x, y."""
+    X, Y, one = _word(alg, (x,)), _word(alg, (y,)), alg.one()
+    return (pure_t2(X, Y) - pure_t2(Y, X)).scale(s) + (pure_t2(one, X * Y) - pure_t2(Y * X, one)).scale(k)
+
+
+def poisson_rhs(spec, x, y, z, lx, ly) -> Tensor3:
+    """The prescribed Jacobiator on a letter triple of weights lx, ly: each
+    term c * p (x) q of <<x, z>> gives -s * c * p (x) y (x) q plus
+    k * c * p (x) 1 (x) yq, with (s, k) = ((lx + ly)/2, (lx - ly)/2)."""
+    alg = spec.algebra
+    s, k = Fraction(lx + ly, 2), Fraction(lx - ly, 2)
+    u = spec.dbracket(_word(alg, (x,)), _word(alg, (z,)))
+    Y = _word(alg, (y,))
+    return otimes1_left(u, Y).scale(-s) + otimes1_left(inner_act(Y, u, alg.one()), alg.one()).scale(k)
+
+
+def _letter_witnesses(spec, arity, lhs, rhs) -> list:
+    """Witnesses of every ordered letter tuple where the tensor
+    lhs(*letters) differs from the tensor rhs(indices, letters)."""
+    alg = spec.algebra
+    letters = alg.letters
+    witnesses = []
+    for idx in itertools.product(range(len(letters)), repeat=arity):
+        cell = tuple(letters[i] for i in idx)
+        actual, expected = lhs(*cell), rhs(idx, cell)
+        if actual != expected:
+            names = tuple(alg.render_word((g,)) for g in cell)
+            witnesses.append(Witness(names, str(expected), str(actual), str(actual - expected)))
+    return witnesses
+
+
+def _pair_witnesses(spec, form) -> list:
+    alg = spec.algebra
+
+    def defect(x, y):
+        u = spec.dbracket(_word(alg, (x,)), _word(alg, (y,)))
+        return u + spec.dbracket(_word(alg, (y,)), _word(alg, (x,))).flip()
+
+    return _letter_witnesses(spec, 2, defect, lambda idx, cell: _form(alg, *cell, *form(*idx)))
+
+
+def _triple_witnesses(spec, weights) -> list:
+    alg = spec.algebra
+    return _letter_witnesses(
+        spec, 3, lambda x, y, z: djac(spec, _word(alg, (x,)), _word(alg, (y,)), _word(alg, (z,))),
+        lambda idx, cell: poisson_rhs(spec, *cell, weights[idx[0]], weights[idx[1]]))
+
+
+def tensor_check_double_poisson(spec):
+    """``check_double_poisson`` on tensors."""
+    n = len(spec.algebra.letters)
+    witnesses = _pair_witnesses(spec, lambda i, j: (0, 0)) + _triple_witnesses(spec, (0,) * n)
+    return report("double_poisson", spec, {"pairs": n ** 2, "triples": n ** 3}, witnesses)
+
+
+def tensor_check_poisson_property(spec, weights):
+    """``check_poisson_property`` on tensors."""
+    w = spec.algebra.weight_vector(weights)
+    params = {"weights": [str(x) for x in w], "triples": len(w) ** 3}
+    return report("poisson_property", spec, params, _triple_witnesses(spec, w))
+
+
+def tensor_check_lambda_double_lie(spec, lam):
+    """``check_lambda_double_lie`` on tensors."""
+    alg = spec.algebra
+    if alg.has_inverses:
+        raise ValueError("defined for free algebras only")
+    lam = Fraction(lam)
+    for (i, j), u in spec.table.items():
+        for (w1, w2) in u.terms:
+            if len(w1) != 1 or len(w2) != 1 or w1[0] < 0 or w2[0] < 0:
+                names = (alg.render_word((i,)), alg.render_word((j,)))
+                witness = Witness(names, "a combination of generator (x) generator terms", str(u), str(u))
+                return report("lambda_double_lie", spec, {"reason": "not V(x)V-valued"}, [witness])
+    witnesses = _pair_witnesses(spec, lambda i, j: (lam, 0)) + _triple_witnesses(spec, (lam,) * alg.d)
+    return report("lambda_double_lie", spec, {"lambda": str(lam)}, witnesses)
 
 
 # ---------------------------------------------------------------------------

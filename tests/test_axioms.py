@@ -18,7 +18,6 @@ from ncdb.axioms import (
     check_mixed_type,
     check_poisson_property,
     check_weight,
-    check_wsk_condition,
     infer_mixed_type,
     infer_weight,
 )
@@ -26,6 +25,7 @@ from ncdb.classify import FamilyParams, build, builtin, search_cl1
 from ncdb.localize import localize
 from ncdb.repspace import MatrixPoint, check_induced_poisson
 
+import oracles
 from oracles import reduce_mod_commutators, unreduced_check_h0_skew, unreduced_check_jacobi
 from test_golden_reports import _laurent_kontsevich, _random_spec
 
@@ -96,7 +96,9 @@ class TestMixedType:
         assert mt.sym == ((1, 0, 0), (0, -1, -1), (0, -1, -1))
         assert mt.skew == ((0, 1, 1), (-1, 0, 0), (-1, 0, 0))
         assert check_mixed_type(mdbI, mt).passed
-        assert check_wsk_condition(mt)
+        # its index condition sym[i][j] - sym[k][l] == skew[i][l] - skew[k][j]
+        assert all(mt.sym[i][j] - mt.sym[k][l] == mt.skew[i][l] - mt.skew[k][j]
+                   for i, j, k, l in itertools.product(range(3), repeat=4))
 
     def test_zero_spec_type(self):
         mt = infer_mixed_type(zero_spec(2))
@@ -187,7 +189,7 @@ class TestWeight:
                     call()
 
     def test_rescaling_scales_weight(self, mdbI):
-        scaled = mdbI.scale(Fraction(3, 2))
+        scaled = BracketSpec(mdbI.algebra, {k: u.scale(Fraction(3, 2)) for k, u in mdbI.table.items()})
         assert infer_weight(scaled) == (Fraction(3, 2), Fraction(-3, 2), Fraction(-3, 2))
 
 
@@ -526,3 +528,102 @@ def test_sweep_cell_cap(check, cells, count, monkeypatch):
     with pytest.raises(ValueError, match=f"sweep of {cells} cells, more than {cells - 1}"):
         check(spec, 2)
     assert not spec._mb_id_cache and not spec._letter_cache
+
+
+def _cl1_rational_points(count=12):
+    """Seeded cl1 points with Fraction parameters, rho = +-lam half the time
+    and gammas drawn from 0, -2 lam and two other rationals, so that both
+    passing and failing points occur."""
+    rng = random.Random("cl1-rational")
+    points = []
+    for _ in range(count):
+        lam = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 4))
+        rho = rng.choice((lam, -lam, Fraction(rng.randint(-5, 5), rng.randint(1, 3))))
+        gvals = (0, -2 * lam, Fraction(rng.randint(-4, 4), rng.randint(1, 5)))
+        points.append((lam, rho) + tuple(rng.choice(gvals) for _ in range(4)))
+    return points
+
+
+def _family(fam, params):
+    return lambda: build(FamilyParams(fam, params))
+
+
+TENSOR_ROUTE_SPECS = {
+    **{f"cl1_grid/{k}": _family("cl1", (1, rho) + gamma)
+       for k, (rho, gamma) in enumerate(itertools.product((1, -1), itertools.product((0, -2), repeat=4)))},
+    **{f"cl1_rational/{k}": _family("cl1", p) for k, p in enumerate(_cl1_rational_points())},
+    **{f"{fam}/{''.join(map(str, p))}": _family(fam, p)
+       for fam in ("cl3a", "cl3b") for p in itertools.product((0, 1), repeat=6)},
+    **{f"{fam}/{d},{delta}": _family(fam, (d, delta))
+       for fam in ("cld", "cld2") for d in (4, 5) for delta in range(d + 1)},
+    "mdbI": lambda: builtin("mdbI"),
+    "mdbII": lambda: builtin("mdbII"),
+    "mdbII_flipped": lambda: (_flipped_mdb2(), builtin("mdbII")[1]),
+    "mdbII_scaled": lambda: (_scaled_mdb2(), builtin("mdbII")[1]),
+    **{f"random_{k}": (lambda k=k: (_random_spec(k), None)) for k in range(4)},
+    "laurent": lambda: (_laurent_kontsevich(), None),
+    "laurent_doubled": lambda: (_broken_laurent(), None),
+}
+
+
+def _outcome(call):
+    try:
+        return call().to_json()
+    except ValueError as e:
+        return f"ValueError: {e}"
+
+
+@pytest.mark.parametrize("name", sorted(TENSOR_ROUTE_SPECS))
+def test_generator_comparisons_match_tensor_route(name):
+    """The raw-dict comparisons on letters, with the per-check memo, keep every
+    report byte of the route that builds each double Jacobiator from the
+    three triple brackets and compares it with a ``Tensor3`` value."""
+    spec, own = TENSOR_ROUTE_SPECS[name]()
+    n = len(spec.algebra.letters)
+    weights = [tuple(Fraction((-1) ** k * (k + 1), 2) for k in range(n))]
+    if own is not None:
+        weights.append(spec.algebra.letter_weights(own)[:n])
+    pairs = [(lambda: check_double_poisson(spec), lambda: oracles.tensor_check_double_poisson(spec))]
+    for w in weights:
+        pairs.append((lambda w=w: check_poisson_property(spec, w),
+                      lambda w=w: oracles.tensor_check_poisson_property(spec, w)))
+    for lam in (1, Fraction(-1, 2)):
+        pairs.append((lambda lam=lam: check_lambda_double_lie(spec, lam),
+                      lambda lam=lam: oracles.tensor_check_lambda_double_lie(spec, lam)))
+    for fast, slow in pairs:
+        got, want = _outcome(fast), _outcome(slow)
+        same = got == want  # not inline: a failing diff of long JSON is slow
+        assert same, (got[:300], want[:300])
+
+
+@pytest.mark.parametrize("make", [lambda: builtin("mdbI")[0], lambda: builtin("mdbII")[0], _laurent_kontsevich],
+                         ids=["mdbI", "mdbII", "laurent"])
+def test_djac_matches_triple_bracket_route(make):
+    """``djac``, the trilinear extension of the monomial kernel, against the
+    three triple brackets of element-level double brackets."""
+    spec = make()
+    alg = spec.algebra
+    rng = random.Random(f"djac/{alg}")
+    words = alg.words_up_to(2)
+
+    def elt():
+        return alg.element({rng.choice(words): Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(2)})
+
+    for _ in range(15):
+        a, b, c = elt(), elt(), elt()
+        assert spec.djac(a, b, c) == oracles.djac(spec, a, b, c)
+
+
+def test_poisson_property_brackets_once_per_argument_pair(monkeypatch):
+    """A fresh ``check_poisson_property`` computes each double bracket its
+    letter triples read once, through a memo that lives for that one check."""
+    spec, w = builtin("mdbI")
+    calls = []
+    kernel = spec._dbr_words
+    monkeypatch.setattr(spec, "_dbr_words", lambda u, v: calls.append((u, v)) or kernel(u, v))
+    assert check_poisson_property(spec, w).passed
+    distinct = set(calls)
+    assert len(calls) == len(distinct) == 33  # 9 letter pairs, 18 of a letter and a 2-letter word, 6 with 1
+    calls.clear()
+    check_poisson_property(spec, w)
+    assert set(calls) == distinct and len(calls) == len(distinct)

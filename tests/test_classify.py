@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from ncdb.axioms import check_poisson_property, check_weight, infer_weight
+from ncdb.bracket import BracketSpec
 from ncdb.classify import (
     TRIPLE_SOLUTIONS,
     FamilyParams,
@@ -40,7 +41,7 @@ class TestBuild:
         # scaling by -1 with v_i := x_i reproduces the binary-family point
         # alphas (0,0,1), betas (1,0,0)
         spec, _ = builtin("mdbII")
-        neg = spec.scale(-1)
+        neg = BracketSpec(spec.algebra, {k: u.scale(-1) for k, u in spec.table.items()})
         point, _ = build(FamilyParams("cl3a", (0, 0, 1, 1, 0, 0)))
         for pair in point.table:
             assert point.entry(*pair).terms == neg.entry(*pair).terms
@@ -61,7 +62,7 @@ class TestBuild:
         lo, wlo = build(FamilyParams("cld", (4, 0)))
         hi, whi = build(FamilyParams("cld", (4, 4)))
         assert wlo == tuple(-x for x in whi)
-        neg = hi.scale(-1)
+        neg = BracketSpec(hi.algebra, {k: u.scale(-1) for k, u in hi.table.items()})
         for i in range(1, 5):
             for j in range(1, 5):
                 assert lo.entry(i, j) == neg.entry(i, j)

@@ -107,7 +107,7 @@ class TestUnitCoherence:
         # <<a, v v^-1>> expanded by the product rule is identically zero
         for a in (alg.gen(1), alg.gen(2), alg.element({(1, -2, 1): 1})):
             for g in (1, 2):
-                v, vinv = alg.letter_elt(g), alg.letter_elt(-g)
+                v, vinv = alg.element({(g,): 1}), alg.element({(-g,): 1})
                 expanded = outer_act(v, loc.dbracket(a, vinv), alg.one()) + outer_act(
                     alg.one(), loc.dbracket(a, v), vinv
                 )
