@@ -582,7 +582,7 @@ def test_generator_comparisons_match_tensor_route(name):
     n = len(spec.algebra.letters)
     weights = [tuple(Fraction((-1) ** k * (k + 1), 2) for k in range(n))]
     if own is not None:
-        weights.append(spec.algebra.letter_weights(own)[:n])
+        weights.append(own)
     pairs = [(lambda: check_double_poisson(spec), lambda: oracles.tensor_check_double_poisson(spec))]
     for w in weights:
         pairs.append((lambda w=w: check_poisson_property(spec, w),
