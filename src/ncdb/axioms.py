@@ -25,14 +25,17 @@ Both are sufficient for the axiom on the whole algebra because the brackets
 are Leibniz extensions.  :func:`sweep` is the bounded check on monomials,
 independent of those comparisons: it runs a residual kernel over unordered
 pairs or ordered triples of monomials up to a degree, and counts every
-cell; :func:`sweep_ids` refuses one of more than ``MAX_CELLS`` cells.  Its
-kernels are the cyclic normal form of {a,b} + {b,a} (``check_h0_skew``,
-computed once per pair of cyclic classes of a and b), an integer trace at a
-matrix point (``repspace.check_induced_poisson``, every triple) and the
-Jacobiator itself (``check_jacobi``), whose (a, b) rows are built once per
-pair of cyclic classes: for fixed (a, b) it is a derivation in c, so a row
-that vanishes on the letters is decided there.  Both class rules are
-exact, proved in the two checkers' docstrings.
+cell; :func:`sweep_ids` refuses one of more than ``MAX_CELLS`` cells, and
+the sweep itself one of more than ``MAX_WITNESSES`` witnesses.  It holds
+the one class rule of the package: every kernel depends on a and b only
+through their cyclic classes, so the sweep computes it once per pair of
+classes, at their normal forms.  Its kernels are the cyclic normal form of
+{a,b} + {b,a} (``check_h0_skew``), an integer trace at a matrix point
+(``repspace.check_induced_poisson``) and the Jacobiator itself
+(:func:`jacobiator_ids`, read by ``check_jacobi`` and at the point by
+``check_induced_poisson``); for fixed (a, b) the Jacobiator is a
+derivation in c, so a row that vanishes on the letters is decided there.
+Each kernel's class rule is proved in the docstring of its checker.
 """
 
 from __future__ import annotations
@@ -255,6 +258,9 @@ def sweep_ids(spec: BracketSpec, words, arity: int) -> list:
     return [spec._wid(w) for w in words]
 
 
+MAX_WITNESSES = 100_000  # most witnesses one sweep may keep; the largest report of the tests has 43,086
+
+
 def sweep(spec: BracketSpec, ids, arity: int, residual, render, expected: str, all_witnesses: bool):
     """The bounded sweep over unordered pairs a <= b (arity 2) or ordered
     triples (arity 3) of interned monomial ids, in order.
@@ -265,14 +271,24 @@ def sweep(spec: BracketSpec, ids, arity: int, residual, render, expected: str, a
     known to hold on every c: its cells are counted and not visited.  A
     residual is falsy when the identity holds; a failing cell becomes a
     witness whose residual text is ``render`` of it.  Stops at the first
-    witness unless ``all_witnesses``.  Returns (cells visited, witnesses).
+    witness unless ``all_witnesses``; more than ``MAX_WITNESSES`` is a
+    ValueError.  Returns (cells visited, witnesses).
+
+    The contract on ``residual``: its value at (a, b) is its value at
+    (cnf(a), cnf(b)), cnf being :func:`cyclic_normal_form`, and for pairs
+    it is symmetric in a and b.  So the sweep calls it at the normal forms
+    only: once per unordered pair of classes (arity 2) or once per ordered
+    pair (arity 3), memoized for this sweep.  It still visits and counts
+    every cell in order, and witnesses name the original monomials.
     """
-    if arity == 2:
-        rows = (((a,), functools.partial(residual, a), ids[i:]) for i, a in enumerate(ids))
-    else:
-        rows = (((a, b), residual(a, b), ids) for a in ids for b in ids)
-    name = spec.algebra.render_word
     word_of = spec._id_words
+    cls = {a: spec._wid(cyclic_normal_form(word_of[a])) for a in ids}
+    memo = functools.cache(residual)
+    if arity == 2:
+        rows = (((a,), lambda b, a=cls[a]: memo(*sorted((a, cls[b]))), ids[i:]) for i, a in enumerate(ids))
+    else:
+        rows = (((a, b), memo(cls[a], cls[b]), ids) for a in ids for b in ids)
+    name = spec.algebra.render_word
     count = 0
     witnesses = []
     for head, at, tails in rows:
@@ -283,12 +299,34 @@ def sweep(spec: BracketSpec, ids, arity: int, residual, render, expected: str, a
             count += 1
             res = at(z)
             if res:
+                if len(witnesses) == MAX_WITNESSES:
+                    raise ValueError(f"sweep has more than {MAX_WITNESSES} witnesses")
                 text = render(res)
                 names = tuple(name(word_of[k]) for k in head + (z,))
                 witnesses.append(Witness(names, expected, text, text))
                 if not all_witnesses:
                     return count, witnesses
     return count, witnesses
+
+
+def jacobiator_ids(mb, a: int, b: int, c: int) -> dict:
+    """The nonzero terms of {a,{b,c}} - {b,{a,c}} - {{a,b},c} on interned
+    monomial ids, with ``mb`` as {u, w} on ids (``BracketSpec._mb_ids``)."""
+    res = {}
+    get = res.get
+    for w, cw in mb(b, c).items():
+        for u, cu in mb(a, w).items():
+            v = get(u)
+            res[u] = cw * cu if v is None else v + cw * cu
+    for w, cw in mb(a, c).items():
+        for u, cu in mb(b, w).items():
+            v = get(u)
+            res[u] = -cw * cu if v is None else v - cw * cu
+    for w, cw in mb(a, b).items():
+        for u, cu in mb(w, c).items():
+            v = get(u)
+            res[u] = -cw * cu if v is None else v - cw * cu
+    return {u: v for u, v in res.items() if v}
 
 
 def _id_element(spec: BracketSpec, res: dict) -> str:
@@ -422,30 +460,24 @@ def check_h0_skew(spec: BracketSpec, maxdeg: int = 4, all_witnesses: bool = Fals
     localised algebra the sweep runs over reduced Laurent monomials and the
     commutator classes are cyclic classes of cyclically reduced words.
 
-    The residual, {a,b} + {b,a} on cyclic normal forms, is computed once per
-    unordered pair of cyclic classes, at their normal forms, and read for
-    every pair of the sweep.  This is exact.  ``BracketSpec._mb_words``
-    sums over the letters x of u, and u enters each summand only through x
-    and the rotation of u that follows it; a rotation of u has the same
-    letters and rotations, so {bc, w} = {cb, w}.  So {-, w} vanishes on
-    [A,A], and {u, w} = {cnf(u), w} exactly: cnf(u) is reached from u by
-    rotations and, on a Laurent algebra, by cancellation, as in
-    x (y x^-1) -> (y x^-1) x = y.  In the second argument the Leibniz rule
-    {u, bc} = b{u,c} + {u,b}c gives {u, bc} - {u, cb} = [b,{u,c}] + [{u,b},c],
-    so {u, -} maps [A,A] into itself and {u, w} = {u, cnf(w)} mod [A,A].
-    Hence the residual at (a, b) is the residual at (cnf(a), cnf(b)), and
-    at (cnf(b), cnf(a)) since it is symmetric.  The sweep still visits and
-    counts every pair in order, and witnesses name the original monomials,
-    so the report is that of the pair-by-pair sweep.
+    The residual, {a,b} + {b,a} on cyclic normal forms, meets the class
+    contract of :func:`sweep`.  ``BracketSpec._mb_words`` sums over the
+    letters x of u, and u enters each summand only through x and the
+    rotation of u that follows it; a rotation of u has the same letters and
+    rotations, so {bc, w} = {cb, w}.  So {-, w} vanishes on [A,A], and
+    {u, w} = {cnf(u), w} exactly: cnf(u) is reached from u by rotations and,
+    on a Laurent algebra, by cancellation, as in x (y x^-1) -> (y x^-1) x = y.
+    In the second argument the Leibniz rule {u, bc} = b{u,c} + {u,b}c gives
+    {u, bc} - {u, cb} = [b,{u,c}] + [{u,b},c], so {u, -} maps [A,A] into
+    itself and {u, w} = {u, cnf(w)} mod [A,A].  Hence the residual at
+    (a, b) is the residual at (cnf(a), cnf(b)).
     """
     words = spec.algebra.words_up_to(maxdeg)
     ids = sweep_ids(spec, words, 2)
     mb = spec._mb_ids
     word_of = spec._id_words
-    cls = {a: spec._wid(cyclic_normal_form(w)) for a, w in zip(ids, words)}
 
-    @functools.cache
-    def class_residual(a, b):  # {a,b} + {b,a} on cyclic normal forms
+    def residual(a, b):  # {a,b} + {b,a} on cyclic normal forms
         res = {}
         for part in (mb(a, b), mb(b, a)):
             for w, c in part.items():
@@ -454,7 +486,7 @@ def check_h0_skew(spec: BracketSpec, maxdeg: int = 4, all_witnesses: bool = Fals
                 res[k] = c if v is None else v + c
         return any(res.values()) and res
 
-    pairs, witnesses = sweep(spec, ids, 2, lambda a, b: class_residual(*sorted((cls[a], cls[b]))),
+    pairs, witnesses = sweep(spec, ids, 2, residual,
                              lambda res: str(Element(spec.algebra, {k: v for k, v in res.items() if v})),
                              "0 mod commutators", all_witnesses)
     return report("h0_skew_symmetry", spec, {"maxdeg": maxdeg, "pairs": pairs, "words": len(words)}, witnesses)
@@ -479,51 +511,26 @@ def check_jacobi(spec: BracketSpec, maxdeg: int = 3, all_witnesses: bool = False
     x_1 ... x_{i-1} D(x_i) x_{i+1} ... x_k.  Hence a row (a, b) whose
     residual vanishes on every letter vanishes on every monomial c of any
     degree: it is counted as ``len(words)`` passing triples and not
-    scanned.  Any other row is scanned cell by cell in order, so the first
-    witness, the witness list and the triple count are those of the full
-    sweep.
+    scanned.  Any other row is scanned cell by cell in order.
 
-    Each row, its letter test included, is built once per pair of cyclic
-    classes of (a, b), at their normal forms: J(a,b,c) = J(cnf(a),cnf(b),c)
-    exactly.  By the proof in :func:`check_h0_skew`, {u, w} = {cnf(u), w}
-    exactly and {u, w} = {u, cnf(w)} mod [A,A], and {-, c} vanishes on
-    [A,A].  Replacing a changes only first arguments: {a,{b,c}}, {a,c} and
-    {a,b}.  Replacing b changes the first arguments of {b,c} and
-    {b,{a,c}}, and {a,b} by an element of [A,A], which {-, c} maps to 0.
-    The third argument stays a word: J is a derivation in c, so rotating c
-    changes J by a commutator, not by 0.
+    The row meets the class contract of :func:`sweep`: J(a,b,c) =
+    J(cnf(a),cnf(b),c) exactly.  By the proof in :func:`check_h0_skew`,
+    {u, w} = {cnf(u), w} exactly and {u, w} = {u, cnf(w)} mod [A,A], and
+    {-, c} vanishes on [A,A].  Replacing a changes only first arguments:
+    {a,{b,c}}, {a,c} and {a,b}.  Replacing b changes the first arguments of
+    {b,c} and {b,{a,c}}, and {a,b} by an element of [A,A], which {-, c}
+    maps to 0.  The third argument stays a word: J is a derivation in c, so
+    rotating c changes J by a commutator, not by 0.
     """
     words = spec.algebra.words_up_to(maxdeg, include_unit=False)
     ids = sweep_ids(spec, words, 3)
-    mb = spec._mb_ids
     letters = [spec._wid((g,)) for g in spec.algebra.letters]
-    cls = {a: spec._wid(cyclic_normal_form(w)) for a, w in zip(ids, words)}
 
-    @functools.cache
     def row(a, b):
-        ab = mb(a, b).items()
-
-        def at(c):
-            res = {}
-            get = res.get
-            for w, cw in mb(b, c).items():
-                for u, cu in mb(a, w).items():
-                    v = get(u)
-                    res[u] = cw * cu if v is None else v + cw * cu
-            for w, cw in mb(a, c).items():
-                for u, cu in mb(b, w).items():
-                    v = get(u)
-                    res[u] = -cw * cu if v is None else v - cw * cu
-            for w, cw in ab:
-                for u, cu in mb(w, c).items():
-                    v = get(u)
-                    res[u] = -cw * cu if v is None else v - cw * cu
-            return any(res.values()) and res
-
+        at = functools.partial(jacobiator_ids, spec._mb_ids, a, b)
         return at if any(map(at, letters)) else None  # a derivation in c
 
-    triples, witnesses = sweep(spec, ids, 3, lambda a, b: row(cls[a], cls[b]),
-                               lambda res: _id_element(spec, res), "0", all_witnesses)
+    triples, witnesses = sweep(spec, ids, 3, row, lambda res: _id_element(spec, res), "0", all_witnesses)
     return report("jacobi_identity", spec, {"maxdeg": maxdeg, "triples": triples, "words": len(words)}, witnesses)
 
 

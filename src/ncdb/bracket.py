@@ -65,11 +65,6 @@ class BracketSpec:
     def __repr__(self):
         return f"BracketSpec({self.algebra}, {len(self.table)} entries)"
 
-    def entry(self, i: int, j: int) -> Tensor2:
-        """Table value for a positive generator pair (zero when absent)."""
-        u = self.table.get((i, j))
-        return u if u is not None else self.algebra.zero_t2()
-
     # -- letter-level bracket -------------------------------------------------
 
     def _letter_raw(self, x: int, y: int) -> dict:

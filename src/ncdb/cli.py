@@ -70,6 +70,8 @@ def _fraction(text: str) -> Fraction:
         return Fraction(text)
     except ValueError as e:
         raise argparse.ArgumentTypeError(str(e)) from None
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(f"zero denominator in {text!r}") from None
 
 
 def _positive_int(text: str) -> int:
@@ -90,10 +92,7 @@ def _int_list(text: str):
 
 
 def _fraction_list(text: str):
-    try:
-        return tuple(exact(Fraction(x)) for x in text.split(","))
-    except ValueError as e:
-        raise argparse.ArgumentTypeError(str(e)) from None
+    return tuple(exact(_fraction(x)) for x in text.split(","))
 
 
 def _build_parser():

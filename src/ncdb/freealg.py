@@ -238,9 +238,6 @@ class FreeAlgebra:
     def tensor3(self, terms: dict) -> "Tensor3":
         return self._linear(Tensor3, terms)
 
-    def zero_t2(self) -> "Tensor2":
-        return Tensor2(self, {})
-
     # -- enumeration and rendering ------------------------------------------
 
     def words_up_to(self, maxdeg: int, include_unit: bool = True):

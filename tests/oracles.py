@@ -6,19 +6,21 @@ bimodule actions written term by term, classes modulo commutators through
 letter matrices, never through a point's integer word cache, the h0 skew
 sweep bracketing every pair on its own words, the Jacobi sweep on every
 triple, with no row decided on the letters or shared within cyclic classes,
-the induced trace check on every triple without the derivation rule, and
-the generator-level comparisons on tensors: the double Jacobiator through
+the induced trace check on every triple without the derivation rule, all
+three through :func:`plain_sweep`, which shares no iteration code with
+the package and keys nothing on cyclic classes, and the generator-level
+comparisons on tensors: the double Jacobiator through
 the three triple brackets of element-level double brackets, compared with
 its prescribed value as a ``Tensor3``, with no memo.
 """
 
+import functools
 import itertools
 import math
 from fractions import Fraction
 
-from ncdb.axioms import Witness, check_double_poisson, report, sweep
+from ncdb.axioms import Witness, check_double_poisson, report
 from ncdb.freealg import Element, Tensor2, Tensor3, _merge_term, concat, cyclic_normal_form
-from ncdb.repspace import _Memo
 
 # ---------------------------------------------------------------------------
 # bimodule actions and mixed constructors
@@ -281,6 +283,34 @@ def coordinate_bracket(spec, a: Element, b: Element, p):
 
 
 # ---------------------------------------------------------------------------
+# the bounded sweep on every cell's own words
+
+
+def plain_sweep(spec, ids, arity, residual, render, expected, all_witnesses):
+    """``ncdb.axioms.sweep`` without its class keying or witness cap: over
+    unordered pairs a <= b or ordered triples of ids, in order,
+    ``residual(a, b)`` (arity 2) or ``residual(a, b)(c)`` (arity 3) is
+    called on the original ids of every cell.  Returns (cells, witnesses)."""
+    if arity == 2:
+        rows = (((a,), functools.partial(residual, a), ids[i:]) for i, a in enumerate(ids))
+    else:
+        rows = (((a, b), residual(a, b), ids) for a in ids for b in ids)
+    count = 0
+    witnesses = []
+    for head, at, tails in rows:
+        for z in tails:
+            count += 1
+            res = at(z)
+            if res:
+                text = render(res)
+                names = tuple(spec.algebra.render_word(spec._id_words[k]) for k in head + (z,))
+                witnesses.append(Witness(names, expected, text, text))
+                if not all_witnesses:
+                    return count, witnesses
+    return count, witnesses
+
+
+# ---------------------------------------------------------------------------
 # the h0 skew sweep without its class memo
 
 
@@ -302,7 +332,7 @@ def unreduced_check_h0_skew(spec, maxdeg=4, all_witnesses=False):
                 res[k] = c if v is None else v + c
         return any(res.values()) and res
 
-    pairs, witnesses = sweep(spec, [spec._wid(w) for w in words], 2, residual,
+    pairs, witnesses = plain_sweep(spec, [spec._wid(w) for w in words], 2, residual,
                              lambda res: str(Element(spec.algebra, {k: v for k, v in res.items() if v})),
                              "0 mod commutators", all_witnesses)
     return report("h0_skew_symmetry", spec, {"maxdeg": maxdeg, "pairs": pairs, "words": len(words)}, witnesses)
@@ -315,7 +345,7 @@ def unreduced_check_h0_skew(spec, maxdeg=4, all_witnesses=False):
 def unreduced_check_jacobi(spec, maxdeg, all_witnesses=False):
     """``check_jacobi`` as the plain sweep: {a,{b,c}} - {b,{a,c}} - {{a,b},c}
     on every triple of nonunit monomials up to ``maxdeg``, each cell through
-    :func:`ncdb.axioms.sweep`, no row skipped."""
+    :func:`plain_sweep`, no row skipped."""
     alg = spec.algebra
     words = alg.words_up_to(maxdeg, include_unit=False)
 
@@ -341,7 +371,7 @@ def unreduced_check_jacobi(spec, maxdeg, all_witnesses=False):
     def render(res):
         return str(Element(alg, {spec._id_words[k]: v for k, v in res.items() if v}))
 
-    triples, witnesses = sweep(spec, [spec._wid(w) for w in words], 3, residual, render, "0", all_witnesses)
+    triples, witnesses = plain_sweep(spec, [spec._wid(w) for w in words], 3, residual, render, "0", all_witnesses)
     return report("jacobi_identity", spec, {"maxdeg": maxdeg, "triples": triples, "words": len(words)}, witnesses)
 
 
@@ -353,7 +383,8 @@ def unreduced_check_induced_poisson(spec, p, maxdeg=3, all_witnesses=False):
     """``check_induced_poisson`` on the per-cell route: each triple (a, b, c)
     sums E * c_w * E * D**L * tr({u, w}) over the words w of {b, c}, {a, c}
     and {a, b}, so it needs {a, w} for every long word w of {b, c}; nothing
-    is evaluated on the letters of c.  Its pair stage is the package's, copied."""
+    is evaluated on the letters of c.  Its pair stage reads tr({a, b}) and
+    tr({b, a}) of every pair on its own words."""
     alg = spec.algebra
     words = alg.words_up_to(maxdeg, include_unit=False)
     ids = [spec._wid(w) for w in words]
@@ -367,45 +398,44 @@ def unreduced_check_induced_poisson(spec, p, maxdeg=3, all_witnesses=False):
     mb = spec._mb_ids
     word_of = spec._id_words
 
+    @functools.cache
     def traced(wid):  # T(w) = D**(L - len(w)) * tr N(w)
         w = word_of[wid]
         if len(w) > bound:
             raise RuntimeError(f"word of length {len(w)} exceeds the trace bound {bound}")
         return dpow[len(w)] * p._int_trace(w)
 
-    def int_row(key):  # {u, w} as [(word id, E * coef)]
-        return [(k, c.numerator * (e // c.denominator)) for k, c in mb(*key).items()]
+    @functools.cache  # only ever called on pairs of sweep words
+    def row(u, w):  # {u, w} as [(word id, E * coef)]
+        return [(k, c.numerator * (e // c.denominator)) for k, c in mb(u, w).items()]
 
-    def mb_trace(key):  # E * D**L * tr({u, w}), converting its row without keeping it
+    @functools.cache
+    def mbt(u, w):  # E * D**L * tr({u, w}), converting its row without keeping it
         t = 0
-        for k, c in mb(*key).items():
-            t += c.numerator * (e // c.denominator) * trace_of[k]
+        for k, c in mb(u, w).items():
+            t += c.numerator * (e // c.denominator) * traced(k)
         return t
 
-    trace_of = _Memo(traced)
-    rows = _Memo(int_row)  # only ever indexed by pairs of sweep words
-    mbt = _Memo(mb_trace)
-
     def triple(a, b):
-        ab = rows[a, b]
+        ab = row(a, b)
 
         def at(c):
             t = 0
-            for w, cw in rows[b, c]:
-                t += cw * mbt[a, w]
-            for w, cw in rows[a, c]:
-                t -= cw * mbt[b, w]
+            for w, cw in row(b, c):
+                t += cw * mbt(a, w)
+            for w, cw in row(a, c):
+                t -= cw * mbt(b, w)
             for w, cw in ab:
-                t -= cw * mbt[w, c]
+                t -= cw * mbt(w, c)
             return t
 
         return at
 
     params = {"size": p.size, "maxdeg": maxdeg}
-    params["pairs"], witnesses = sweep(spec, ids, 2, lambda a, b: mbt[a, b] + mbt[b, a],
-                                       lambda t: str(Fraction(t, pair_scale)), "0", all_witnesses)
+    params["pairs"], witnesses = plain_sweep(spec, ids, 2, lambda a, b: mbt(a, b) + mbt(b, a),
+                                             lambda t: str(Fraction(t, pair_scale)), "0", all_witnesses)
     if witnesses and not all_witnesses:
         return report("induced_trace_skew", spec, params, witnesses)
-    params["triples"], more = sweep(spec, ids, 3, triple,
+    params["triples"], more = plain_sweep(spec, ids, 3, triple,
                                     lambda t: str(Fraction(t, e * pair_scale)), "0", all_witnesses)
     return report("induced_trace_poisson", spec, params, witnesses + more)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from ncdb import axioms
+from ncdb import axioms, repspace
 from ncdb.freealg import FreeAlgebra, Tensor3, concat, cyclic_normal_form, _merge_term
 from ncdb.bracket import BracketSpec
 from ncdb.axioms import (
@@ -204,7 +204,7 @@ class TestPoissonProperty:
         assert check_poisson_property(spec, w).passed
         # cross-check one relabelled entry against -mdbI: <<v3,v2>> = x2 x3 (x) 1
         alg = spec.algebra
-        assert spec.entry(3, 2) == alg.tensor2({((2, 3), ()): 1})
+        assert spec.letter_bracket(3, 2) == alg.tensor2({((2, 3), ()): 1})
 
     def test_zero_spec_any_weight(self):
         assert check_poisson_property(zero_spec(2), (Fraction(5), Fraction(-7, 3))).passed
@@ -513,6 +513,20 @@ def test_h0_skew_brackets_once_per_pair_of_classes(make, classes, monkeypatch):
     assert len(calls) == classes * (classes + 1)
 
 
+@pytest.mark.parametrize("make,classes,letters", [(H0_SPECS["mdbI"], 20, 3), (lambda: builtin("kontsevich")[0], 9, 2)],
+                         ids=["mdbI", "kontsevich"])
+def test_rep_jacobiator_once_per_pair_of_classes(make, classes, letters, monkeypatch):
+    """Up to degree 3 mdbI has 20 cyclic classes of 39 words and the
+    Kontsevich spec 9 of 14, so a fresh trace check at one point evaluates
+    the Jacobiator kernel once per ordered pair of classes and letter."""
+    spec = make()
+    calls = []
+    kernel = repspace.jacobiator_ids
+    monkeypatch.setattr(repspace, "jacobiator_ids", lambda *args: calls.append(args[1:]) or kernel(*args))
+    assert check_induced_poisson(spec, MatrixPoint.random(spec.algebra, 2, 0), 3).passed
+    assert len(calls) == len(set(calls)) == classes ** 2 * letters
+
+
 @pytest.mark.parametrize("check,cells,count", [
     (check_h0_skew, 91, "pairs"),      # mdbI to degree 2: 13 words with the unit
     (check_jacobi, 12 ** 3, "triples"),  # and 12 without
@@ -528,6 +542,30 @@ def test_sweep_cell_cap(check, cells, count, monkeypatch):
     with pytest.raises(ValueError, match=f"sweep of {cells} cells, more than {cells - 1}"):
         check(spec, 2)
     assert not spec._mb_id_cache and not spec._letter_cache
+
+
+def _rep_all_witnesses():
+    spec = _scaled_mdb2()
+    return check_induced_poisson(spec, MatrixPoint.random(spec.algebra, 2, 31), 2, all_witnesses=True)
+
+
+@pytest.mark.parametrize("check", [
+    lambda: check_h0_skew(_flipped_mdb2(), 2, all_witnesses=True),
+    lambda: check_jacobi(_scaled_mdb2(), 2, all_witnesses=True),
+    _rep_all_witnesses,
+], ids=["h0skew", "jacobi", "rep"])
+def test_sweep_witness_cap(check, monkeypatch):
+    """A sweep of exactly ``MAX_WITNESSES`` witnesses keeps them all; one
+    more is refused."""
+    full = check()
+    # rep runs two sweeps, each under the cap: the larger one sets the limit
+    limit = max(sum(len(w.inputs) == n for w in full.witnesses) for n in (2, 3))
+    assert limit > 1
+    monkeypatch.setattr(axioms, "MAX_WITNESSES", limit)
+    assert check().to_json() == full.to_json()
+    monkeypatch.setattr(axioms, "MAX_WITNESSES", limit - 1)
+    with pytest.raises(ValueError, match=f"more than {limit - 1} witnesses"):
+        check()
 
 
 def _cl1_rational_points(count=12):

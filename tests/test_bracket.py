@@ -40,7 +40,7 @@ def leibniz_recursive(spec, u, w):
         return alg.element({word: 1})
 
     if not u or not w:
-        return alg.zero_t2()
+        return alg.tensor2({})
     if len(w) > 1:
         # <<a, y b'>> = (y (x) 1) <<a, b'>> + <<a, y>> (1 (x) b')
         y, rest = (w[0],), w[1:]

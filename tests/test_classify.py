@@ -29,13 +29,13 @@ class TestBuild:
         spec, w = builtin("mdbI")
         alg = spec.algebra
         assert w == (1, -1, -1)
-        assert spec.entry(1, 2) == alg.tensor2({((2, 1), ()): -1})
-        assert spec.entry(2, 1) == alg.tensor2({((1, 2), ()): 1})
-        assert spec.entry(2, 3) == alg.tensor2({((2,), (3,)): -1})
-        assert spec.entry(3, 2) == alg.tensor2({((2,), (3,)): 1})
-        assert spec.entry(3, 1) == alg.tensor2({((), (3, 1)): -1})
-        assert spec.entry(1, 3) == alg.tensor2({((), (1, 3)): 1})
-        assert spec.entry(1, 1).is_zero()
+        assert spec.letter_bracket(1, 2) == alg.tensor2({((2, 1), ()): -1})
+        assert spec.letter_bracket(2, 1) == alg.tensor2({((1, 2), ()): 1})
+        assert spec.letter_bracket(2, 3) == alg.tensor2({((2,), (3,)): -1})
+        assert spec.letter_bracket(3, 2) == alg.tensor2({((2,), (3,)): 1})
+        assert spec.letter_bracket(3, 1) == alg.tensor2({((), (3, 1)): -1})
+        assert spec.letter_bracket(1, 3) == alg.tensor2({((), (1, 3)): 1})
+        assert spec.letter_bracket(1, 1).is_zero()
 
     def test_negated_mdbII_is_the_cl3a_point(self):
         # scaling by -1 with v_i := x_i reproduces the binary-family point
@@ -44,18 +44,18 @@ class TestBuild:
         neg = BracketSpec(spec.algebra, {k: u.scale(-1) for k, u in spec.table.items()})
         point, _ = build(FamilyParams("cl3a", (0, 0, 1, 1, 0, 0)))
         for pair in point.table:
-            assert point.entry(*pair).terms == neg.entry(*pair).terms
+            assert point.letter_bracket(*pair).terms == neg.letter_bracket(*pair).terms
         for pair in neg.table:
-            assert point.entry(*pair).terms == neg.entry(*pair).terms
+            assert point.letter_bracket(*pair).terms == neg.letter_bracket(*pair).terms
 
     def test_cld_entries(self):
         spec, w = build(FamilyParams("cld", (4, 2)))
         alg = spec.algebra
         assert w == sign_weight(4, 2) == (1, 1, -1, -1)
-        assert spec.entry(1, 3) == alg.tensor2({((), (1, 3)): 1, ((3, 1), ()): -1})
-        assert spec.entry(3, 1).is_zero()
-        assert spec.entry(1, 2) == alg.tensor2({((1,), (2,)): 1, ((2,), (1,)): -1})
-        assert spec.entry(3, 4) == alg.tensor2({((3,), (4,)): -1, ((4,), (3,)): 1})
+        assert spec.letter_bracket(1, 3) == alg.tensor2({((), (1, 3)): 1, ((3, 1), ()): -1})
+        assert spec.letter_bracket(3, 1).is_zero()
+        assert spec.letter_bracket(1, 2) == alg.tensor2({((1,), (2,)): 1, ((2,), (1,)): -1})
+        assert spec.letter_bracket(3, 4) == alg.tensor2({((3,), (4,)): -1, ((4,), (3,)): 1})
 
     def test_cld_sign_flip_symmetry(self):
         # delta = 0 is the negation of delta = d, with negated weight
@@ -65,14 +65,14 @@ class TestBuild:
         neg = BracketSpec(hi.algebra, {k: u.scale(-1) for k, u in hi.table.items()})
         for i in range(1, 5):
             for j in range(1, 5):
-                assert lo.entry(i, j) == neg.entry(i, j)
+                assert lo.letter_bracket(i, j) == neg.letter_bracket(i, j)
 
     def test_cl3a_zero_parameters(self):
         spec, _ = build(FamilyParams("cl3a", (0, 0, 0, 0, 0, 0)))
         alg = spec.algebra
-        assert spec.entry(1, 2).is_zero()
-        assert spec.entry(2, 1) == alg.tensor2({((1,), (2,)): -1, ((2,), (1,)): 1})
-        assert spec.entry(1, 1).is_zero()
+        assert spec.letter_bracket(1, 2).is_zero()
+        assert spec.letter_bracket(2, 1) == alg.tensor2({((1,), (2,)): -1, ((2,), (1,)): 1})
+        assert spec.letter_bracket(1, 1).is_zero()
 
     def test_domain_validation(self):
         with pytest.raises(ValueError):
@@ -188,7 +188,7 @@ class TestSearchCL1:
         member, wm = build(FamilyParams("cl1_case1", (1, 0, 1)))
         assert w == wm
         for pair in ((1, 2), (2, 1)):
-            assert spec.entry(*pair) == member.entry(*pair)
+            assert spec.letter_bracket(*pair) == member.letter_bracket(*pair)
 
 
 class TestSearchCL3:

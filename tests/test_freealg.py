@@ -227,7 +227,7 @@ class TestOrderingAndRendering:
         alg = FreeAlgebra(("x1", "x2", "x3"), inverted=(2,))
         u = alg.tensor2({((1, -2), (3,)): Fraction(-2, 3)})
         assert str(u) == "-2/3*x1*x2^-1 (x) x3"
-        assert str(alg.zero_t2()) == "0"
+        assert str(alg.tensor2({})) == "0"
         assert str(alg.one()) == "1"
         assert str(alg.element({(): Fraction(1, 2), (1,): -1})) == "1/2 - x1"
 

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from ncdb import axioms
 from ncdb.axioms import modified_double_poisson_battery
 from ncdb.cli import _emit_reports, main
 from ncdb.classify import FamilyParams, build, builtin
@@ -31,7 +32,7 @@ class TestParse:
         spec, weights = doc.to_spec()
         assert weights is None
         alg = spec.algebra
-        assert spec.entry(1, 2) == alg.tensor2({((2, 1), ()): -1})
+        assert spec.letter_bracket(1, 2) == alg.tensor2({((2, 1), ()): -1})
 
     def test_empty_bracket_block_is_zero_spec(self):
         doc = parse("algebra x1 x2;")
@@ -45,7 +46,7 @@ class TestParse:
     def test_inverse_letters_with_inv_marker(self):
         doc = parse("algebra x1 inv x2; bracket {x1,x2} = x1^-1 (x) x2;")
         spec, _ = doc.to_spec()
-        assert spec.entry(1, 2) == spec.algebra.tensor2({((-1,), (2,)): 1})
+        assert spec.letter_bracket(1, 2) == spec.algebra.tensor2({((-1,), (2,)): 1})
 
     def test_inverse_letter_without_inv_rejected(self):
         with pytest.raises(ParseError) as ei:
@@ -71,8 +72,8 @@ class TestParse:
     def test_exponent_expansion_and_reduction(self):
         doc = parse("algebra v inv w; bracket {v,w} = v^2 (x) v^-2; bracket {w,v} = v*v^-1 (x) w;")
         spec, _ = doc.to_spec()
-        assert spec.entry(1, 2) == spec.algebra.tensor2({((1, 1), (-1, -1)): 1})
-        assert spec.entry(2, 1) == spec.algebra.tensor2({((), (2,)): 1})
+        assert spec.letter_bracket(1, 2) == spec.algebra.tensor2({((1, 1), (-1, -1)): 1})
+        assert spec.letter_bracket(2, 1) == spec.algebra.tensor2({((), (2,)): 1})
 
     def test_exponent_cap(self):
         doc = parse("algebra v inv; bracket {v,v} = v^64 (x) v^-64;")
@@ -364,6 +365,17 @@ class TestCli:
         code, out, err = self.run(["builtin", "cld", "--params", params], capsys=capsys, monkeypatch=monkeypatch)
         assert code == 2 and not out and "must be integers" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["classify", "cl1", "--lam", "1/0"],
+        ["classify", "cl1", "--gamma-grid", "0,1/0"],
+        ["classify", "cl1", "--rho-grid", "1/0"],
+        ["builtin", "cld", "--params", "4,1/0"],
+    ])
+    def test_zero_denominator_exits_2(self, argv, capsys, monkeypatch):
+        code, out, err = self.run(argv, capsys=capsys, monkeypatch=monkeypatch)
+        assert code == 2 and not out
+        assert "zero denominator in '1/0'" in err
+
     @pytest.fixture
     def mdbI_file(self, capsys, monkeypatch, tmp_path):
         code, text, _ = self.run(["builtin", "mdbI"], capsys=capsys, monkeypatch=monkeypatch)
@@ -394,6 +406,17 @@ class TestCli:
         code, out, err = self.run(argv[:1] + [mdbI_file] + argv[1:], capsys=capsys, monkeypatch=monkeypatch)
         assert code == 2 and not out
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["h0skew", "jacobi"])
+    def test_witness_cap_exits_2(self, command, mdbI_file, capsys, monkeypatch, tmp_path):
+        f = tmp_path / "flipped.ndb"
+        f.write_text(Path(mdbI_file).read_text().replace("{x2,x3} = -x2", "{x2,x3} = x2"))
+        argv = [command, str(f), "--max-degree", "2", "--all-witnesses"]
+        assert self.run(argv, capsys=capsys, monkeypatch=monkeypatch)[0] == 1
+        monkeypatch.setattr(axioms, "MAX_WITNESSES", 1)
+        code, out, err = self.run(argv, capsys=capsys, monkeypatch=monkeypatch)
+        assert code == 2 and not out
+        assert err == "error: sweep has more than 1 witnesses\n"
 
     def test_emit_reports_refuses_empty_list(self):
         with pytest.raises(ValueError):

@@ -44,7 +44,7 @@ def _unpack(rev: str, dest: Path) -> Path:
     """The committed files of ``rev`` in the fresh directory ``dest``."""
     data = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True, capture_output=True).stdout
     with tarfile.open(fileobj=io.BytesIO(data)) as t:
-        t.extractall(dest)
+        t.extractall(dest, filter="data")
     return dest
 
 
