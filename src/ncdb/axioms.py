@@ -285,7 +285,7 @@ def sweep(spec: BracketSpec, ids, arity: int, residual, render, expected: str, a
     cls = {a: spec._wid(cyclic_normal_form(word_of[a])) for a in ids}
     memo = functools.cache(residual)
     if arity == 2:
-        rows = (((a,), lambda b, a=cls[a]: memo(*sorted((a, cls[b]))), ids[i:]) for i, a in enumerate(ids))
+        rows = (((a,), lambda b, ca=cls[a]: memo(*sorted((ca, cls[b]))), ids[i:]) for i, a in enumerate(ids))
     else:
         rows = (((a, b), memo(cls[a], cls[b]), ids) for a in ids for b in ids)
     name = spec.algebra.render_word
