@@ -32,8 +32,8 @@ through their cyclic classes, so the sweep computes it once per pair of
 classes, at their normal forms.  Its kernels are the cyclic normal form of
 {a,b} + {b,a} (``check_h0_skew``), an integer trace at a matrix point
 (``repspace.check_induced_poisson``) and the Jacobiator itself
-(:func:`jacobiator_ids`, read by ``check_jacobi`` and at the point by
-``check_induced_poisson``); for fixed (a, b) the Jacobiator is a
+(:func:`ncdb.bracket.jacobiator_ids`, read by ``check_jacobi`` and at the
+point by ``check_induced_poisson``); for fixed (a, b) the Jacobiator is a
 derivation in c, so a row that vanishes on the letters is decided there.
 Each kernel's class rule is proved in the docstring of its checker.
 """
@@ -55,7 +55,7 @@ from .freealg import (
     cyclic_normal_form,
     exact,
 )
-from .bracket import BracketSpec
+from .bracket import BracketSpec, jacobiator_ids
 
 
 # ---------------------------------------------------------------------------
@@ -307,26 +307,6 @@ def sweep(spec: BracketSpec, ids, arity: int, residual, render, expected: str, a
                 if not all_witnesses:
                     return count, witnesses
     return count, witnesses
-
-
-def jacobiator_ids(mb, a: int, b: int, c: int) -> dict:
-    """The nonzero terms of {a,{b,c}} - {b,{a,c}} - {{a,b},c} on interned
-    monomial ids, with ``mb`` as {u, w} on ids (``BracketSpec._mb_ids``)."""
-    res = {}
-    get = res.get
-    for w, cw in mb(b, c).items():
-        for u, cu in mb(a, w).items():
-            v = get(u)
-            res[u] = cw * cu if v is None else v + cw * cu
-    for w, cw in mb(a, c).items():
-        for u, cu in mb(b, w).items():
-            v = get(u)
-            res[u] = -cw * cu if v is None else v - cw * cu
-    for w, cw in mb(a, b).items():
-        for u, cu in mb(w, c).items():
-            v = get(u)
-            res[u] = -cw * cu if v is None else v - cw * cu
-    return {u: v for u, v in res.items() if v}
 
 
 def _id_element(spec: BracketSpec, res: dict) -> str:

@@ -9,23 +9,25 @@ positive generators (absent pairs are zero).  Everything else is derived:
   letter positions, equivalent to iterating the two Leibniz rules
       <<a,bc>> = (b (x) 1) <<a,c>> + <<a,b>> (1 (x) c)
       <<ab,c>> = (1 (x) a) <<b,c>> + <<a,c>> (b (x) 1);
-* every public operation -- the double and multiplied brackets and the
-  double Jacobiator -- is one multilinear extension (``BracketSpec._extend``)
-  of a monomial kernel over sparse operands.  The Jacobiator's kernel
-  (``_djac_words``) composes the double bracket kernel through a ``dbr``
-  argument, so a caller that brackets many monomial triples can pass it a
-  memo of ``_dbr_words``.
+* every public operation -- the double and multiplied brackets and both
+  Jacobiators -- is one multilinear extension (``BracketSpec._extend``) of
+  a monomial kernel over sparse operands.  The Jacobiator kernels compose a
+  bracket kernel passed in as an argument: ``_djac_words`` a ``dbr``, so a
+  caller that brackets many monomial triples can pass it a memo of
+  ``_dbr_words``, and :func:`jacobiator_ids` an ``mb``, the one formula of
+  the Jacobiator on words and on interned word ids alike.
 
 Each computed value has one memo, read by the route that fills it: the
 sweeps in :mod:`ncdb.axioms` and :mod:`ncdb.repspace` read {u, w} on
-interned word ids (``_mb_ids``), the element-level ``mbracket`` reads it
-per word pair (``_mb_cache``), and ``_mb_words``, ``_dbr_words`` and
-``_djac_words`` themselves keep nothing.
+interned word ids (``_mb_ids``), the element-level ``mbracket`` and
+``jacobiator`` read it per word pair (``_mb_cache``), and ``_mb_words``,
+``_dbr_words`` and ``_djac_words`` themselves keep nothing.
 Memos are only ever filled with idempotent pure values and are safe to share.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from types import MappingProxyType
 
@@ -226,9 +228,29 @@ class BracketSpec:
         return self._extend(Tensor3, lambda u, v, w: self._djac_words(u, v, w, self._dbr_words), a, b, c)
 
     def jacobiator(self, a: Element, b: Element, c: Element) -> Element:
-        """{a,{b,c}} - {b,{a,c}} - {{a,b},c}, computed exactly."""
-        return (
-            self.mbracket(a, self.mbracket(b, c))
-            - self.mbracket(b, self.mbracket(a, c))
-            - self.mbracket(self.mbracket(a, b), c)
-        )
+        """{a,{b,c}} - {b,{a,c}} - {{a,b},c}, extended trilinearly from
+        :func:`jacobiator_ids`."""
+        return self._extend(Element, functools.partial(jacobiator_ids, self._mb_row), a, b, c)
+
+
+def jacobiator_ids(mb, a, b, c) -> dict:
+    """The nonzero terms of {a,{b,c}} - {b,{a,c}} - {{a,b},c} on three
+    monomials, with ``mb`` as {u, w} on monomials keyed alike: interned ids
+    for the sweeps (``BracketSpec._mb_ids``), words for
+    :meth:`BracketSpec.jacobiator` (``BracketSpec._mb_row``)."""
+    res = {}
+    get = res.get
+    for w, cw in mb(b, c).items():
+        for u, cu in mb(a, w).items():
+            v = get(u)
+            res[u] = cw * cu if v is None else v + cw * cu
+    for w, cw in mb(a, c).items():
+        for u, cu in mb(b, w).items():
+            v = get(u)
+            res[u] = -cw * cu if v is None else v - cw * cu
+    for w, cw in mb(a, b).items():
+        for u, cu in mb(w, c).items():
+            v = get(u)
+            res[u] = -cw * cu if v is None else v - cw * cu
+    return {u: v for u, v in res.items() if v}
+

@@ -211,8 +211,7 @@ def _dispatch(args) -> int:
         if weights is None:
             weights = axioms.infer_weight(spec)
             if weights is None:
-                print("error: spec admits no weight vector; cannot localise", file=sys.stderr)
-                return EXIT_FAIL
+                raise ValueError("spec admits no weight vector; cannot localise")
         loc, _ = localize(spec, weights, args.invert)
         _write_text(args.output, speclang.render(speclang.doc_from_spec(loc)))
         return EXIT_OK

@@ -15,20 +15,20 @@ exact ``Fraction``.
 spec and point.  E is the lcm of the coefficient denominators of every
 letter bracket, and L = 3*maxdeg + 2*max(t - 2, 0) bounds the length of any
 word the check can meet, t being the longest p (x) q term of a letter
-bracket.  A pair trace tr{u, w} is summed as the integer E * D**L * tr{u, w}:
-each word w enters as T(w) = D**(L - len(w)) * tr N(w) = D**L * tr M(w) and
-each bracket coefficient c as the integer E * c.  For the triples, each row
-(a, b) forms one integer matrix per letter x, the sum of E**2 * c *
-D**(L - len(w)) * N(w) over the terms c*w of J(a,b,x), which is E**2 * D**L
-times the matrix of J(a,b,x); each word x_1 ... x_k keeps its rotations
-N(x_{i+1} ... x_k x_1 ... x_{i-1}) times D**(maxdeg - k), so every cell is an
-integer scaled by E**2 * D**(L + maxdeg - 1).  A sum is zero exactly when the
-rational it stands for is.  Only a witness divides back, through
-``Fraction(sum, scale)``, so its text is the reduced rational.
+bracket.  Both stages evaluate a derivation d on the letters with one rule:
+for a scale S (E for d = {a,-}, E**2 for d = J(a,b,-)) each letter x gets
+one integer matrix, the sum of S * c * D**(L - len(w)) * N(w) over the terms
+c*w of d(x), which is S * D**L times the matrix of d(x); each word
+x_1 ... x_k keeps its rotations N(x_{i+1} ... x_k x_1 ... x_{i-1}) times
+D**(maxdeg - k), so every cell is the integer S * D**(L + maxdeg - 1) *
+tr d(c).  A sum is zero exactly when the rational it stands for is.  Only a
+witness divides back, through ``Fraction(sum, scale)``, so its text is the
+reduced rational.
 
-Both stages compute once per pair of cyclic classes of (a, b), through the
-class rule of :func:`ncdb.axioms.sweep`: tr kills [A,A], so
-tr{a,b} = tr{cnf a, cnf b}, and J(a,b,x) = J(cnf a, cnf b, x) exactly.
+Both stages compute once per cyclic class of a, or per pair of classes of
+(a, b), through the class rule of :func:`ncdb.axioms.sweep`: tr kills
+[A,A], so tr{a,b} = tr{cnf a, cnf b}, and J(a,b,x) = J(cnf a, cnf b, x)
+exactly.
 """
 
 from __future__ import annotations
@@ -43,8 +43,8 @@ from fractions import Fraction
 from types import MappingProxyType
 
 from .freealg import Element, FreeAlgebra, exact
-from .bracket import BracketSpec
-from .axioms import VerificationReport, jacobiator_ids, report, sweep, sweep_ids
+from .bracket import BracketSpec, jacobiator_ids
+from .axioms import VerificationReport, report, sweep, sweep_ids
 
 
 def mat_inverse(a):
@@ -83,7 +83,7 @@ class MatrixPoint:
     the point stores the exact inverse (``invs``), computed by elimination.
     Both mappings are read-only after construction.  ``denom`` is the common
     denominator D of all letter matrices; the word cache holds the integer
-    matrices N(w) = D**len(w) * M(w) and their traces.
+    matrices N(w) = D**len(w) * M(w), and ``word_trace`` memoizes tr M(w).
     """
 
     algebra: FreeAlgebra
@@ -162,24 +162,12 @@ class MatrixPoint:
             self._words[w] = m
         return m
 
-    def _int_trace(self, w):
-        """tr N(w) = D**len(w) * tr M(w), an integer.
-
-        Only the prefix matrix N(w[:-1]) is formed: the trace of its product
-        with the last letter needs no more than the diagonal.
-        """
+    def word_trace(self, w):
         t = self._traces.get(w)
         if t is None:
-            if w:
-                rows = zip(self._int_matrix(w[:-1]), self._cols[w[-1]])
-                t = sum(x * y for ra, cb in rows for x, y in zip(ra, cb))
-            else:
-                t = self.size
-            self._traces[w] = t
+            m = self._int_matrix(w)
+            t = self._traces[w] = Fraction(sum(m[i][i] for i in range(self.size)), self.denom ** len(w))
         return t
-
-    def word_trace(self, w):
-        return Fraction(self._int_trace(w), self.denom ** len(w))
 
 
 def eval_trace(x: Element, p: MatrixPoint):
@@ -200,7 +188,7 @@ def check_induced_poisson(spec: BracketSpec, p: MatrixPoint, maxdeg: int = 3,
     For all monomials a, b, c of degree <= maxdeg (units are trivial and
     skipped): tr({a,b} + {b,a}) == 0 and tr({a,{b,c}} - {b,{a,c}} - {{a,b},c})
     == 0, exactly over the rationals (summed as scaled integers, see the
-    module docstring).
+    module docstring).  A point of another algebra is a ValueError.
 
     Both residuals meet the class contract of :func:`ncdb.axioms.sweep`, so
     each is computed once per pair of cyclic classes of (a, b).  By the
@@ -210,17 +198,23 @@ def check_induced_poisson(spec: BracketSpec, p: MatrixPoint, maxdeg: int = 3,
     :func:`ncdb.axioms.check_jacobi`, J(a,b,x) = J(cnf(a), cnf(b), x)
     exactly.
 
-    Triples go through the derivation rule of :func:`ncdb.axioms.check_jacobi`
-    (proved there): for fixed a and b, c -> J(a,b,c) is a derivation, and
-    trace is cyclic, so on c = x_1 ... x_k
-        tr J(a,b,c) = sum_i tr(J(a,b,x_i) x_{i+1} ... x_k x_1 ... x_{i-1}).
-    Each row (a, b) evaluates J(a,b,x) at the point once per letter x
-    (inverse letters included), and each cell sums its rotations' traces.
-    J is evaluated only on letters, and at the point, never read off the
-    rows or verdicts of ``check_jacobi``, so this check stays independent
-    of it.
+    Both stages go through the derivation rule of :func:`ncdb.axioms.check_jacobi`
+    (proved there): {a,-} is a derivation, and so, for fixed a and b, is
+    c -> J(a,b,c).  Trace is cyclic, so for such a derivation d, on
+    c = x_1 ... x_k,
+        tr d(c) = sum_i tr(d(x_i) x_{i+1} ... x_k x_1 ... x_{i-1}),
+    in particular tr{a, c} = sum_i tr({a,x_i} x_{i+1} ... x_{i-1}).  Each
+    derivation is evaluated at the point once per letter x (inverse letters
+    included), and each cell sums its rotations' traces: the pair stage
+    forms one row {a,-} per cyclic class a and reads tr{a,b} + tr{b,a} off
+    the rows of a and b (a normal form is itself a sweep word), the triple
+    stage one row J(a,b,-) per ordered pair of classes.  J is evaluated only
+    on letters, and at the point, never read off the rows or verdicts of
+    ``check_jacobi``, so this check stays independent of it.
     """
     alg = spec.algebra
+    if p.algebra != alg:
+        raise ValueError("algebra mismatch")
     words = alg.words_up_to(maxdeg, include_unit=False)
     ids = sweep_ids(spec, words, 3)  # the triple stage is the larger sweep
     # E, L and the powers D**(L - k) of the module docstring
@@ -229,30 +223,9 @@ def check_induced_poisson(spec: BracketSpec, p: MatrixPoint, maxdeg: int = 3,
     longest = max((len(l) + len(r) for raw in raws for l, r in raw), default=0)
     bound = 3 * maxdeg + 2 * max(longest - 2, 0)
     dpow = [p.denom ** (bound - k) for k in range(bound + 1)]
-    pair_scale = e * dpow[0]
     mb = spec._mb_ids
     word_of = spec._id_words
-
-    def scaled(wid):  # (D**(L - len(w)), w)
-        w = word_of[wid]
-        if len(w) > bound:
-            raise RuntimeError(f"word of length {len(w)} exceeds the trace bound {bound}")
-        return dpow[len(w)], w
-
-    @functools.cache
-    def traced(wid):  # T(w) = D**(L - len(w)) * tr N(w)
-        f, w = scaled(wid)
-        return f * p._int_trace(w)
-
-    def pair(a, b):  # E * D**L * tr({a,b} + {b,a})
-        return sum(c.numerator * (e // c.denominator) * traced(k)
-                   for key in ((a, b), (b, a)) for k, c in mb(*key).items())
-
-    params = {"size": p.size, "maxdeg": maxdeg}
-    params["pairs"], witnesses = sweep(spec, ids, 2, pair,
-                                       lambda t: str(Fraction(t, pair_scale)), "0", all_witnesses)
-    if witnesses and not all_witnesses:
-        return report("induced_trace_skew", spec, params, witnesses)
+    letters = [(g, spec._wid((g,))) for g in alg.letters]
 
     # the rotations v = x_i ... x_k x_1 ... x_{i-1} of each word, each as x_i and the
     # transposed, flattened D**(maxdeg - k) * N(x_{i+1} ... x_{i-1})
@@ -262,20 +235,29 @@ def check_induced_poisson(spec: BracketSpec, p: MatrixPoint, maxdeg: int = 3,
     rotations = [(v[0], [p.denom ** (maxdeg - len(v)) * y for col in zip(*p._int_matrix(v[1:])) for y in col])
                  for v in rotation_ids]
 
-    def triple(a, b):
+    def cells(derivation, scale):
+        """{c: scale * D**(L + maxdeg - 1) * tr derivation(c)} over the sweep words."""
         at_letter = {}
-        for g in alg.letters:  # E**2 * D**L * J(a,b,x) at the point, flattened
+        for g, x in letters:  # scale * D**L * derivation(x) at the point, flattened
             m = [0] * (p.size * p.size)
-            for k, c in jacobiator_ids(mb, a, b, spec._wid((g,))).items():
-                f, w = scaled(k)
-                f *= c.numerator * (e * e // c.denominator)
+            for k, c in derivation(x).items():
+                w = word_of[k]
+                if len(w) > bound:
+                    raise RuntimeError(f"word of length {len(w)} exceeds the trace bound {bound}")
+                f = dpow[len(w)] * c.numerator * (scale // c.denominator)
                 m = [s + f * y for s, y in zip(m, itertools.chain.from_iterable(p._int_matrix(w)))]
             at_letter[g] = m
-
         at_rotation = [sum(map(operator.mul, at_letter[g], r)) for g, r in rotations]
-        return {c: sum(map(at_rotation.__getitem__, vs)) for c, vs in cyclic.items()}.__getitem__
+        return {c: sum(map(at_rotation.__getitem__, vs)) for c, vs in cyclic.items()}
 
-    triple_scale = e * pair_scale * p.denom ** (maxdeg - 1)
-    params["triples"], more = sweep(spec, ids, 3, triple,
-                                    lambda t: str(Fraction(t, triple_scale)), "0", all_witnesses)
+    row = functools.cache(lambda a: cells(functools.partial(mb, a), e))
+    dcell = p.denom ** (bound + maxdeg - 1)  # the power of D in every cell
+    params = {"size": p.size, "maxdeg": maxdeg}
+    params["pairs"], witnesses = sweep(spec, ids, 2, lambda a, b: row(a)[b] + row(b)[a],
+                                       lambda t: str(Fraction(t, e * dcell)), "0", all_witnesses)
+    if witnesses and not all_witnesses:
+        return report("induced_trace_skew", spec, params, witnesses)
+    params["triples"], more = sweep(spec, ids, 3,
+                                    lambda a, b: cells(functools.partial(jacobiator_ids, mb, a, b), e * e).__getitem__,
+                                    lambda t: str(Fraction(t, e * e * dcell)), "0", all_witnesses)
     return report("induced_trace_poisson", spec, params, witnesses + more)

@@ -51,6 +51,7 @@ class ParseError(Exception):
 # lexer
 
 _SYMBOLS = {"{", "}", "=", ",", ";", "+", "-", "*", "/", "^"}
+_DIGITS = frozenset("0123456789")
 
 
 @dataclass(frozen=True)
@@ -88,9 +89,9 @@ def tokenize(text: str):
             toks.append(Token("TENSOR", TENSOR_SEP, line, col))
             i += 1
             col += 1
-        elif ch.isdigit():
+        elif ch in _DIGITS:  # str.isdigit() would take superscripts and other scripts' digits
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             toks.append(Token("INT", text[i:j], line, col))
             col += j - i

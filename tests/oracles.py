@@ -403,7 +403,8 @@ def unreduced_check_induced_poisson(spec, p, maxdeg=3, all_witnesses=False):
         w = word_of[wid]
         if len(w) > bound:
             raise RuntimeError(f"word of length {len(w)} exceeds the trace bound {bound}")
-        return dpow[len(w)] * p._int_trace(w)
+        m = p._int_matrix(w)
+        return dpow[len(w)] * sum(m[i][i] for i in range(p.size))
 
     @functools.cache  # only ever called on pairs of sweep words
     def row(u, w):  # {u, w} as [(word id, E * coef)]

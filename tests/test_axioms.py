@@ -527,6 +527,34 @@ def test_rep_jacobiator_once_per_pair_of_classes(make, classes, letters, monkeyp
     assert len(calls) == len(set(calls)) == classes ** 2 * letters
 
 
+@pytest.mark.parametrize("make,classes,letters", [(H0_SPECS["mdbI"], 20, 3), (lambda: builtin("kontsevich")[0], 9, 2)],
+                         ids=["mdbI", "kontsevich"])
+def test_rep_pair_stage_reads_one_row_per_class(make, classes, letters, monkeypatch):
+    """The pair stage of a fresh trace check reads {a, x} once per cyclic
+    class a and letter x: 60 reads on mdbI up to degree 3, 18 on the
+    Kontsevich spec, and no bracket of two sweep words."""
+    spec = make()
+    calls = []
+    kernel = spec._mb_ids
+    monkeypatch.setattr(spec, "_mb_ids", lambda u, w: calls.append((u, w)) or kernel(u, w))
+    stage = {}  # arity -> the reads made during that sweep
+    real = repspace.sweep
+
+    def spy(spec, ids, arity, *rest):
+        start = len(calls)
+        try:
+            return real(spec, ids, arity, *rest)
+        finally:
+            stage[arity] = calls[start:]
+
+    monkeypatch.setattr(repspace, "sweep", spy)
+    assert check_induced_poisson(spec, MatrixPoint.random(spec.algebra, 2, 0), 3).passed
+    letter_ids = {spec._wid((g,)) for g in spec.algebra.letters}
+    assert len(stage[2]) == len(set(stage[2])) == classes * letters
+    assert {w for _, w in stage[2]} == letter_ids
+    assert len(stage[3]) > 0
+
+
 @pytest.mark.parametrize("check,cells,count", [
     (check_h0_skew, 91, "pairs"),      # mdbI to degree 2: 13 words with the unit
     (check_jacobi, 12 ** 3, "triples"),  # and 12 without

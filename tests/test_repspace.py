@@ -203,6 +203,18 @@ class TestInducedPoisson:
         assert not rep.passed
         assert rep.witnesses and rep.witnesses[0].residual != "0"
 
+    @pytest.mark.parametrize("make,gens", [
+        (lambda: _laurent_kontsevich(), ("v", "w")),   # Laurent spec, free point
+        (lambda: builtin("mdbI")[0], ("x1", "x2")),     # a generator short
+        (lambda: builtin("kontsevich")[0], ("v", "w", "u")),  # a generator over
+    ], ids=["laurent", "fewer", "more"])
+    def test_point_of_another_algebra_refused(self, make, gens):
+        spec = make()
+        p = MatrixPoint.random(FreeAlgebra(gens), 2, seed=0)
+        with pytest.raises(ValueError, match="algebra mismatch"):
+            check_induced_poisson(spec, p, 2)
+        assert not spec._letter_cache and not spec._mb_id_cache
+
     def test_determinism(self, mdbII):
         p1 = MatrixPoint.random(mdbII.algebra, 2, seed=15)
         p2 = MatrixPoint.random(mdbII.algebra, 2, seed=15)
@@ -234,12 +246,13 @@ TRACE_SPECS = {
 }
 # (spec, size, maxdeg, all_witnesses); the cl3 points fail at the triple stage.  On two
 # generators every cyclic word up to degree 5 is a rotation of its reversal, so the
-# order of a rotation shows only with three: cl3a at degree 3 with every witness
+# order of a rotation shows only with three: cl3a at degree 3 with every witness for
+# the triple stage, the scaled mdbII (534 pair witnesses) for the pair stage
 TRACE_CASES = [
     ("mdbI", 1, 2, False), ("mdbI", 2, 2, True),
     ("cl3a_point", 3, 3, False), ("cl3a_point", 2, 2, True), ("cl3a_point", 2, 3, True),
     ("cl3b_point", 2, 3, False), ("cl3b_point", 3, 2, True),
-    ("mdbII_scaled", 2, 3, False), ("mdbII_scaled", 1, 2, True),
+    ("mdbII_scaled", 2, 3, False), ("mdbII_scaled", 1, 2, True), ("mdbII_scaled", 2, 3, True),
     ("kontsevich", 1, 3, True),
     ("kontsevich_scaled", 2, 3, True), ("kontsevich_scaled", 3, 3, False),
     ("laurent", 2, 2, False), ("laurent", 3, 2, True),

@@ -92,6 +92,17 @@ class TestParse:
             parse("algebra v w;\nbracket {v,w} = v (y) w;")
         assert ei.value.line == 2 and "(x)" in ei.value.message
 
+    @pytest.mark.parametrize("text,line,col", [
+        ("algebra x;\nweight 1 \u00b2;", 2, 10),                    # superscript two
+        ("algebra x;\nbracket {x,x} = x^\u00b2 (x) 1;", 2, 19),     # as an exponent
+        ("algebra x;\nbracket {x,x} = \u0663*x (x) 1;", 2, 17),     # Arabic-Indic three
+    ], ids=["superscript", "exponent", "arabic_indic"])
+    def test_only_ascii_digits_are_numbers(self, text, line, col):
+        with pytest.raises(ParseError) as ei:
+            parse(text)
+        assert (ei.value.line, ei.value.col) == (line, col)
+        assert "unexpected character" in ei.value.message
+
     def test_missing_algebra(self):
         with pytest.raises(ParseError) as ei:
             parse("bracket {v,w} = v (x) w;")
@@ -319,6 +330,18 @@ class TestCli:
         assert code == 2
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    @pytest.mark.parametrize("weight,message", [
+        ("", "admits no weight vector"),             # inferred: none exists
+        ("weight 1 1;\n", "not a mixed double algebra"),  # given: fails the weight check
+    ], ids=["inferred", "given"])
+    def test_localize_without_a_weight_exits_2(self, weight, message, capsys, monkeypatch):
+        text = f"algebra v w;\n{weight}bracket {{v,w}} = v (x) w;\n"
+        code, out, err = self.run(["localize", "-", "--invert", "1"], stdin_text=text,
+                                  capsys=capsys, monkeypatch=monkeypatch)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ") and message in err
 
     def test_rep_command(self, capsys, monkeypatch, tmp_path):
         code, text, _ = self.run(["builtin", "mdbI"], capsys=capsys, monkeypatch=monkeypatch)

@@ -112,12 +112,16 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
     if args.pairs < 1:
         p.error("--pairs must be at least 1")
+    workloads = args.workloads.split(",")
+    unknown = sorted(set(workloads) - {w["name"] for w in BENCHMARK["workloads"]})
+    if unknown:
+        p.error(f"unknown workloads: {', '.join(unknown)}")
     base_rev = _git("rev-parse", "--short", args.base)
     head_rev = _git("rev-parse", "--short", args.head)
     with tempfile.TemporaryDirectory(prefix="bench_pair_") as tmp:
         base = _unpack(base_rev, Path(tmp) / "base")
         head = _unpack(head_rev, Path(tmp) / "head")
-        workloads = compare(base, head, args.workloads.split(","), args.pairs, args.seed)
+        workloads = compare(base, head, workloads, args.pairs, args.seed)
     out = {
         "base": base_rev,
         "head": head_rev,
