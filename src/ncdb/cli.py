@@ -43,8 +43,7 @@ def _load_spec(path: str):
     doc = speclang.parse(_read_text(path))
     for note in speclang.quadratic_warnings(doc):
         print(f"note: {note}", file=sys.stderr)
-    spec, weights = doc.to_spec()
-    return doc, spec, weights
+    return doc.to_spec()
 
 
 def _emit_reports(reports, as_json: bool, extra=None):
@@ -179,7 +178,7 @@ def main(argv=None) -> int:
 
 def _dispatch(args) -> int:
     if args.command == "verify":
-        _, spec, weights = _load_spec(args.file)
+        spec, weights = _load_spec(args.file)
         pair_deg, triple_deg = (4, 3) if args.max_degree is None else (args.max_degree,) * 2
         if args.pair_degree is not None:
             pair_deg = args.pair_degree
@@ -192,13 +191,13 @@ def _dispatch(args) -> int:
         return _emit_reports(reports, args.json, extra)
 
     if args.command == "jacobi":
-        _, spec, _ = _load_spec(args.file)
+        spec, _ = _load_spec(args.file)
         return _emit_reports(
             [axioms.check_jacobi(spec, args.max_degree, args.all_witnesses)], args.json
         )
 
     if args.command == "h0skew":
-        _, spec, _ = _load_spec(args.file)
+        spec, _ = _load_spec(args.file)
         return _emit_reports(
             [axioms.check_h0_skew(spec, args.max_degree, args.all_witnesses)], args.json
         )
@@ -207,7 +206,7 @@ def _dispatch(args) -> int:
         return _classify(args)
 
     if args.command == "localize":
-        _, spec, weights = _load_spec(args.file)
+        spec, weights = _load_spec(args.file)
         if weights is None:
             weights = axioms.infer_weight(spec)
             if weights is None:
@@ -217,7 +216,7 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "rep":
-        _, spec, _ = _load_spec(args.file)
+        spec, _ = _load_spec(args.file)
         reports = []
         for k in range(args.points):
             p = repspace.MatrixPoint.random(spec.algebra, args.size, args.seed + k)

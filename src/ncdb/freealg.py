@@ -245,7 +245,10 @@ class FreeAlgebra:
 
         More than ``MAX_WORDS`` words is a ValueError, raised before any is
         built: every sweep over them is at least quadratic in their number.
+        So is a degree below 1, over which a sweep would pass vacuously.
         """
+        if maxdeg < 1:
+            raise ValueError(f"degree must be at least 1, got {maxdeg}")
         # reduced words of each length: a word ending in one of the 2 * len(inverted)
         # invertible letters cannot be followed by that letter's inverse
         n, m = len(self.letters), 2 * len(self.inverted)

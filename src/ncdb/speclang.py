@@ -19,9 +19,15 @@ Grammar (EBNF; whitespace-insensitive, '#' starts a line comment)::
 "(x)" is the tensor separator; a Unicode tensor sign is accepted as an
 alias on input.  "1" denotes the unit monomial, "x^-1" an inverse letter
 (the generator must be declared "inv"); exponents are at most 64 in
-absolute value.  A single-token lookahead suffices throughout.  Rendering
-is canonical: structurally equal documents render to identical text, and
-parse(render(doc)) == doc.
+absolute value.  A single-token lookahead suffices throughout.
+
+A document is what fixes a double bracket: a :class:`FreeAlgebra` and the
+:class:`Tensor2` value of each ordered pair of generators, the table form
+of :class:`BracketSpec`.  The parser builds both through the algebra's own
+constructors, and an entry renders as its canonical ``str``, so
+structurally equal documents render to identical text, and
+parse(render(doc)) == doc whenever the algebra lists its inverted
+generators in increasing order, as every parsed algebra does.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .freealg import FreeAlgebra, coef_str, exact, reduce_word, render_terms, word_key
+from .freealg import FreeAlgebra, coef_str, exact, reduce_word
 from .bracket import BracketSpec
 
 KEYWORDS = {"name", "algebra", "weight", "bracket", "inv"}
@@ -117,49 +123,27 @@ def tokenize(text: str):
 # document model
 
 
-@dataclass(frozen=True)
-class GenDecl:
-    name: str
-    invertible: bool = False
-
-
 @dataclass
 class SpecDocument:
-    """Parsed form of a .ndb file.
+    """Parsed form of a .ndb file: an algebra and its generator table.
 
-    ``entries`` maps (i, j) generator index pairs to sorted tuples of
-    ((word, word), coefficient) terms, each coefficient in the stored form
-    of :func:`ncdb.freealg.exact`; zero entries are dropped and term order
-    is canonical, so document equality is structural equality.
+    ``table`` maps (i, j) generator index pairs to the :class:`Tensor2`
+    {{v_i, v_j}} over ``algebra``, as in :class:`BracketSpec`; zero entries
+    are dropped, so document equality is structural equality.  ``weights``
+    holds one exact ``Fraction`` per positive generator.
     """
 
-    generators: tuple
-    entries: dict = field(default_factory=dict)
+    algebra: FreeAlgebra
+    table: dict = field(default_factory=dict)
     weights: tuple = None
     name: str = None
 
     def __post_init__(self):
-        self.generators = tuple(self.generators)
+        self.table = {pair: u for pair, u in self.table.items() if u}
         if self.weights is not None:
             self.weights = tuple(Fraction(exact(w)) for w in self.weights)
-            if len(self.weights) != len(self.generators):
+            if len(self.weights) != self.algebra.d:
                 raise ValueError("one weight per generator required")
-        norm = {}
-        for pair, terms in self.entries.items():
-            terms = tuple(sorted(
-                ((k, exact(c)) for k, c in dict(terms).items() if exact(c)),
-                key=lambda kc: (word_key(kc[0][0]), word_key(kc[0][1])),
-            ))
-            if terms:
-                norm[pair] = terms
-        self.entries = norm
-
-    @property
-    def algebra(self) -> FreeAlgebra:
-        return FreeAlgebra(
-            tuple(g.name for g in self.generators),
-            tuple(i + 1 for i, g in enumerate(self.generators) if g.invertible),
-        )
 
     def to_spec(self):
         """Build the (BracketSpec, weights-or-None) pair the document denotes.
@@ -167,24 +151,13 @@ class SpecDocument:
         The stored weight block covers the positive generators; on a
         localised algebra it is extended with the forced negated entries.
         """
-        alg = self.algebra
-        table = {
-            pair: alg.tensor2(dict(terms)) for pair, terms in self.entries.items()
-        }
-        weights = None if self.weights is None else alg.letter_weights(self.weights)
-        return BracketSpec(alg, table, weights), weights
+        weights = None if self.weights is None else self.algebra.letter_weights(self.weights)
+        return BracketSpec(self.algebra, self.table, weights), weights
 
 
 def doc_from_spec(spec: BracketSpec, name=None) -> SpecDocument:
-    alg = spec.algebra
-    gens = tuple(
-        GenDecl(n, (i + 1) in alg.inverted) for i, n in enumerate(alg.names)
-    )
-    weights = None
-    if spec.weight is not None:
-        weights = tuple(spec.weight[: alg.d])
-    entries = {pair: tuple(u.terms.items()) for pair, u in spec.table.items()}
-    return SpecDocument(gens, entries, weights, name)
+    weights = None if spec.weight is None else spec.weight[: spec.algebra.d]
+    return SpecDocument(spec.algebra, spec.table, weights, name)
 
 
 # ---------------------------------------------------------------------------
@@ -222,15 +195,15 @@ class _Parser:
     # -- grammar -----------------------------------------------------------
 
     def document(self) -> SpecDocument:
-        name = None
-        gens = None
-        weights = None
-        raw_entries = []  # (pair names, terms) resolved after the algebra block
+        name = gens = weights = None
+        raw_entries = []  # (two factors, terms), resolved after the algebra block
         while self.cur.kind != "EOF":
             t = self.cur
             if t.kind != "IDENT":
                 self.fail("a statement keyword")
             if t.text == "name":
+                if name is not None:
+                    raise ParseError("duplicate name statement", t.line, t.col)
                 self.advance()
                 name = self.expect("IDENT").text
                 self.expect("SYM", ";")
@@ -242,7 +215,7 @@ class _Parser:
             elif t.text == "weight":
                 if weights is not None:
                     raise ParseError("duplicate weight block", t.line, t.col)
-                self.advance()
+                weight_tok = self.advance()
                 weights = self.weight_block()
             elif t.text == "bracket":
                 self.advance()
@@ -251,46 +224,38 @@ class _Parser:
                 self.fail("'name', 'algebra', 'weight' or 'bracket'")
         if gens is None:
             raise ParseError("missing algebra block", self.cur.line, self.cur.col)
-        index = {g.name: i + 1 for i, g in enumerate(gens)}
-        entries = {}
-        for (n1, t1), (n2, t2), terms in raw_entries:
-            pair = []
-            for nm, tok in ((n1, t1), (n2, t2)):
-                if nm not in index:
-                    raise ParseError(f"undeclared generator {nm!r}", tok.line, tok.col)
-                pair.append(index[nm])
-            pair = tuple(pair)
-            if pair in entries:
-                raise ParseError(
-                    f"duplicate bracket entry for ({n1},{n2})", t1.line, t1.col
-                )
+        alg = FreeAlgebra(
+            tuple(n for n, _ in gens), tuple(i + 1 for i, (_, inv) in enumerate(gens) if inv)
+        )
+        index = {n: i + 1 for i, n in enumerate(alg.names)}
+        table = {}
+        for f1, f2, terms in raw_entries:
+            pair = tuple(self.resolve_word([f], index, alg)[0] for f in (f1, f2))
+            if pair in table:
+                raise ParseError(f"duplicate bracket entry for ({f1[0]},{f2[0]})", f1[2].line, f1[2].col)
             resolved = {}
             for (w1, w2), c in terms:
-                k = (self.resolve_word(w1, index, gens), self.resolve_word(w2, index, gens))
+                k = (self.resolve_word(w1, index, alg), self.resolve_word(w2, index, alg))
                 resolved[k] = resolved.get(k, 0) + c
-            entries[pair] = tuple(resolved.items())
-        if weights is not None and len(weights) != len(gens):
-            raise ParseError(
-                f"weight block has {len(weights)} entries for {len(gens)} generators",
-                self.cur.line,
-                self.cur.col,
-            )
-        return SpecDocument(tuple(gens), entries, weights, name)
+            table[pair] = alg.tensor2(resolved)
+        if weights is not None and len(weights) != alg.d:
+            raise ParseError(f"weight block has {len(weights)} entries for {alg.d} generators",
+                             weight_tok.line, weight_tok.col)
+        return SpecDocument(alg, table, weights, name)
 
-    def resolve_word(self, word, index, gens):
+    def resolve_word(self, word, index, alg):
         letters = []
         for nm, exp, tok in word:
             if nm not in index:
                 raise ParseError(f"undeclared generator {nm!r}", tok.line, tok.col)
             g = index[nm]
-            if exp < 0 and not gens[g - 1].invertible:
-                raise ParseError(
-                    f"generator {nm!r} is not invertible", tok.line, tok.col
-                )
+            if exp < 0 and g not in alg.inverted:
+                raise ParseError(f"generator {nm!r} is not invertible", tok.line, tok.col)
             letters.extend([g if exp > 0 else -g] * abs(exp))
         return reduce_word(letters)
 
     def algebra_block(self):
+        """The declared generators as (name, inverted) pairs."""
         gens = []
         while not self.at_sym(";"):
             t = self.expect("IDENT")
@@ -298,15 +263,17 @@ class _Parser:
                 raise ParseError(
                     f"{t.text!r} is reserved and cannot name a generator", t.line, t.col
                 )
+            if any(n == t.text for n, _ in gens):
+                raise ParseError(f"duplicate generator {t.text!r}", t.line, t.col)
             inv = False
             if self.cur.kind == "IDENT" and self.cur.text == "inv":
                 self.advance()
                 inv = True
-            gens.append(GenDecl(t.text, inv))
+            gens.append((t.text, inv))
         self.expect("SYM", ";")
         if not gens:
             self.fail("at least one generator name")
-        return tuple(gens)
+        return gens
 
     def weight_block(self):
         vals = []
@@ -332,17 +299,16 @@ class _Parser:
         return Fraction(sign * num)
 
     def bracket_stmt(self):
+        """The two generators, as one-letter factors, and the terms."""
         self.expect("SYM", "{")
-        t1 = self.cur
-        n1 = self.expect("IDENT").text
+        t1 = self.expect("IDENT")
         self.expect("SYM", ",")
-        t2 = self.cur
-        n2 = self.expect("IDENT").text
+        t2 = self.expect("IDENT")
         self.expect("SYM", "}")
         self.expect("SYM", "=")
         terms = self.tensor_expr()
         self.expect("SYM", ";")
-        return (n1, t1), (n2, t2), terms
+        return (t1.text, 1, t1), (t2.text, 1, t2), terms
 
     def tensor_expr(self):
         terms = []
@@ -424,25 +390,21 @@ def render(doc: SpecDocument) -> str:
     if doc.name:
         lines.append(f"name {doc.name};")
     gens = " ".join(
-        g.name + (" inv" if g.invertible else "") for g in doc.generators
+        n + (" inv" if i + 1 in alg.inverted else "") for i, n in enumerate(alg.names)
     )
     lines.append(f"algebra {gens};")
     if doc.weights is not None:
         lines.append("weight " + " ".join(coef_str(w) for w in doc.weights) + ";")
-    for (i, j) in sorted(doc.entries):
-        n1, n2 = doc.generators[i - 1].name, doc.generators[j - 1].name
-        lines.append(
-            f"bracket {{{n1},{n2}}} = {render_terms(alg, doc.entries[(i, j)], 2)};"
-        )
+    for (i, j), u in sorted(doc.table.items()):
+        lines.append(f"bracket {{{alg.names[i - 1]},{alg.names[j - 1]}}} = {u};")
     return "\n".join(lines) + "\n"
 
 
 def quadratic_warnings(doc: SpecDocument):
     """Informational notices for entries that are not homogeneous quadratic."""
-    notes = []
-    for (i, j), terms in sorted(doc.entries.items()):
-        if any(len(w1) + len(w2) != 2 for (w1, w2), _ in terms):
-            n1 = doc.generators[i - 1].name
-            n2 = doc.generators[j - 1].name
-            notes.append(f"entry ({n1},{n2}) is not homogeneous quadratic")
-    return notes
+    names = doc.algebra.names
+    return [
+        f"entry ({names[i - 1]},{names[j - 1]}) is not homogeneous quadratic"
+        for (i, j), u in sorted(doc.table.items())
+        if any(len(w1) + len(w2) != 2 for w1, w2 in u.terms)
+    ]

@@ -21,7 +21,7 @@ from ncdb.axioms import (
     infer_mixed_type,
     infer_weight,
 )
-from ncdb.classify import FamilyParams, build, builtin, search_cl1
+from ncdb.classify import FamilyParams, build, builtin, search_cl1, verify_family_props
 from ncdb.localize import localize
 from ncdb.repspace import MatrixPoint, check_induced_poisson
 
@@ -348,6 +348,21 @@ class TestReports:
         assert not r.passed and len(r.witnesses) >= 1
         d = r.as_dict()
         assert d["status"] == "fail" and d["witnesses"]
+
+
+@pytest.mark.parametrize("sweep", [
+    lambda spec, w: check_jacobi(spec, 0),
+    lambda spec, w: check_h0_skew(spec, 0),
+    lambda spec, w: check_h0_skew(spec, -1),
+    lambda spec, w: check_induced_poisson(spec, MatrixPoint.random(spec.algebra, 2, 0), 0),
+    lambda spec, w: axioms.modified_double_poisson_battery(spec, w, 0, 3),
+    lambda spec, w: verify_family_props(4, 2, 0, 0),
+], ids=["jacobi", "h0skew_0", "h0skew_-1", "rep", "battery", "family_props"])
+def test_sweep_below_degree_one_refused(sweep, mdbI):
+    """A degree below 1 leaves at most the unit word, over which every
+    sweep would pass vacuously, so it is refused as on the command line."""
+    with pytest.raises(ValueError, match="at least 1"):
+        sweep(mdbI, builtin("mdbI")[1])
 
 
 def _scaled_mdb2():

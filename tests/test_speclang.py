@@ -14,9 +14,8 @@ from ncdb.axioms import modified_double_poisson_battery
 from ncdb.cli import _emit_reports, main
 from ncdb.classify import FamilyParams, build, builtin
 from ncdb.localize import localize
-from ncdb.freealg import reduce_word
+from ncdb.freealg import FreeAlgebra, reduce_word
 from ncdb.speclang import (
-    GenDecl,
     ParseError,
     SpecDocument,
     doc_from_spec,
@@ -24,6 +23,8 @@ from ncdb.speclang import (
     quadratic_warnings,
     render,
 )
+
+SPECS = Path(__file__).resolve().parents[1] / "perfbench" / "specs"
 
 
 class TestParse:
@@ -41,7 +42,7 @@ class TestParse:
 
     def test_zero_entry(self):
         doc = parse("algebra x1 x2; bracket {x1,x2} = 0;")
-        assert doc.entries == {}
+        assert doc.table == {}
 
     def test_inverse_letters_with_inv_marker(self):
         doc = parse("algebra x1 inv x2; bracket {x1,x2} = x1^-1 (x) x2;")
@@ -67,7 +68,7 @@ class TestParse:
 
     def test_comments_and_unicode_tensor(self):
         doc = parse("algebra v w;  # generators\nbracket {v,w} = v ⊗ w;")
-        assert doc.entries[(1, 2)] == ((((1,), (2,)), Fraction(1)),)
+        assert doc.table[(1, 2)].terms == {((1,), (2,)): 1}
 
     def test_exponent_expansion_and_reduction(self):
         doc = parse("algebra v inv w; bracket {v,w} = v^2 (x) v^-2; bracket {w,v} = v*v^-1 (x) w;")
@@ -77,7 +78,7 @@ class TestParse:
 
     def test_exponent_cap(self):
         doc = parse("algebra v inv; bracket {v,v} = v^64 (x) v^-64;")
-        assert doc.entries[(1, 1)] == ((((1,) * 64, (-1,) * 64), Fraction(1)),)
+        assert doc.table[(1, 1)].terms == {((1,) * 64, (-1,) * 64): 1}
         for exp in ("65", "-65"):
             with pytest.raises(ParseError) as ei:
                 parse(f"algebra v inv; bracket {{v,v}} = v^{exp} (x) 1;")
@@ -113,26 +114,37 @@ class TestParse:
             parse("algebra v w; bracket {v,w} = v (x) w; bracket {v,w} = w (x) v;")
         assert "duplicate" in ei.value.message
 
+    @pytest.mark.parametrize("text,line,col,message", [
+        ("name a;\nalgebra x y;\nname b;", 3, 1, "duplicate name statement"),
+        ("algebra x y\n  x;", 2, 3, "duplicate generator 'x'"),
+        ("algebra x y;\nweight 1;\n", 2, 1, "weight block has 1 entries for 2 generators"),
+        ("weight 1 2 3;\nalgebra x y;\n", 1, 1, "weight block has 3 entries for 2 generators"),
+    ], ids=["second_name", "repeated_generator", "short_weight", "long_weight_first"])
+    def test_statement_faults_have_positions(self, text, line, col, message):
+        with pytest.raises(ParseError) as ei:
+            parse(text)
+        assert (ei.value.line, ei.value.col, ei.value.message) == (line, col, message)
+
     def test_reserved_generator_name_rejected(self):
         with pytest.raises(ParseError):
             parse("algebra inv v;")
 
     def test_document_coefficients_are_exact(self):
-        gens = (GenDecl("v"), GenDecl("w"))
-        doc = SpecDocument(gens, {(1, 2): ((((1,), (2,)), Fraction(6, 3)),)})
-        assert type(doc.entries[(1, 2)][0][1]) is int
+        alg = FreeAlgebra(("v", "w"))
+        doc = SpecDocument(alg, {(1, 2): alg.tensor2({((1,), (2,)): Fraction(6, 3)})})
+        assert type(doc.table[(1, 2)].terms[((1,), (2,))]) is int
         for bad in (0.1, 0.0):
             with pytest.raises(ValueError):
-                SpecDocument(gens, {(1, 2): ((((1,), (2,)), bad),)})
+                SpecDocument(alg, {(1, 2): alg.tensor2({((1,), (2,)): bad})})
         # weights are refused the same way, and stored as Fraction
-        doc = SpecDocument(gens, {}, (1, Fraction(1, 2)))
+        doc = SpecDocument(alg, {}, (1, Fraction(1, 2)))
         assert doc.weights == (1, Fraction(1, 2)) and all(type(w) is Fraction for w in doc.weights)
         with pytest.raises(ValueError):
-            SpecDocument(gens, {}, (0.1, 1))
+            SpecDocument(alg, {}, (0.1, 1))
 
     def test_like_terms_collected(self):
         doc = parse("algebra v w; bracket {v,w} = v (x) w + v (x) w - 2*v (x) w;")
-        assert doc.entries == {}
+        assert doc.table == {}
 
 
 class TestRender:
@@ -183,6 +195,16 @@ class TestRender:
 
         assert battery(parsed, pw) == battery(spec, w)
 
+    @pytest.mark.parametrize("path", sorted(SPECS.glob("*.ndb")), ids=lambda p: p.stem)
+    def test_benchmark_specs_are_fixed_points(self, path):
+        text = path.read_text(encoding="utf-8")
+        assert render(parse(text)) == text
+
+    @pytest.mark.parametrize("name", ["mdbI", "mdbII", "kontsevich"])
+    def test_benchmark_specs_render_the_builtins(self, name):
+        text = (SPECS / f"{name}.ndb").read_text(encoding="utf-8")
+        assert render(doc_from_spec(builtin(name)[0], name=name)) == text
+
     def test_quadratic_warning(self):
         doc = parse("algebra v w; bracket {v,w} = v*v (x) w;")
         notes = quadratic_warnings(doc)
@@ -191,10 +213,8 @@ class TestRender:
 
 def random_document(rng: random.Random) -> SpecDocument:
     d = rng.randint(1, 4)
-    gens = tuple(
-        GenDecl(f"g{i}", rng.random() < 0.3) for i in range(1, d + 1)
-    )
-    inverted = [i + 1 for i, g in enumerate(gens) if g.invertible]
+    inverted = [i for i in range(1, d + 1) if rng.random() < 0.3]
+    alg = FreeAlgebra(tuple(f"g{i}" for i in range(1, d + 1)), inverted)
 
     def rand_word():
         letters = []
@@ -206,19 +226,19 @@ def random_document(rng: random.Random) -> SpecDocument:
                 letters.append(g)
         return reduce_word(letters)
 
-    entries = {}
+    table = {}
     for _ in range(rng.randint(0, 4)):
         pair = (rng.randint(1, d), rng.randint(1, d))
         terms = {}
         for _ in range(rng.randint(1, 3)):
             c = Fraction(rng.randint(-6, 6), rng.randint(1, 6))
             terms[(rand_word(), rand_word())] = c
-        entries[pair] = tuple(terms.items())
+        table[pair] = alg.tensor2(terms)
     weights = None
     if rng.random() < 0.5:
         weights = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(d))
     name = "spec%d" % rng.randint(0, 99) if rng.random() < 0.5 else None
-    return SpecDocument(gens, entries, weights, name)
+    return SpecDocument(alg, table, weights, name)
 
 
 class TestRoundTripProperty:
@@ -283,6 +303,16 @@ class TestCli:
         code, _, err = self.run(["verify", str(f)], capsys=capsys, monkeypatch=monkeypatch)
         assert code == 2
         assert "parse error" in err
+
+    @pytest.mark.parametrize("text,where", [
+        ("name a;\nalgebra x y;\nname b;", "3:1"),
+        ("algebra x x;", "1:11"),
+        ("algebra x y;\nweight 1;\n", "2:1"),
+    ], ids=["second_name", "repeated_generator", "short_weight"])
+    def test_statement_faults_exit_2(self, text, where, capsys, monkeypatch):
+        code, out, err = self.run(["verify", "-"], stdin_text=text, capsys=capsys, monkeypatch=monkeypatch)
+        assert code == 2 and out == ""
+        assert err.startswith(f"parse error: {where}: ") and err.count("\n") == 1
 
     def test_usage_error_exits_2(self, capsys, monkeypatch):
         code, _, _ = self.run(["frobnicate"], capsys=capsys, monkeypatch=monkeypatch)

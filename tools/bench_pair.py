@@ -3,14 +3,15 @@
 Usage, from the root of a checkout::
 
     python3 tools/bench_pair.py --base REV --out BENCH.json \\
-        [--head HEAD] [--workloads verify,rep,classify] [--pairs 3] [--seed 0]
+        [--head HEAD] [--workloads verify,rep,classify] [--pairs 10] [--seed 0]
 
 Each side is the committed files of its revision, unpacked with
 ``git archive`` into a fresh temporary directory, so both sides start alike.
 For each workload the script runs ``perfbench/run.py`` of each tree in its
 own process, for the run length ``BENCHMARK.json`` sets, in pairs whose
 order alternates (base first, then head first, ...), so a drift in machine
-speed falls on both sides alike.
+speed falls on both sides alike.  The default of ten pairs is the fewest
+that can back a claimed gain: the head must win at least nine of them.
 
 The output JSON holds, per workload and end-to-end metric of
 ``BENCHMARK.json``, the per-pair values of both sides, their medians and
@@ -106,7 +107,7 @@ def main(argv=None) -> int:
     p.add_argument("--base", required=True, help="git revision of the base tree")
     p.add_argument("--head", default="HEAD", help="git revision of the head tree")
     p.add_argument("--workloads", default="verify,rep,classify")
-    p.add_argument("--pairs", type=int, default=3)
+    p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, type=Path)
     args = p.parse_args(argv)
