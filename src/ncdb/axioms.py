@@ -202,7 +202,8 @@ def _letter_witnesses(spec: BracketSpec, arity: int, cls, compare) -> list:
     """Witnesses of every ordered letter tuple whose raw terms
     ``compare(indices, letters)`` returns as two different dicts (actual,
     expected); indices point into ``algebra.letters``.  Only a failing tuple
-    becomes a ``cls`` tensor, from those two dicts, to be rendered."""
+    becomes a ``cls`` tensor, from those two dicts, to be rendered.  More
+    than ``MAX_WITNESSES`` is a ValueError, as in :func:`sweep`."""
     alg = spec.algebra
     letters = alg.letters
     witnesses = []
@@ -210,6 +211,8 @@ def _letter_witnesses(spec: BracketSpec, arity: int, cls, compare) -> list:
         cell = tuple(letters[i] for i in idx)
         actual, expected = compare(idx, cell)
         if actual != expected:
+            if len(witnesses) == MAX_WITNESSES:
+                raise ValueError(f"sweep has more than {MAX_WITNESSES} witnesses")
             actual, expected = cls(alg, actual), cls(alg, expected)
             names = tuple(alg.render_word((g,)) for g in cell)
             witnesses.append(Witness(names, str(expected), str(actual), str(actual - expected)))

@@ -57,6 +57,8 @@ class BracketSpec:
         # read-only: the memo caches below are derived from it
         self.table = MappingProxyType(clean)
         self.weight = None if weight is None else algebra.weight_vector(weight)
+        if self.weight is not None and self.weight != algebra.letter_weights(self.weight[: algebra.d]):
+            raise ValueError("the weight of an inverse letter must be minus its generator's")
         self._letter_cache = {}  # (x, y) -> raw {(w1, w2): coef}
         self._mb_cache = {}      # (u, w) -> raw {word: coef}, read by mbracket only
         # interning: sweeps key everything by small word ids instead of tuples
@@ -66,6 +68,13 @@ class BracketSpec:
 
     def __repr__(self):
         return f"BracketSpec({self.algebra}, {len(self.table)} entries)"
+
+    def __eq__(self, other):  # the same bracket and weight; the memos are derived
+        if not isinstance(other, BracketSpec):
+            return NotImplemented
+        return (self.algebra, self.table, self.weight) == (other.algebra, other.table, other.weight)
+
+    __hash__ = None
 
     # -- letter-level bracket -------------------------------------------------
 

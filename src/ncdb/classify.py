@@ -171,19 +171,13 @@ def cl1(lam, rho, g1, g2, g3, g4):
 @_family("cl1_case1", _arity("lam", "alpha", "beta"))
 def cl1_case1(lam, alpha, beta):
     """d=2 Poisson family at weight (lam, -lam): one-sided product terms."""
-    lam = Fraction(lam)
-    return _spec(FreeAlgebra(("v", "w")), (lam, -lam), {
-        (1, 2): {((), (1, 2)): Fraction(alpha), ((2, 1), ()): -Fraction(beta)},
-    })
+    return cl1(lam, -lam, 0, 0, -2 * alpha, -2 * beta)
 
 
 @_family("cl1_case2", _arity("lam", "alpha~", "beta~"))
 def cl1_case2(lam, alphat, betat):
     """d=2 Poisson family at weight (lam, lam): factor-swap terms."""
-    lam = Fraction(lam)
-    return _spec(FreeAlgebra(("v", "w")), (lam, lam), {
-        (1, 2): {((1,), (2,)): Fraction(alphat), ((2,), (1,)): -Fraction(betat)},
-    })
+    return cl1(lam, lam, -2 * alphat, -2 * betat, 0, 0)
 
 
 # ---------------------------------------------------------------------------

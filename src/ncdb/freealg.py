@@ -136,8 +136,9 @@ def _merge_term(terms: dict, key, c):
 class FreeAlgebra:
     """Descriptor of K<v1,...,vd>, optionally with some generators inverted.
 
-    ``names`` fixes the generator order; ``inverted`` lists (in order) the
-    1-based indices of generators that have been made invertible.  The
+    ``names`` fixes the generator order; ``inverted`` holds, in increasing
+    order whatever order it is given in, the 1-based indices of generators
+    that have been made invertible, so an algebra has one letter order.  The
     ``letters`` tuple -- positive generators followed by the inverse letters
     in ``inverted`` order -- is the index set used by weight vectors and
     generator-level axiom checks.
@@ -148,7 +149,7 @@ class FreeAlgebra:
 
     def __post_init__(self):
         names = tuple(self.names)
-        inverted = tuple(self.inverted)
+        inverted = tuple(sorted(self.inverted))
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "inverted", inverted)
         if len(set(names)) != len(names):

@@ -3,7 +3,7 @@
 Inverting generators i1,...,ir extends a weighted bracket uniquely: the
 positive-generator table is unchanged, brackets with inverse letters are
 derived on demand (never stored), and the weight vector gains one negated
-entry per inverted generator, in the order given.
+entry per inverted generator, in increasing generator order.
 """
 
 from __future__ import annotations
@@ -15,14 +15,14 @@ from .axioms import check_weight
 
 def localize(spec: BracketSpec, weights, invert):
     """Extend ``spec`` of weight ``weights`` by inverting the generators
-    with the 1-based indices ``invert``, in that order.
+    with the 1-based indices ``invert``, in increasing generator order.
 
     ``invert`` must be nonempty and ``spec`` must be on a free algebra, or
     the inversions it already has would be dropped.  ``FreeAlgebra`` refuses
     repeated and out-of-range indices.  Requires the weighted skew condition
     on the base algebra (the extension theorem's hypothesis).  Every refusal
     is a ValueError.  Returns the localised spec and the extended weight
-    vector (w_1, ..., w_d, -w_{i_1}, ..., -w_{i_r}).
+    vector (w_1, ..., w_d, -w_{i_1}, ..., -w_{i_r}), i_1 < ... < i_r.
     """
     invert = tuple(invert)
     if not invert:

@@ -21,21 +21,20 @@ alias on input.  "1" denotes the unit monomial, "x^-1" an inverse letter
 (the generator must be declared "inv"); exponents are at most 64 in
 absolute value.  A single-token lookahead suffices throughout.
 
-A document is what fixes a double bracket: a :class:`FreeAlgebra` and the
-:class:`Tensor2` value of each ordered pair of generators, the table form
-of :class:`BracketSpec`.  The parser builds both through the algebra's own
-constructors, and an entry renders as its canonical ``str``, so
-structurally equal documents render to identical text, and
-parse(render(doc)) == doc whenever the algebra lists its inverted
-generators in increasing order, as every parsed algebra does.
+A document is what fixes a double bracket: a :class:`BracketSpec` (an
+algebra, the :class:`Tensor2` value of each ordered pair of generators and
+an optional weight) plus an optional name.  The parser builds the spec
+through the algebra's own constructors, and an entry renders as its
+canonical ``str``, so equal documents render to identical text, and
+parse(render(doc)) == doc.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .freealg import FreeAlgebra, coef_str, exact, reduce_word
+from .freealg import FreeAlgebra, coef_str, reduce_word
 from .bracket import BracketSpec
 
 KEYWORDS = {"name", "algebra", "weight", "bracket", "inv"}
@@ -125,39 +124,23 @@ def tokenize(text: str):
 
 @dataclass
 class SpecDocument:
-    """Parsed form of a .ndb file: an algebra and its generator table.
+    """A .ndb document: the :class:`BracketSpec` it denotes and a name.
 
-    ``table`` maps (i, j) generator index pairs to the :class:`Tensor2`
-    {{v_i, v_j}} over ``algebra``, as in :class:`BracketSpec`; zero entries
-    are dropped, so document equality is structural equality.  ``weights``
-    holds one exact ``Fraction`` per positive generator.
+    The spec holds the algebra, the table and the weight vector on the
+    algebra's letters, and makes every check on them; documents compare by
+    their specs (:meth:`BracketSpec.__eq__`) and names.
     """
 
-    algebra: FreeAlgebra
-    table: dict = field(default_factory=dict)
-    weights: tuple = None
+    spec: BracketSpec
     name: str = None
 
-    def __post_init__(self):
-        self.table = {pair: u for pair, u in self.table.items() if u}
-        if self.weights is not None:
-            self.weights = tuple(Fraction(exact(w)) for w in self.weights)
-            if len(self.weights) != self.algebra.d:
-                raise ValueError("one weight per generator required")
-
     def to_spec(self):
-        """Build the (BracketSpec, weights-or-None) pair the document denotes.
-
-        The stored weight block covers the positive generators; on a
-        localised algebra it is extended with the forced negated entries.
-        """
-        weights = None if self.weights is None else self.algebra.letter_weights(self.weights)
-        return BracketSpec(self.algebra, self.table, weights), weights
+        """The (BracketSpec, weights-or-None) pair the document denotes."""
+        return self.spec, self.spec.weight
 
 
 def doc_from_spec(spec: BracketSpec, name=None) -> SpecDocument:
-    weights = None if spec.weight is None else spec.weight[: spec.algebra.d]
-    return SpecDocument(spec.algebra, spec.table, weights, name)
+    return SpecDocument(spec, name)
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +224,8 @@ class _Parser:
         if weights is not None and len(weights) != alg.d:
             raise ParseError(f"weight block has {len(weights)} entries for {alg.d} generators",
                              weight_tok.line, weight_tok.col)
-        return SpecDocument(alg, table, weights, name)
+        weights = None if weights is None else alg.letter_weights(weights)
+        return SpecDocument(BracketSpec(alg, table, weights), name)
 
     def resolve_word(self, word, index, alg):
         letters = []
@@ -385,7 +369,7 @@ def parse(text: str) -> SpecDocument:
 
 
 def render(doc: SpecDocument) -> str:
-    alg = doc.algebra
+    spec, alg = doc.spec, doc.spec.algebra
     lines = []
     if doc.name:
         lines.append(f"name {doc.name};")
@@ -393,18 +377,18 @@ def render(doc: SpecDocument) -> str:
         n + (" inv" if i + 1 in alg.inverted else "") for i, n in enumerate(alg.names)
     )
     lines.append(f"algebra {gens};")
-    if doc.weights is not None:
-        lines.append("weight " + " ".join(coef_str(w) for w in doc.weights) + ";")
-    for (i, j), u in sorted(doc.table.items()):
+    if spec.weight is not None:
+        lines.append("weight " + " ".join(coef_str(w) for w in spec.weight[: alg.d]) + ";")
+    for (i, j), u in sorted(spec.table.items()):
         lines.append(f"bracket {{{alg.names[i - 1]},{alg.names[j - 1]}}} = {u};")
     return "\n".join(lines) + "\n"
 
 
 def quadratic_warnings(doc: SpecDocument):
     """Informational notices for entries that are not homogeneous quadratic."""
-    names = doc.algebra.names
+    names = doc.spec.algebra.names
     return [
         f"entry ({names[i - 1]},{names[j - 1]}) is not homogeneous quadratic"
-        for (i, j), u in sorted(doc.table.items())
+        for (i, j), u in sorted(doc.spec.table.items())
         if any(len(w1) + len(w2) != 2 for w1, w2 in u.terms)
     ]

@@ -595,10 +595,12 @@ def _rep_all_witnesses():
     lambda: check_h0_skew(_flipped_mdb2(), 2, all_witnesses=True),
     lambda: check_jacobi(_scaled_mdb2(), 2, all_witnesses=True),
     _rep_all_witnesses,
-], ids=["h0skew", "jacobi", "rep"])
+    lambda: check_weight(_flipped_mdb2(), _flipped_mdb2().weight),
+    lambda: check_poisson_property(_flipped_mdb2(), _flipped_mdb2().weight),
+], ids=["h0skew", "jacobi", "rep", "weight", "poisson"])
 def test_sweep_witness_cap(check, monkeypatch):
-    """A sweep of exactly ``MAX_WITNESSES`` witnesses keeps them all; one
-    more is refused."""
+    """A sweep, or a letter comparison, of exactly ``MAX_WITNESSES``
+    witnesses keeps them all; one more is refused."""
     full = check()
     # rep runs two sweeps, each under the cap: the larger one sets the limit
     limit = max(sum(len(w.inputs) == n for w in full.witnesses) for n in (2, 3))

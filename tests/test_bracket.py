@@ -61,6 +61,35 @@ class TestLetterBracket:
         alg = mdbII.algebra
         assert mdbII.letter_bracket(1, 2) == alg.tensor2({((1,), (2,)): -1})
 
+    def test_refuses_what_no_spec_can_hold(self):
+        """A pair outside the algebra, an entry over another algebra, a
+        weight vector of the wrong length and an inverse letter whose weight
+        is not minus its generator's (the .ndb text holds only the
+        generators' weights) are refused; a .ndb document is a spec, so no
+        document can hold them either."""
+        alg, other = FreeAlgebra(("v",)), FreeAlgebra(("v", "w"))
+        for table, weight in (({(1, 2): other.tensor2({((2,), ()): 1})}, None),
+                              ({(1, 1): other.tensor2({((1,), ()): 1})}, None),
+                              ({}, (1, 1))):
+            with pytest.raises(ValueError):
+                BracketSpec(alg, table, weight)
+        laurent = FreeAlgebra(("v",), (1,))
+        assert BracketSpec(laurent, {}, (2, -2)).weight == (2, -2)
+        with pytest.raises(ValueError, match="minus its generator"):
+            BracketSpec(laurent, {}, (2, 2))
+
+    def test_equality_is_by_algebra_table_and_weight(self, mdbII):
+        alg, table, w = mdbII.algebra, dict(mdbII.table), mdbII.weight
+        fresh = BracketSpec(alg, table, w)
+        fresh.dbracket(alg.gen(1), alg.gen(2) * alg.gen(3))  # a filled memo is not compared
+        assert fresh == mdbII
+        renamed = FreeAlgebra(("y1", "y2", "y3"))
+        for other in (BracketSpec(alg, table), BracketSpec(alg, dict(list(table.items())[1:]), w),
+                      BracketSpec(renamed, {k: renamed.tensor2(dict(u.terms)) for k, u in table.items()}, w)):
+            assert other != mdbII
+        with pytest.raises(TypeError):
+            hash(mdbII)
+
     def test_zero_default(self, mdbII):
         assert mdbII.letter_bracket(1, 3).is_zero()
 

@@ -71,6 +71,10 @@ class TestWords:
         with pytest.raises(ValueError):
             L2.validate_word((1, -1))  # not reduced
 
+    def test_one_letter_order(self):
+        alg = FreeAlgebra(("v", "w"), (2, 1))
+        assert alg.inverted == (1, 2) and alg == L2 and alg.letters == (1, 2, -1, -2)
+
     @pytest.mark.parametrize("alg", [A3, L2, FreeAlgebra(("u", "v", "w"), inverted=(2,))])
     @pytest.mark.parametrize("include_unit", [True, False])
     def test_word_count_cap(self, alg, include_unit, monkeypatch):

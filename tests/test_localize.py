@@ -7,6 +7,7 @@ from ncdb.bracket import BracketSpec
 from ncdb.axioms import check_jacobi, check_poisson_property, check_weight, infer_weight
 from ncdb.classify import FamilyParams, build, builtin
 from ncdb.localize import localize
+from ncdb.speclang import doc_from_spec, parse, render
 
 from oracles import inner_act, outer_act
 
@@ -41,6 +42,15 @@ class TestLocalize:
         assert loc.algebra.letters == (1, 2, -1, -2)
         assert check_weight(loc, wext).passed
         assert check_poisson_property(loc, wext).passed
+
+    def test_inversion_order_survives_ndb(self, kont):
+        """The letters come in increasing generator order whatever order
+        ``invert`` names them in, so the .ndb text carries the whole spec."""
+        spec, w = kont
+        loc, wext = localize(spec, w, (2, 1))
+        assert loc.algebra.inverted == (1, 2) and wext == (1, -1, -1, 1)
+        assert (loc, wext) == localize(spec, w, (1, 2))
+        assert parse(render(doc_from_spec(loc))).to_spec() == (loc, wext)
 
     def test_single_generator_plans(self, kont):
         spec, w = kont
@@ -85,7 +95,7 @@ class TestLocalize:
     def test_binary_family_point_localises(self):
         spec, w = build(FamilyParams("cl3b", (0, 1, 0, 1, 0, 1)))
         loc, wext = localize(spec, w, (3, 1))
-        assert wext == (1, 1, -1, 1, -1)
+        assert wext == (1, 1, -1, -1, 1)
         assert check_poisson_property(loc, wext).passed
 
     def test_laurent_bounded_jacobi(self, kont):

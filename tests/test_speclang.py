@@ -14,6 +14,7 @@ from ncdb.axioms import modified_double_poisson_battery
 from ncdb.cli import _emit_reports, main
 from ncdb.classify import FamilyParams, build, builtin
 from ncdb.localize import localize
+from ncdb.bracket import BracketSpec
 from ncdb.freealg import FreeAlgebra, reduce_word
 from ncdb.speclang import (
     ParseError,
@@ -42,7 +43,7 @@ class TestParse:
 
     def test_zero_entry(self):
         doc = parse("algebra x1 x2; bracket {x1,x2} = 0;")
-        assert doc.table == {}
+        assert doc.spec.table == {}
 
     def test_inverse_letters_with_inv_marker(self):
         doc = parse("algebra x1 inv x2; bracket {x1,x2} = x1^-1 (x) x2;")
@@ -57,7 +58,7 @@ class TestParse:
     def test_weights_and_name(self):
         doc = parse("name demo; algebra v w; weight 1 -1/2; bracket {v,w} = 2/3*v (x) w;")
         assert doc.name == "demo"
-        assert doc.weights == (1, Fraction(-1, 2))
+        assert doc.spec.weight == (1, Fraction(-1, 2))
         spec, weights = doc.to_spec()
         assert weights == (1, Fraction(-1, 2))
 
@@ -68,7 +69,7 @@ class TestParse:
 
     def test_comments_and_unicode_tensor(self):
         doc = parse("algebra v w;  # generators\nbracket {v,w} = v ⊗ w;")
-        assert doc.table[(1, 2)].terms == {((1,), (2,)): 1}
+        assert doc.spec.table[(1, 2)].terms == {((1,), (2,)): 1}
 
     def test_exponent_expansion_and_reduction(self):
         doc = parse("algebra v inv w; bracket {v,w} = v^2 (x) v^-2; bracket {w,v} = v*v^-1 (x) w;")
@@ -78,7 +79,7 @@ class TestParse:
 
     def test_exponent_cap(self):
         doc = parse("algebra v inv; bracket {v,v} = v^64 (x) v^-64;")
-        assert doc.table[(1, 1)].terms == {((1,) * 64, (-1,) * 64): 1}
+        assert doc.spec.table[(1, 1)].terms == {((1,) * 64, (-1,) * 64): 1}
         for exp in ("65", "-65"):
             with pytest.raises(ParseError) as ei:
                 parse(f"algebra v inv; bracket {{v,v}} = v^{exp} (x) 1;")
@@ -131,20 +132,20 @@ class TestParse:
 
     def test_document_coefficients_are_exact(self):
         alg = FreeAlgebra(("v", "w"))
-        doc = SpecDocument(alg, {(1, 2): alg.tensor2({((1,), (2,)): Fraction(6, 3)})})
-        assert type(doc.table[(1, 2)].terms[((1,), (2,))]) is int
+        doc = SpecDocument(BracketSpec(alg, {(1, 2): alg.tensor2({((1,), (2,)): Fraction(6, 3)})}))
+        assert type(doc.spec.table[(1, 2)].terms[((1,), (2,))]) is int
         for bad in (0.1, 0.0):
             with pytest.raises(ValueError):
-                SpecDocument(alg, {(1, 2): alg.tensor2({((1,), (2,)): bad})})
+                SpecDocument(BracketSpec(alg, {(1, 2): alg.tensor2({((1,), (2,)): bad})}))
         # weights are refused the same way, and stored as Fraction
-        doc = SpecDocument(alg, {}, (1, Fraction(1, 2)))
-        assert doc.weights == (1, Fraction(1, 2)) and all(type(w) is Fraction for w in doc.weights)
+        doc = SpecDocument(BracketSpec(alg, {}, (1, Fraction(1, 2))))
+        assert doc.spec.weight == (1, Fraction(1, 2)) and all(type(w) is Fraction for w in doc.spec.weight)
         with pytest.raises(ValueError):
-            SpecDocument(alg, {}, (0.1, 1))
+            SpecDocument(BracketSpec(alg, {}, (0.1, 1)))
 
     def test_like_terms_collected(self):
         doc = parse("algebra v w; bracket {v,w} = v (x) w + v (x) w - 2*v (x) w;")
-        assert doc.table == {}
+        assert doc.spec.table == {}
 
 
 class TestRender:
@@ -173,15 +174,18 @@ class TestRender:
         ("cl1_case1", (Fraction(3, 2), 1, Fraction(-1, 3))),
         ("cl1_case2", (2, Fraction(1, 2), 3)),
         ("cl3a", (1, 0, 0, 0, 1, 1)), ("cl3b", (0, 1, 0, 0, 0, 0)),
-        ("cld", (4, 2)), ("cld2", (4, 1)), ("kontsevich_laurent", ()),
+        ("cld", (4, 2)), ("cld2", (4, 1)),
+        ("kontsevich_laurent", (1, 2)), ("kontsevich_laurent", (2, 1)),
     ])
     def test_round_trip_keeps_table_and_reports(self, family, params):
         if family == "kontsevich_laurent":
             base, w = builtin("kontsevich")
-            spec, w = localize(base, w, (1, 2))
+            spec, w = localize(base, w, params)
         else:
             spec, w = build(FamilyParams(family, params))
-        parsed, pw = parse(render(doc_from_spec(spec))).to_spec()
+        doc = doc_from_spec(spec)
+        assert parse(render(doc)) == doc
+        parsed, pw = parse(render(doc)).to_spec()
 
         def typed(s):
             return {p: {k: (c, type(c)) for k, c in u.terms.items()} for p, u in s.table.items()}
@@ -236,9 +240,9 @@ def random_document(rng: random.Random) -> SpecDocument:
         table[pair] = alg.tensor2(terms)
     weights = None
     if rng.random() < 0.5:
-        weights = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(d))
+        weights = alg.letter_weights(Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(d))
     name = "spec%d" % rng.randint(0, 99) if rng.random() < 0.5 else None
-    return SpecDocument(alg, table, weights, name)
+    return SpecDocument(BracketSpec(alg, table, weights), name)
 
 
 class TestRoundTripProperty:
@@ -338,6 +342,9 @@ class TestCli:
         )
         assert code == 0
         assert "algebra v inv w inv;" in out
+        # an algebra has one letter order, so the order of --invert does not reach the text
+        assert self.run(["localize", str(f), "--invert", "2,1"], capsys=capsys,
+                        monkeypatch=monkeypatch)[1] == out
         code, out2, _ = self.run(
             ["verify", "-", "--max-degree", "2"], stdin_text=out, capsys=capsys, monkeypatch=monkeypatch
         )
@@ -460,11 +467,15 @@ class TestCli:
         assert code == 2 and not out
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("command", ["h0skew", "jacobi"])
-    def test_witness_cap_exits_2(self, command, mdbI_file, capsys, monkeypatch, tmp_path):
+    @pytest.mark.parametrize("command,flags", [
+        ("h0skew", ["--max-degree", "2", "--all-witnesses"]),
+        ("jacobi", ["--max-degree", "2", "--all-witnesses"]),
+        ("verify", ["--max-degree", "1"]),  # the letter comparisons keep every witness
+    ], ids=["h0skew", "jacobi", "verify"])
+    def test_witness_cap_exits_2(self, command, flags, mdbI_file, capsys, monkeypatch, tmp_path):
         f = tmp_path / "flipped.ndb"
         f.write_text(Path(mdbI_file).read_text().replace("{x2,x3} = -x2", "{x2,x3} = x2"))
-        argv = [command, str(f), "--max-degree", "2", "--all-witnesses"]
+        argv = [command, str(f)] + flags
         assert self.run(argv, capsys=capsys, monkeypatch=monkeypatch)[0] == 1
         monkeypatch.setattr(axioms, "MAX_WITNESSES", 1)
         code, out, err = self.run(argv, capsys=capsys, monkeypatch=monkeypatch)
