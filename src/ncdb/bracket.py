@@ -17,18 +17,21 @@ positive generators (absent pairs are zero).  Everything else is derived:
   ``_dbr_words``, and :func:`jacobiator_ids` an ``mb``, the one formula of
   the Jacobiator on words and on interned word ids alike.
 
-Each computed value has one memo, read by the route that fills it: the
-sweeps in :mod:`ncdb.axioms` and :mod:`ncdb.repspace` read {u, w} on
+A spec is a frozen value, its ``table`` a read-only map of its own copies
+of the nonzero entries, so no memo can outlive the value it was computed
+from.  Each computed value has one memo, read by the route that fills it:
+the sweeps in :mod:`ncdb.axioms` and :mod:`ncdb.repspace` read {u, w} on
 interned word ids (``_mb_ids``), the element-level ``mbracket`` and
 ``jacobiator`` read it per word pair (``_mb_cache``), and ``_mb_words``,
-``_dbr_words`` and ``_djac_words`` themselves keep nothing.
-Memos are only ever filled with idempotent pure values and are safe to share.
+``_dbr_words`` and ``_djac_words`` themselves keep nothing.  Memos take no
+part in equality and only ever hold idempotent pure values, safe to share.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+from dataclasses import dataclass, field
 from types import MappingProxyType
 
 from .freealg import (
@@ -41,40 +44,43 @@ from .freealg import (
 )
 
 
+def _memo(factory):
+    """A field built empty per instance and kept out of init, equality and repr."""
+    return field(default_factory=factory, init=False, compare=False, repr=False)
+
+
+@dataclass(frozen=True)
 class BracketSpec:
     """A generator bracket table plus the machinery of its Leibniz extension."""
 
-    def __init__(self, algebra: FreeAlgebra, table: dict, weight=None):
-        self.algebra = algebra
+    algebra: FreeAlgebra
+    table: MappingProxyType
+    weight: tuple = None
+    _letter_cache: dict = _memo(dict)  # (x, y) -> raw {(w1, w2): coef}
+    _mb_cache: dict = _memo(dict)      # (u, w) -> raw {word: coef}, read by mbracket only
+    _word_ids: dict = _memo(lambda: {(): 0})  # interning: the sweeps key words by small ids
+    _id_words: list = _memo(lambda: [()])
+    _mb_id_cache: dict = _memo(dict)   # (uid, wid) -> {word id: coef}, read by the sweeps
+
+    def __post_init__(self):
+        algebra = self.algebra
         clean = {}
-        for (i, j), u in table.items():
+        for (i, j), u in self.table.items():
             if not (1 <= i <= algebra.d and 1 <= j <= algebra.d):
                 raise ValueError(f"table pair ({i},{j}) out of range")
             if not isinstance(u, Tensor2) or u.algebra != algebra:
                 raise ValueError(f"table entry for ({i},{j}) is not a tensor over {algebra}")
             if u:
-                clean[(i, j)] = u
-        # read-only: the memo caches below are derived from it
-        self.table = MappingProxyType(clean)
-        self.weight = None if weight is None else algebra.weight_vector(weight)
-        if self.weight is not None and self.weight != algebra.letter_weights(self.weight[: algebra.d]):
-            raise ValueError("the weight of an inverse letter must be minus its generator's")
-        self._letter_cache = {}  # (x, y) -> raw {(w1, w2): coef}
-        self._mb_cache = {}      # (u, w) -> raw {word: coef}, read by mbracket only
-        # interning: sweeps key everything by small word ids instead of tuples
-        self._word_ids = {(): 0}
-        self._id_words = [()]
-        self._mb_id_cache = {}   # (uid, wid) -> {word id: coef}, read by the sweeps
+                clean[(i, j)] = Tensor2(algebra, MappingProxyType(dict(u.terms)))
+        object.__setattr__(self, "table", MappingProxyType(clean))
+        if self.weight is not None:
+            weight = algebra.weight_vector(self.weight)
+            if weight != algebra.letter_weights(weight[: algebra.d]):
+                raise ValueError("the weight of an inverse letter must be minus its generator's")
+            object.__setattr__(self, "weight", weight)
 
     def __repr__(self):
         return f"BracketSpec({self.algebra}, {len(self.table)} entries)"
-
-    def __eq__(self, other):  # the same bracket and weight; the memos are derived
-        if not isinstance(other, BracketSpec):
-            return NotImplemented
-        return (self.algebra, self.table, self.weight) == (other.algebra, other.table, other.weight)
-
-    __hash__ = None
 
     # -- letter-level bracket -------------------------------------------------
 

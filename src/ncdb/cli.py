@@ -106,19 +106,17 @@ def _build_parser():
     v.add_argument("--triple-degree", type=_positive_int, default=None)
     v.add_argument("--json", action="store_true")
 
-    j = sub.add_parser("jacobi", help="Jacobi identity on bounded monomials, each (a, b) row "
-                       "built once per pair of cyclic classes")
-    j.add_argument("file")
-    j.add_argument("--max-degree", type=_positive_int, default=3)
-    j.add_argument("--all-witnesses", action="store_true")
-    j.add_argument("--json", action="store_true")
-
-    h = sub.add_parser("h0skew", help="bounded skew symmetry modulo commutators, one residual "
-                       "per pair of cyclic classes")
-    h.add_argument("file")
-    h.add_argument("--max-degree", type=_positive_int, default=4)
-    h.add_argument("--all-witnesses", action="store_true")
-    h.add_argument("--json", action="store_true")
+    for command, check, degree, text in (
+            ("jacobi", "check_jacobi", 3, "Jacobi identity on bounded monomials, each (a, b) row "
+             "built once per pair of cyclic classes"),
+            ("h0skew", "check_h0_skew", 4, "bounded skew symmetry modulo commutators, one residual "
+             "per pair of cyclic classes")):
+        s = sub.add_parser(command, help=text)
+        s.set_defaults(check=check)  # the checker in axioms
+        s.add_argument("file")
+        s.add_argument("--max-degree", type=_positive_int, default=degree)
+        s.add_argument("--all-witnesses", action="store_true")
+        s.add_argument("--json", action="store_true")
 
     c = sub.add_parser("classify", help="reproduce a classification table")
     c.add_argument("family", choices=["cl1", "cl3a", "cl3b"])
@@ -190,17 +188,10 @@ def _dispatch(args) -> int:
         extra = {"weights": [str(w) for w in used]} if used else None
         return _emit_reports(reports, args.json, extra)
 
-    if args.command == "jacobi":
+    if "check" in args:  # jacobi and h0skew
         spec, _ = _load_spec(args.file)
-        return _emit_reports(
-            [axioms.check_jacobi(spec, args.max_degree, args.all_witnesses)], args.json
-        )
-
-    if args.command == "h0skew":
-        spec, _ = _load_spec(args.file)
-        return _emit_reports(
-            [axioms.check_h0_skew(spec, args.max_degree, args.all_witnesses)], args.json
-        )
+        check = getattr(axioms, args.check)
+        return _emit_reports([check(spec, args.max_degree, args.all_witnesses)], args.json)
 
     if args.command == "classify":
         return _classify(args)

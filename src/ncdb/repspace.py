@@ -43,7 +43,7 @@ from fractions import Fraction
 from types import MappingProxyType
 
 from .freealg import Element, FreeAlgebra, exact
-from .bracket import BracketSpec, jacobiator_ids
+from .bracket import BracketSpec, _memo, jacobiator_ids
 from .axioms import VerificationReport, report, sweep, sweep_ids
 
 
@@ -74,52 +74,55 @@ def _checked_size(n):
     return n
 
 
-@dataclass
+@dataclass(frozen=True)
 class MatrixPoint:
     """One exact-rational point of the N-dimensional representation space.
 
-    ``mats`` maps each positive generator index to its ``size`` x ``size``
-    matrix of ``int`` or ``Fraction`` entries; for each inverted generator
-    the point stores the exact inverse (``invs``), computed by elimination.
-    Both mappings are read-only after construction.  ``denom`` is the common
-    denominator D of all letter matrices; the word cache holds the integer
-    matrices N(w) = D**len(w) * M(w), and ``word_trace`` memoizes tr M(w).
+    ``mats`` maps each generator 1..d, and nothing else, to its ``size`` x
+    ``size`` matrix of ``int`` or ``Fraction`` entries, kept as read-only
+    tuples; ``invs`` holds the exact inverse of each inverted one and
+    ``denom`` the common denominator D of all letter matrices.  The cache of
+    N(w) = D**len(w) * M(w) and the ``word_trace`` memo are not compared.
     """
 
     algebra: FreeAlgebra
     size: int
-    mats: dict
-    invs: dict = field(init=False)
-    _words: dict = field(default_factory=dict, init=False, repr=False)
-    _traces: dict = field(default_factory=dict, init=False, repr=False)
+    mats: MappingProxyType
+    invs: MappingProxyType = field(init=False)
+    denom: int = field(init=False)
+    _cols: dict = field(init=False, compare=False, repr=False)  # columns of N_g
+    _words: dict = _memo(dict)
+    _traces: dict = _memo(dict)
 
     def __post_init__(self):
         n = _checked_size(self.size)
+        mats = {}
         for i in range(1, self.algebra.d + 1):
             m = self.mats.get(i)
             if m is None:
                 raise ValueError(f"missing matrix for generator {i}")
             if len(m) != n or any(len(row) != n for row in m):
                 raise ValueError(f"matrix for generator {i} is not {n} x {n}")
-            for row in m:
-                for x in row:
-                    exact(x)
+            mats[i] = tuple(map(tuple, m))
+            for x in itertools.chain.from_iterable(mats[i]):
+                exact(x)
+        if len(mats) != len(self.mats):
+            key = next(k for k in self.mats if k not in mats)
+            raise ValueError(f"matrix for {key!r}, which is not a generator 1..{self.algebra.d}")
         invs = {}
         for i in self.algebra.inverted:
-            invs[i] = mat_inverse(self.mats[i])
+            invs[i] = mat_inverse(mats[i])
             if invs[i] is None:
                 raise ValueError(f"matrix for generator {i} is singular")
-        # read-only copies: the integer caches below are built from them
-        self.mats = MappingProxyType(dict(self.mats))
-        self.invs = MappingProxyType(invs)
+        object.__setattr__(self, "mats", MappingProxyType(mats))
+        object.__setattr__(self, "invs", MappingProxyType(invs))
         letters = {g: self.letter_matrix(g) for g in self.algebra.letters}
         d = math.lcm(*(x.denominator for m in letters.values() for row in m for x in row))
-        self.denom = d
-        # columns of N_g, the right factor of every product below
-        self._cols = {
+        object.__setattr__(self, "denom", d)
+        object.__setattr__(self, "_cols", {
             g: tuple(zip(*(tuple(x.numerator * (d // x.denominator) for x in row) for row in m)))
             for g, m in letters.items()
-        }
+        })
         self._words[()] = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
     @classmethod

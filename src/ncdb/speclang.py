@@ -122,13 +122,13 @@ def tokenize(text: str):
 # document model
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpecDocument:
     """A .ndb document: the :class:`BracketSpec` it denotes and a name.
 
     The spec holds the algebra, the table and the weight vector on the
     algebra's letters, and makes every check on them; documents compare by
-    their specs (:meth:`BracketSpec.__eq__`) and names.
+    their specs' algebras, tables and weights, and by their names.
     """
 
     spec: BracketSpec

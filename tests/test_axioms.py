@@ -40,6 +40,22 @@ def mdbII():
     return builtin("mdbII")[0]
 
 
+def count_calls(monkeypatch, spec, name):
+    """The argument tuples of each call of the ``BracketSpec`` method
+    ``name`` on ``spec``, recorded by patching the class, since a frozen
+    spec refuses a patch of its own attribute."""
+    calls = []
+    kernel = getattr(BracketSpec, name)
+
+    def spy(self, *args):
+        if self is spec:
+            calls.append(args)
+        return kernel(self, *args)
+
+    monkeypatch.setattr(BracketSpec, name, spy)
+    return calls
+
+
 def zero_spec(d=2):
     alg = FreeAlgebra.standard(d)
     return BracketSpec(alg, {})
@@ -462,9 +478,7 @@ def test_sweeps_leave_the_element_memo_to_mbracket(monkeypatch):
     check_induced_poisson(spec, MatrixPoint.random(spec.algebra, 2, 0), 2)
     assert spec._mb_id_cache and not spec._mb_cache
 
-    calls = []
-    kernel = spec._mb_words
-    monkeypatch.setattr(spec, "_mb_words", lambda u, w: calls.append((u, w)) or kernel(u, w))
+    calls = count_calls(monkeypatch, spec, "_mb_words")
     a = spec.algebra.element({(1, 2): 1, (3,): 2})
     b = spec.algebra.element({(2, 3, 1): -1})
     first = spec.mbracket(a, b)
@@ -520,9 +534,7 @@ def test_h0_skew_brackets_once_per_pair_of_classes(make, classes, monkeypatch):
     51, so a fresh h0 sweep brackets exactly their ordered pairs, reading
     {a,b} and {b,a} once per unordered pair."""
     spec = make()
-    calls = []
-    kernel = spec._mb_ids
-    monkeypatch.setattr(spec, "_mb_ids", lambda u, w: calls.append((u, w)) or kernel(u, w))
+    calls = count_calls(monkeypatch, spec, "_mb_ids")
     check_h0_skew(spec, 4)
     assert len(spec._mb_id_cache) == classes ** 2
     assert len(calls) == classes * (classes + 1)
@@ -549,9 +561,7 @@ def test_rep_pair_stage_reads_one_row_per_class(make, classes, letters, monkeypa
     class a and letter x: 60 reads on mdbI up to degree 3, 18 on the
     Kontsevich spec, and no bracket of two sweep words."""
     spec = make()
-    calls = []
-    kernel = spec._mb_ids
-    monkeypatch.setattr(spec, "_mb_ids", lambda u, w: calls.append((u, w)) or kernel(u, w))
+    calls = count_calls(monkeypatch, spec, "_mb_ids")
     stage = {}  # arity -> the reads made during that sweep
     real = repspace.sweep
 
@@ -700,9 +710,7 @@ def test_poisson_property_brackets_once_per_argument_pair(monkeypatch):
     """A fresh ``check_poisson_property`` computes each double bracket its
     letter triples read once, through a memo that lives for that one check."""
     spec, w = builtin("mdbI")
-    calls = []
-    kernel = spec._dbr_words
-    monkeypatch.setattr(spec, "_dbr_words", lambda u, v: calls.append((u, v)) or kernel(u, v))
+    calls = count_calls(monkeypatch, spec, "_dbr_words")
     assert check_poisson_property(spec, w).passed
     distinct = set(calls)
     assert len(calls) == len(distinct) == 33  # 9 letter pairs, 18 of a letter and a 2-letter word, 6 with 1

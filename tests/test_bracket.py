@@ -1,9 +1,11 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
 from ncdb.freealg import FreeAlgebra, Tensor3, reduce_word
+from ncdb.axioms import check_poisson_property
 from ncdb.bracket import BracketSpec
 from ncdb.classify import builtin
 
@@ -94,13 +96,27 @@ class TestLetterBracket:
         assert mdbII.letter_bracket(1, 3).is_zero()
 
     def test_table_is_read_only(self, mdbII):
-        # the memo caches are derived from the table, so it must not change under them
+        """The memo caches are derived from the table, so it must not change
+        under them: neither it, an entry of it, a tensor mutated after it
+        went into a table, nor any field of the frozen spec."""
         with pytest.raises(TypeError):
             mdbII.table[(1, 3)] = mdbII.table[(1, 2)]
         copy = dict(mdbII.table)
         copy[(1, 3)] = copy[(1, 2)]
         assert (1, 3) not in mdbII.table
         assert mdbII.letter_bracket(1, 3).is_zero()
+        with pytest.raises(TypeError):
+            mdbII.table[(1, 2)].terms[((1,), (2,))] = 5
+        alg, w = mdbII.algebra, mdbII.weight
+        table = {k: alg.tensor2(dict(u.terms)) for k, u in mdbII.table.items()}
+        spec = BracketSpec(alg, table, w)
+        assert check_poisson_property(spec, w).passed
+        table[(1, 2)].terms[((1,), (2,))] = 5
+        assert spec == mdbII and check_poisson_property(spec, w).passed
+        assert not check_poisson_property(BracketSpec(alg, table, w), w).passed
+        for name, value in (("table", builtin("mdbI")[0].table), ("weight", (5, 5, 5)), ("algebra", alg)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(spec, name, value)
 
     def test_inverse_second_argument(self, kont_laurent):
         # <<w, v^-1>> = -v^-1 . <<w, v>> . v^-1 = -w (x) v^-1

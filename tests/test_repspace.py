@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -48,11 +49,22 @@ class TestMatrices:
         p1 = MatrixPoint.random(mdbI.algebra, 2, seed=5)
         p2 = MatrixPoint.random(mdbI.algebra, 2, seed=5)
         assert p1.mats == p2.mats
+        p1.word_trace((1, 2))  # a filled memo is not compared
+        assert p1 == p2
 
     def test_matrices_are_read_only(self, mdbI):
         p = MatrixPoint.random(mdbI.algebra, 2, seed=5)
         with pytest.raises(TypeError):
             p.mats[1] = p.mats[2]
+        for name in ("size", "mats", "invs", "denom"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(p, name, 1)
+        # a caller's list matrix, mutated after construction, changes nothing
+        m = [[1, 2], [3, 4]]
+        q = MatrixPoint(FreeAlgebra.standard(1), 2, {1: m})
+        m[0][0] = 9
+        assert q.letter_matrix(1) == ((1, 2), (3, 4))
+        assert q.word_trace((1,)) == 5 and q.word_trace((1, 1)) == 29
 
     def test_inverted_generators_get_inverses(self):
         alg = FreeAlgebra(("v", "w"), inverted=(1, 2))
@@ -84,6 +96,8 @@ class TestMatrices:
             (2, {1: eye2, 2: ((1.5, 0), (0, 1))}),            # float entry
             (2, {1: eye2, 2: (("1", 0), (0, 1))}),            # string entry
             (2, {1: eye2}),                                   # missing generator
+            (2, {1: eye2, 2: eye2, 7: eye2}),                 # no generator 7
+            (2, {1: eye2, 2: eye2, -1: eye2}),                # an inverse letter
             (0, {1: (), 2: ()}),                              # empty point
         ]
         for size, mats in bad:

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import os
@@ -154,6 +155,9 @@ class TestRender:
             spec, _ = builtin(name)
             doc = doc_from_spec(spec, name=name)
             assert parse(render(doc)) == doc
+            for field in ("spec", "name"):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(doc, field, None)
 
     def test_canonical_text(self):
         spec, _ = builtin("mdbI")
