@@ -18,8 +18,9 @@ Every check is one of two generator-level comparisons or one bounded sweep.
   Jacobiators read their double brackets through one memo that lives for
   that check, so each bracket of a letter and a word is computed once.
 
-Both compare raw term dicts; a tensor is built, and rendered, only for a
-tuple that fails.
+Both compare raw term dicts on every tuple first and keep only the dicts of
+a failing one; no tensor is built, and text is rendered from those dicts,
+through one memo of word names per check, only once the witness cap holds.
 
 Both are sufficient for the axiom on the whole algebra because the brackets
 are Leibniz extensions.  :func:`sweep` is the bounded check on monomials,
@@ -46,15 +47,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .freealg import (
-    Element,
-    Tensor2,
-    Tensor3,
-    _merge_term,
-    concat,
-    cyclic_normal_form,
-    exact,
-)
+from .freealg import WordNames, _merge_term, concat, cyclic_normal_form, exact, render_terms
 from .bracket import BracketSpec, jacobiator_ids
 
 
@@ -198,31 +191,44 @@ def poisson_rhs(spec: BracketSpec, x: int, y: int, z: int, s, k) -> dict:
     return terms
 
 
-def _letter_witnesses(spec: BracketSpec, arity: int, cls, compare) -> list:
+def _letter_witnesses(spec: BracketSpec, arity: int, compare) -> list:
     """Witnesses of every ordered letter tuple whose raw terms
     ``compare(indices, letters)`` returns as two different dicts (actual,
-    expected); indices point into ``algebra.letters``.  Only a failing tuple
-    becomes a ``cls`` tensor, from those two dicts, to be rendered.  More
-    than ``MAX_WITNESSES`` is a ValueError, as in :func:`sweep`."""
+    expected); indices point into ``algebra.letters``.
+
+    The comparison runs over every tuple first and keeps only the two raw
+    dicts of each failing one, so more than ``MAX_WITNESSES`` is a
+    ValueError, as in :func:`sweep`, raised before any text exists.  Then
+    each failing tuple is rendered from its dicts, its residual merged on
+    raw terms, through one memo of word names for the whole check.
+    """
     alg = spec.algebra
     letters = alg.letters
-    witnesses = []
+    failing = []
     for idx in itertools.product(range(len(letters)), repeat=arity):
         cell = tuple(letters[i] for i in idx)
         actual, expected = compare(idx, cell)
         if actual != expected:
-            if len(witnesses) == MAX_WITNESSES:
+            if len(failing) == MAX_WITNESSES:
                 raise ValueError(f"sweep has more than {MAX_WITNESSES} witnesses")
-            actual, expected = cls(alg, actual), cls(alg, expected)
-            names = tuple(alg.render_word((g,)) for g in cell)
-            witnesses.append(Witness(names, str(expected), str(actual), str(actual - expected)))
+            failing.append((cell, actual, expected))
+    names = WordNames(alg)
+    witnesses = []
+    for cell, actual, expected in failing:
+        residual = dict(actual)
+        for key, c in expected.items():
+            _merge_term(residual, key, -c)
+        witnesses.append(Witness(tuple(names[(g,)][1] for g in cell),
+                                 render_terms(alg, expected, arity, names),
+                                 render_terms(alg, actual, arity, names),
+                                 render_terms(alg, residual, arity, names)))
     return witnesses
 
 
 def pair_witnesses(spec: BracketSpec, form) -> list:
     """Letter pairs whose skew defect is not the quadratic form
     s * (x (x) y - y (x) x) + k * (1 (x) xy - yx (x) 1), (s, k) = form(i, j)."""
-    return _letter_witnesses(spec, 2, Tensor2, lambda idx, cell: (
+    return _letter_witnesses(spec, 2, lambda idx, cell: (
         skew_defect(spec, *cell), form_terms(*cell, *form(*idx))))
 
 
@@ -238,7 +244,7 @@ def triple_witnesses(spec: BracketSpec, weights) -> list:
     dbr = functools.cache(spec._dbr_words)
     form = functools.cache(weight_form)
     djac = spec._djac_words
-    return _letter_witnesses(spec, 3, Tensor3, lambda idx, cell: (
+    return _letter_witnesses(spec, 3, lambda idx, cell: (
         djac((cell[0],), (cell[1],), (cell[2],), dbr),
         poisson_rhs(spec, *cell, *form(weights[idx[0]], weights[idx[1]]))))
 
@@ -273,7 +279,9 @@ def sweep(spec: BracketSpec, ids, arity: int, residual, render, expected: str, a
     depends on (a, b) alone is done once per pair, or None when the row is
     known to hold on every c: its cells are counted and not visited.  A
     residual is falsy when the identity holds; a failing cell becomes a
-    witness whose residual text is ``render`` of it.  Stops at the first
+    witness whose residual text is ``render(residual, names)``, ``names``
+    being the sweep's one :class:`ncdb.freealg.WordNames` memo keyed by
+    interned id, which also names the cell's monomials.  Stops at the first
     witness unless ``all_witnesses``; more than ``MAX_WITNESSES`` is a
     ValueError.  Returns (cells visited, witnesses).
 
@@ -291,7 +299,7 @@ def sweep(spec: BracketSpec, ids, arity: int, residual, render, expected: str, a
         rows = (((a,), lambda b, ca=cls[a]: memo(*sorted((ca, cls[b]))), ids[i:]) for i, a in enumerate(ids))
     else:
         rows = (((a, b), memo(cls[a], cls[b]), ids) for a in ids for b in ids)
-    name = spec.algebra.render_word
+    names = WordNames(spec.algebra, word_of)
     count = 0
     witnesses = []
     for head, at, tails in rows:
@@ -304,16 +312,11 @@ def sweep(spec: BracketSpec, ids, arity: int, residual, render, expected: str, a
             if res:
                 if len(witnesses) == MAX_WITNESSES:
                     raise ValueError(f"sweep has more than {MAX_WITNESSES} witnesses")
-                text = render(res)
-                names = tuple(name(word_of[k]) for k in head + (z,))
-                witnesses.append(Witness(names, expected, text, text))
+                text = render(res, names)
+                witnesses.append(Witness(tuple(names[k][1] for k in head + (z,)), expected, text, text))
                 if not all_witnesses:
                     return count, witnesses
     return count, witnesses
-
-
-def _id_element(spec: BracketSpec, res: dict) -> str:
-    return str(Element(spec.algebra, {spec._id_words[k]: v for k, v in res.items() if v}))
 
 
 # ---------------------------------------------------------------------------
@@ -469,9 +472,11 @@ def check_h0_skew(spec: BracketSpec, maxdeg: int = 4, all_witnesses: bool = Fals
                 res[k] = c if v is None else v + c
         return any(res.values()) and res
 
-    pairs, witnesses = sweep(spec, ids, 2, residual,
-                             lambda res: str(Element(spec.algebra, {k: v for k, v in res.items() if v})),
-                             "0 mod commutators", all_witnesses)
+    def render(res, _):  # keyed by words, not by the sweep's ids
+        return render_terms(spec.algebra, {k: v for k, v in res.items() if v}, 1, cnf_names)
+
+    cnf_names = WordNames(spec.algebra)
+    pairs, witnesses = sweep(spec, ids, 2, residual, render, "0 mod commutators", all_witnesses)
     return report("h0_skew_symmetry", spec, {"maxdeg": maxdeg, "pairs": pairs, "words": len(words)}, witnesses)
 
 
@@ -513,7 +518,8 @@ def check_jacobi(spec: BracketSpec, maxdeg: int = 3, all_witnesses: bool = False
         at = functools.partial(jacobiator_ids, spec._mb_ids, a, b)
         return at if any(map(at, letters)) else None  # a derivation in c
 
-    triples, witnesses = sweep(spec, ids, 3, row, lambda res: _id_element(spec, res), "0", all_witnesses)
+    triples, witnesses = sweep(spec, ids, 3, row, lambda res, names: render_terms(spec.algebra, res, 1, names),
+                               "0", all_witnesses)
     return report("jacobi_identity", spec, {"maxdeg": maxdeg, "triples": triples, "words": len(words)}, witnesses)
 
 

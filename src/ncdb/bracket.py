@@ -66,7 +66,7 @@ class BracketSpec:
         algebra = self.algebra
         clean = {}
         for (i, j), u in self.table.items():
-            if not (1 <= i <= algebra.d and 1 <= j <= algebra.d):
+            if not all(isinstance(k, int) and 1 <= k <= algebra.d for k in (i, j)):
                 raise ValueError(f"table pair ({i},{j}) out of range")
             if not isinstance(u, Tensor2) or u.algebra != algebra:
                 raise ValueError(f"table entry for ({i},{j}) is not a tensor over {algebra}")

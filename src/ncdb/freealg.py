@@ -370,7 +370,7 @@ class _Linear:
         return NotImplemented
 
     def __str__(self):
-        return render_terms(self.algebra, self.items(), self.arity)
+        return render_terms(self.algebra, self.terms, self.arity)
 
     __repr__ = __str__
 
@@ -404,22 +404,49 @@ class Tensor3(_Linear):
 # rendering
 
 
-def render_terms(algebra: FreeAlgebra, items, arity: int) -> str:
-    if not items:
+class WordNames(dict):
+    """The memo of (sort key, name) per word that :func:`render_terms` reads,
+    owned by its caller.  Keyed by the words themselves or, given ``word_of``
+    (a sequence or a map), by keys k standing for the words ``word_of[k]``,
+    as interned ids do."""
+
+    def __init__(self, algebra: FreeAlgebra, word_of=None):
+        super().__init__()
+        self.algebra = algebra
+        self.word_of = word_of
+
+    def __missing__(self, k):
+        w = k if self.word_of is None else self.word_of[k]
+        entry = self[k] = (word_key(w), self.algebra.render_word(w))
+        return entry
+
+
+def render_terms(algebra: FreeAlgebra, terms: dict, arity: int, names: WordNames = None) -> str:
+    """The canonical text of the raw terms {key: coef}, a key being a word
+    (arity 1) or a tuple of ``arity`` words, in deglex order of its words.
+    A caller rendering many dicts passes one ``names`` memo for them all.
+    A leading unit word prints as its coefficient, a coefficient of
+    magnitude 1 on any other first word is left out, and no terms print 0.
+    """
+    if not terms:
         return "0"
+    if names is None:
+        names = WordNames(algebra)
+    name = names.__getitem__
+    # distinct words have distinct sort keys, so rows never compare past them
+    rows = sorted((tuple(map(name, key)) if arity > 1 else (name(key),), c) for key, c in terms.items())
     chunks = []
-    for key, c in items:
-        words = (key,) if arity == 1 else key
-        neg = c < 0
-        mag = -c if neg else c
-        first = algebra.render_word(words[0])
-        if not words[0]:
-            head = coef_str(mag)
-        elif mag == 1:
-            head = first
-        else:
-            head = f"{coef_str(mag)}*{first}"
-        body = " (x) ".join([head] + [algebra.render_word(w) for w in words[1:]])
+    for entries, c in rows:
+        mag = coef_str(c)
+        neg = mag[0] == "-"
+        if neg:
+            mag = mag[1:]
+        parts = [e[1] for e in entries]
+        if not entries[0][0][0]:  # the unit word: its key has length 0
+            parts[0] = mag
+        elif mag != "1":
+            parts[0] = f"{mag}*{parts[0]}"
+        body = " (x) ".join(parts)
         if not chunks:
             chunks.append(("-" if neg else "") + body)
         else:

@@ -257,10 +257,10 @@ def check_induced_poisson(spec: BracketSpec, p: MatrixPoint, maxdeg: int = 3,
     dcell = p.denom ** (bound + maxdeg - 1)  # the power of D in every cell
     params = {"size": p.size, "maxdeg": maxdeg}
     params["pairs"], witnesses = sweep(spec, ids, 2, lambda a, b: row(a)[b] + row(b)[a],
-                                       lambda t: str(Fraction(t, e * dcell)), "0", all_witnesses)
+                                       lambda t, _: str(Fraction(t, e * dcell)), "0", all_witnesses)
     if witnesses and not all_witnesses:
         return report("induced_trace_skew", spec, params, witnesses)
     params["triples"], more = sweep(spec, ids, 3,
                                     lambda a, b: cells(functools.partial(jacobiator_ids, mb, a, b), e * e).__getitem__,
-                                    lambda t: str(Fraction(t, e * e * dcell)), "0", all_witnesses)
+                                    lambda t, _: str(Fraction(t, e * e * dcell)), "0", all_witnesses)
     return report("induced_trace_poisson", spec, params, witnesses + more)

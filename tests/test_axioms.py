@@ -622,6 +622,26 @@ def test_sweep_witness_cap(check, monkeypatch):
         check()
 
 
+@pytest.mark.parametrize("check", [check_weight, check_poisson_property], ids=["weight", "poisson"])
+def test_letter_witness_cap_refuses_before_rendering(check, monkeypatch):
+    """A letter comparison past the cap is refused before any word is named:
+    the comparison runs over every tuple first and renders afterwards."""
+    spec = _flipped_mdb2()
+    limit = len(check(spec, spec.weight).witnesses)
+    assert limit > 1
+    names = []
+    render_word = FreeAlgebra.render_word
+    monkeypatch.setattr(FreeAlgebra, "render_word", lambda self, w: names.append(w) or render_word(self, w))
+    monkeypatch.setattr(axioms, "MAX_WITNESSES", limit)
+    check(spec, spec.weight)
+    assert names  # the counter sees the rendering of a kept report
+    names.clear()
+    monkeypatch.setattr(axioms, "MAX_WITNESSES", limit - 1)
+    with pytest.raises(ValueError, match=f"more than {limit - 1} witnesses"):
+        check(spec, spec.weight)
+    assert names == []
+
+
 def _cl1_rational_points(count=12):
     """Seeded cl1 points with Fraction parameters, rho = +-lam half the time
     and gammas drawn from 0, -2 lam and two other rationals, so that both

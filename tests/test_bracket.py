@@ -80,6 +80,16 @@ class TestLetterBracket:
         with pytest.raises(ValueError, match="minus its generator"):
             BracketSpec(laurent, {}, (2, 2))
 
+    def test_refuses_non_integer_pairs(self):
+        """A table pair of non-integer indices is refused, even one equal to
+        an integer: no letter bracket could read its entry."""
+        alg = FreeAlgebra(("x", "y"))
+        entry = alg.tensor2({((1,), (2,)): 1})
+        for pair in ((1.5, 2), (1.0, 2), (1, Fraction(2))):
+            with pytest.raises(ValueError, match="out of range"):
+                BracketSpec(alg, {pair: entry})
+        assert BracketSpec(alg, {(1, 2): entry}).letter_bracket(1, 2) == entry
+
     def test_equality_is_by_algebra_table_and_weight(self, mdbII):
         alg, table, w = mdbII.algebra, dict(mdbII.table), mdbII.weight
         fresh = BracketSpec(alg, table, w)

@@ -6,9 +6,12 @@ import pytest
 from ncdb import freealg
 from ncdb.freealg import (
     FreeAlgebra,
+    WordNames,
+    _merge_term,
     concat,
     cyclic_normal_form,
     reduce_word,
+    render_terms,
     word_key,
 )
 
@@ -234,6 +237,31 @@ class TestOrderingAndRendering:
         assert str(alg.tensor2({})) == "0"
         assert str(alg.one()) == "1"
         assert str(alg.element({(): Fraction(1, 2), (1,): -1})) == "1/2 - x1"
+        # the one renderer on raw term dicts, with and without a memo
+        # a unit first word prints its coefficient, whatever the arity
+        assert render_terms(alg, {((), (1,), (2,)): Fraction(3, 2)}, 3) == "3/2 (x) x1 (x) x2"
+        assert render_terms(alg, {((), (), ()): -1}, 3) == "-1 (x) 1 (x) 1"
+        # a coefficient of magnitude 1 on any other first word is left out
+        assert render_terms(alg, {((2,), ()): 1, ((1,), (2,)): -1}, 2) == "-x1 (x) x2 + x2 (x) 1"
+        # a Fraction of denominator 1, as a merge leaves it, prints as an integer
+        terms = {(1,): Fraction(1, 2), (): Fraction(1, 3)}
+        _merge_term(terms, (1,), Fraction(3, 2))
+        _merge_term(terms, (), Fraction(-10, 3))
+        assert terms == {(1,): 2, (): -3} and all(type(c) is Fraction for c in terms.values())
+        assert render_terms(alg, terms, 1) == "-3 + 2*x1"
+        # inverse letters sort after their generator and before the next one
+        assert render_terms(alg, {(1, -2): 1, (-2,): Fraction(-2, 3), (3,): 1, (2,): 4}, 1) == (
+            "4*x2 - 2/3*x2^-1 + x3 + x1*x2^-1")
+        assert render_terms(alg, {}, 2) == "0"
+        # words sort by length before letters
+        assert render_terms(alg, {(1, 1): 1, (3,): 1}, 1) == "x3 + x1*x1"
+        # a memo keyed by words, or by keys standing for words, as interned ids do
+        names = WordNames(alg)
+        assert render_terms(alg, {((1,), (-2,)): -1}, 2, names) == "-x1 (x) x2^-1"
+        assert names == {(1,): (word_key((1,)), "x1"), (-2,): (word_key((-2,)), "x2^-1")}
+        ids = WordNames(alg, [(), (3,), (1, 1)])
+        assert render_terms(alg, {2: 1, 1: -1, 0: 4}, 1, ids) == "4 - x3 + x1*x1"
+        assert sorted(ids) == [0, 1, 2]
 
     def test_items_sorted_deglex(self):
         x = A3.element({(2,): 1, (1, 1): 1, (1,): 1})
