@@ -472,10 +472,11 @@ def check_h0_skew(spec: BracketSpec, maxdeg: int = 4, all_witnesses: bool = Fals
                 res[k] = c if v is None else v + c
         return any(res.values()) and res
 
-    def render(res, _):  # keyed by words, not by the sweep's ids
+    cnf_names = WordNames(spec.algebra)  # the residual is keyed by words, not by the sweep's ids
+
+    def render(res, _):
         return render_terms(spec.algebra, {k: v for k, v in res.items() if v}, 1, cnf_names)
 
-    cnf_names = WordNames(spec.algebra)
     pairs, witnesses = sweep(spec, ids, 2, residual, render, "0 mod commutators", all_witnesses)
     return report("h0_skew_symmetry", spec, {"maxdeg": maxdeg, "pairs": pairs, "words": len(words)}, witnesses)
 

@@ -16,7 +16,9 @@ that can back a claimed gain: the head must win at least nine of them.
 The output JSON holds, per workload and end-to-end metric of
 ``BENCHMARK.json``, the per-pair values of both sides, their medians and
 quartiles, and how many pairs the head won (strictly better in the metric's
-direction).  Each side also records whether every run was ``correct``.
+direction).  Each side also records whether every run was ``correct`` and how
+many ops each run attempted: a side that fits more passes into the fixed run
+length keeps more per-op records, which shows in its ``peak_rss_mb``.
 """
 
 from __future__ import annotations
@@ -78,7 +80,8 @@ def compare(base: Path, head: Path, workloads, pairs: int, seed: int) -> dict:
             order.append("-".join(sides))
             for side in sides:
                 runs[side].append(_run(base if side == "base" else head, workload, seed))
-        entry = {"order": order, "correct": {s: [r["correct"] for r in runs[s]] for s in runs}, "metrics": {}}
+        entry = {"order": order, "correct": {s: [r["correct"] for r in runs[s]] for s in runs},
+                 "attempted": {s: [r["attempted"] for r in runs[s]] for s in runs}, "metrics": {}}
         for spec in BENCHMARK["end_to_end"]:
             name = spec["name"]
             vals = {s: [r["metrics"][name]["value"] for r in runs[s]] for s in runs}
