@@ -57,30 +57,32 @@ class FamilyParams:
         object.__setattr__(self, "args", tuple(map(exact, self.args)))
         if self.variant not in _FAMILIES:
             raise ValueError(f"unknown family {self.variant!r}")
-        _FAMILIES[self.variant][0](self.args)
+        fn, check = _FAMILIES[self.variant]
+        names = fn.__code__.co_varnames[: fn.__code__.co_argcount]
+        if len(self.args) != len(names):
+            raise ValueError(f"expected ({', '.join(names)})" if names else "this family takes no parameters")
+        check(*self.args)
 
 
 def build(params: FamilyParams):
     """Instantiate a family: returns (BracketSpec, weight vector)."""
-    return _FAMILIES[params.variant][1](*params.args)
+    return _FAMILIES[params.variant][0](*params.args)
 
 
-def _family(name, validate):
+def _family(name, check=lambda *args: None):
+    """Register a builder as family ``name``.  A family's parameters are its
+    builder's: FamilyParams takes their count and names from its signature,
+    then ``check`` refuses values outside the family's domain."""
     def deco(fn):
-        _FAMILIES[name] = (validate, fn)
+        _FAMILIES[name] = (fn, check)
         return fn
 
     return deco
 
 
-def _no_args(args):
-    if args:
-        raise ValueError("this family takes no parameters")
-
-
-def _binary_triples(args):
-    if len(args) != 6 or any(a not in (0, 1) for a in args):
-        raise ValueError("expected six parameters in {0,1}")
+def _binary(*args):
+    if any(a not in (0, 1) for a in args):
+        raise ValueError("expected parameters in {0,1}")
 
 
 def weighted_table(A: FreeAlgebra, weights, entries) -> dict:
@@ -112,7 +114,7 @@ def _spec(A: FreeAlgebra, weights, entries):
 # fixed specs
 
 
-@_family("mdbI", _no_args)
+@_family("mdbI")
 def mdb_one():
     """First conjectured bracket on K<x1,x2,x3>, weight (1,-1,-1)."""
     return _spec(FreeAlgebra(("x1", "x2", "x3")), (Fraction(1), Fraction(-1), Fraction(-1)), {
@@ -122,7 +124,7 @@ def mdb_one():
     })
 
 
-@_family("mdbII", _no_args)
+@_family("mdbII")
 def mdb_two():
     """Second conjectured bracket on K<x1,x2,x3>, weight (-1,-1,-1)."""
     return _spec(FreeAlgebra(("x1", "x2", "x3")), (Fraction(-1),) * 3, {
@@ -132,7 +134,7 @@ def mdb_two():
     })
 
 
-@_family("kontsevich", _no_args)
+@_family("kontsevich")
 def kontsevich():
     """The 2-generator bracket of the Kontsevich system, weight (1,-1).
 
@@ -146,15 +148,7 @@ def kontsevich():
 # d = 2 ansatz
 
 
-def _arity(*names):
-    def validate(args):
-        if len(args) != len(names):
-            raise ValueError(f"expected ({', '.join(names)})")
-
-    return validate
-
-
-@_family("cl1", _arity("lam", "rho", "g1", "g2", "g3", "g4"))
+@_family("cl1")
 def cl1(lam, rho, g1, g2, g3, g4):
     """The general quadratic d=2 ansatz with zero self-brackets.
 
@@ -168,13 +162,13 @@ def cl1(lam, rho, g1, g2, g3, g4):
     })
 
 
-@_family("cl1_case1", _arity("lam", "alpha", "beta"))
+@_family("cl1_case1")
 def cl1_case1(lam, alpha, beta):
     """d=2 Poisson family at weight (lam, -lam): one-sided product terms."""
     return cl1(lam, -lam, 0, 0, -2 * alpha, -2 * beta)
 
 
-@_family("cl1_case2", _arity("lam", "alpha~", "beta~"))
+@_family("cl1_case2")
 def cl1_case2(lam, alphat, betat):
     """d=2 Poisson family at weight (lam, lam): factor-swap terms."""
     return cl1(lam, lam, -2 * alphat, -2 * betat, 0, 0)
@@ -184,7 +178,7 @@ def cl1_case2(lam, alphat, betat):
 # d = 3 binary families
 
 
-@_family("cl3a", _binary_triples)
+@_family("cl3a", _binary)
 def cl3a(a1, a2, a3, b1, b2, b3):
     """d=3 family of weight (1,1,1); Poisson iff both parameter triples solve
     the survivor condition (see ``triple_condition``)."""
@@ -195,7 +189,7 @@ def cl3a(a1, a2, a3, b1, b2, b3):
     })
 
 
-@_family("cl3b", _binary_triples)
+@_family("cl3b", _binary)
 def cl3b(a1, a2, a3, b1, b2, b3):
     """d=3 family of weight (1,1,-1); the pairs with the third generator use
     one-sided product terms.  Poisson iff (a1,a2,b3) and (b1,b2,a3) solve the
@@ -216,10 +210,7 @@ def sign_weight(d: int, delta: int):
     return tuple(Fraction(1) if i < delta else Fraction(-1) for i in range(d))
 
 
-def _validate_cld(args):
-    if len(args) != 2:
-        raise ValueError("expected (d, delta)")
-    d, delta = args
+def _cld_domain(d, delta):
     if not (isinstance(d, int) and isinstance(delta, int)):
         raise ValueError("d and delta must be integers")
     if d < 4:
@@ -241,7 +232,7 @@ def _blocks(d: int, delta: int, inside_plus, across, inside_minus):
     return _spec(FreeAlgebra.standard(d), sign_weight(d, delta), entries)
 
 
-@_family("cld", _validate_cld)
+@_family("cld", _cld_domain)
 def cld(d: int, delta: int):
     """First d >= 4 family of weight sign_weight(d, delta): the bracket of a
     pair is a swap difference inside each sign block and a one-sided product
@@ -254,7 +245,7 @@ def cld(d: int, delta: int):
     )
 
 
-@_family("cld2", _validate_cld)
+@_family("cld2", _cld_domain)
 def cld2(d: int, delta: int):
     """Second d >= 4 family of weight sign_weight(d, delta): single-term
     brackets, with the reversed orientation carrying the opposite sign."""

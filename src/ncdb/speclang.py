@@ -169,11 +169,16 @@ class _Parser:
     def expect(self, kind, text=None) -> Token:
         t = self.cur
         if t.kind != kind or (text is not None and t.text != text):
-            self.fail(text or kind)
+            self.fail(f"'{text}'" if text else kind)
         return self.advance()
 
     def at_sym(self, text) -> bool:
         return self.cur.kind == "SYM" and self.cur.text == text
+
+    def nonzero_int(self, expected) -> Token:
+        if self.cur.kind == "INT" and int(self.cur.text) == 0:
+            self.fail(expected)
+        return self.expect("INT")
 
     # -- grammar -----------------------------------------------------------
 
@@ -241,6 +246,8 @@ class _Parser:
     def algebra_block(self):
         """The declared generators as (name, inverted) pairs."""
         gens = []
+        if self.at_sym(";"):
+            self.fail("at least one generator name")
         while not self.at_sym(";"):
             t = self.expect("IDENT")
             if t.text in KEYWORDS:
@@ -255,17 +262,15 @@ class _Parser:
                 inv = True
             gens.append((t.text, inv))
         self.expect("SYM", ";")
-        if not gens:
-            self.fail("at least one generator name")
         return gens
 
     def weight_block(self):
         vals = []
+        if self.at_sym(";"):
+            self.fail("at least one weight")
         while not self.at_sym(";"):
             vals.append(self.rational())
         self.expect("SYM", ";")
-        if not vals:
-            self.fail("at least one weight")
         return tuple(vals)
 
     def rational(self) -> Fraction:
@@ -276,10 +281,7 @@ class _Parser:
         num = int(self.expect("INT").text)
         if self.at_sym("/"):
             self.advance()
-            den = int(self.expect("INT").text)
-            if den == 0:
-                self.fail("a nonzero denominator")
-            return Fraction(sign * num, den)
+            return Fraction(sign * num, int(self.nonzero_int("a nonzero denominator").text))
         return Fraction(sign * num)
 
     def bracket_stmt(self):
@@ -314,10 +316,7 @@ class _Parser:
             self.fail("'(x)'")
         self.advance()
         c2, w2 = self.side()
-        c = sign * c1 * c2
-        if c == 0:
-            return []
-        return [((w1, w2), c)]
+        return [((w1, w2), sign * c1 * c2)]
 
     def side(self):
         """One tensor factor: optional rational coefficient times a word.
@@ -351,10 +350,8 @@ class _Parser:
             if self.at_sym("-"):
                 self.advance()
                 sign = -1
-            n = self.expect("INT")
+            n = self.nonzero_int("a nonzero exponent")
             exp = sign * int(n.text)
-            if exp == 0:
-                self.fail("a nonzero exponent")
             if abs(exp) > MAX_EXPONENT:  # x^N expands to N letters
                 raise ParseError(f"exponent {exp} exceeds {MAX_EXPONENT} in absolute value", n.line, n.col)
         return (t.text, exp, t)

@@ -146,6 +146,14 @@ class TestMixedType:
             MixedType(((0, 0.5), (0.5, 0)), ((0, 0), (0, 0)))  # float entries
         with pytest.raises(ValueError):
             MixedType(((0, 0), (0, 0)), ((0, "1"), ("-1", 0)))  # string entries
+        with pytest.raises(ValueError, match="square"):
+            MixedType(((0, 0), (0,)), ((0, 0), (0, 0)))  # a short row
+        with pytest.raises(ValueError, match="square"):
+            MixedType(((0, 0), (0, 0)), ((0,),))  # skew part of another size
+        with pytest.raises(ValueError, match="skew-symmetric"):
+            MixedType(((0, 0), (0, 0)), ((0, 1), (1, 0)))
+        with pytest.raises(ValueError, match="type size"):
+            check_mixed_type(zero_spec(3), MixedType(((0, 0), (0, 0)), ((0, 0), (0, 0))))
 
 
 class TestWeight:

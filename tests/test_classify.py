@@ -93,6 +93,17 @@ class TestBuild:
             with pytest.raises(ValueError):
                 FamilyParams("cld", args)  # integer d and delta
         assert FamilyParams("cld", (F(4), F(2))).args == (4, 2)
+        # the arity is the builder's: its parameter names, checked before the domain
+        for name, args, message in (
+            ("mdbI", (1,), "this family takes no parameters"),
+            ("cl1", (1, 2), "expected (lam, rho, g1, g2, g3, g4)"),
+            ("cl1_case2", (1,), "expected (lam, alphat, betat)"),
+            ("cl3a", (0, 1, 2), "expected (a1, a2, a3, b1, b2, b3)"),
+            ("cld", (4,), "expected (d, delta)"),
+        ):
+            with pytest.raises(ValueError) as ei:
+                FamilyParams(name, args)
+            assert str(ei.value) == message
 
 
 class TestSearchCL1:

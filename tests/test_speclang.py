@@ -43,8 +43,9 @@ class TestParse:
         assert not spec.table
 
     def test_zero_entry(self):
-        doc = parse("algebra x1 x2; bracket {x1,x2} = 0;")
-        assert doc.spec.table == {}
+        for rhs in ("0", "0 (x) x2", "0*x1 (x) x2 + x1 (x) 0*x2"):
+            doc = parse(f"algebra x1 x2; bracket {{x1,x2}} = {rhs};")
+            assert doc.spec.table == {}
 
     def test_inverse_letters_with_inv_marker(self):
         doc = parse("algebra x1 inv x2; bracket {x1,x2} = x1^-1 (x) x2;")
@@ -121,7 +122,25 @@ class TestParse:
         ("algebra x y\n  x;", 2, 3, "duplicate generator 'x'"),
         ("algebra x y;\nweight 1;\n", 2, 1, "weight block has 1 entries for 2 generators"),
         ("weight 1 2 3;\nalgebra x y;\n", 1, 1, "weight block has 3 entries for 2 generators"),
-    ], ids=["second_name", "repeated_generator", "short_weight", "long_weight_first"])
+        ("algebra x;\n;", 2, 1, "expected a statement keyword, found ';'"),
+        ("algebra x;\nbracet {x,x} = 0;", 2, 1, "expected 'name', 'algebra', 'weight' or 'bracket', found 'bracet'"),
+        ("algebra x;\nalgebra y;", 2, 1, "duplicate algebra block"),
+        ("weight 1;\nalgebra x;\nweight 2;", 3, 1, "duplicate weight block"),
+        ("algebra ;", 1, 9, "expected at least one generator name, found ';'"),
+        ("algebra x;\nweight ;", 2, 8, "expected at least one weight, found ';'"),
+        ("algebra x;\nweight 1/0;", 2, 10, "expected a nonzero denominator, found '0'"),
+        ("algebra x;\nbracket {x,x} = x^0 (x) 1;", 2, 19, "expected a nonzero exponent, found '0'"),
+        ("algebra x;\nbracket {x,x} = x;", 2, 18, "expected '(x)', found ';'"),
+        ("algebra x;\nbracket {x,x} = + x (x) x;", 2, 17, "expected a coefficient or a word, found '+'"),
+        ("algebra x;\nbracket {x x} = 0;", 2, 12, "expected ',', found 'x'"),
+        # a zero coefficient does not excuse a word from resolving
+        ("algebra v w; bracket {v,w} = 0*u (x) w;", 1, 32, "undeclared generator 'u'"),
+        ("algebra v w; bracket {v,w} = 0 (x) u;", 1, 36, "undeclared generator 'u'"),
+        ("algebra v w; bracket {v,w} = 0*v^-1 (x) w;", 1, 32, "generator 'v' is not invertible"),
+    ], ids=["second_name", "repeated_generator", "short_weight", "long_weight_first", "no_keyword",
+            "unknown_keyword", "second_algebra", "second_weight", "no_generators", "no_weights",
+            "zero_denominator", "zero_exponent", "no_tensor_sign", "no_side", "expected_symbol",
+            "zero_coef_undeclared", "zero_side_undeclared", "zero_coef_not_invertible"])
     def test_statement_faults_have_positions(self, text, line, col, message):
         with pytest.raises(ParseError) as ei:
             parse(text)
@@ -213,10 +232,13 @@ class TestRender:
         text = (SPECS / f"{name}.ndb").read_text(encoding="utf-8")
         assert render(doc_from_spec(builtin(name)[0], name=name)) == text
 
-    def test_quadratic_warning(self):
-        doc = parse("algebra v w; bracket {v,w} = v*v (x) w;")
-        notes = quadratic_warnings(doc)
+    def test_quadratic_warning(self, capsys, monkeypatch):
+        text = "algebra v w; bracket {v,w} = v*v (x) w;"
+        notes = quadratic_warnings(parse(text))
         assert notes and "not homogeneous quadratic" in notes[0]
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        main(["verify", "-", "--max-degree", "1"])
+        assert capsys.readouterr().err == f"note: {notes[0]}\n"
 
 
 def random_document(rng: random.Random) -> SpecDocument:
@@ -265,9 +287,12 @@ class TestCli:
         out = capsys.readouterr()
         return code, out.out, out.err
 
-    def test_builtin_verify_pipe(self, capsys, monkeypatch):
+    def test_builtin_verify_pipe(self, capsys, monkeypatch, tmp_path):
         code, text, _ = self.run(["builtin", "mdbI"], capsys=capsys, monkeypatch=monkeypatch)
         assert code == 0
+        f = tmp_path / "mdbI.ndb"
+        assert self.run(["builtin", "mdbI", "-o", str(f)], capsys=capsys, monkeypatch=monkeypatch) == (0, "", "")
+        assert f.read_text() == text
         code, out, _ = self.run(
             ["verify", "-", "--max-degree", "2"], stdin_text=text, capsys=capsys, monkeypatch=monkeypatch
         )
@@ -325,12 +350,21 @@ class TestCli:
     def test_usage_error_exits_2(self, capsys, monkeypatch):
         code, _, _ = self.run(["frobnicate"], capsys=capsys, monkeypatch=monkeypatch)
         assert code == 2
+        for argv in (["verify", "-", "--max-degree", "x"], ["localize", "-", "--invert", "1,x"],
+                     ["classify", "cl1", "--lam", "x"]):
+            code, out, err = self.run(argv, capsys=capsys, monkeypatch=monkeypatch)
+            assert code == 2 and not out and f"error: argument {argv[-2]}: " in err
 
     def test_classify_cl3a_json(self, capsys, monkeypatch):
         code, out, _ = self.run(["classify", "cl3a", "--json"], capsys=capsys, monkeypatch=monkeypatch)
         assert code == 0
         payload = json.loads(out)
         assert payload["count"] == 36
+        code, out, _ = self.run(["classify", "cl3a"], capsys=capsys, monkeypatch=monkeypatch)
+        assert code == 0
+        head, *rows = out.splitlines()
+        assert head == "cl3a: 36 surviving parameter pairs"
+        assert rows == [f"  {tuple(a)} , {tuple(b)}" for a, b in payload["survivors"]]
 
     def test_classify_cl1(self, capsys, monkeypatch):
         code, out, _ = self.run(["classify", "cl1"], capsys=capsys, monkeypatch=monkeypatch)
@@ -353,6 +387,10 @@ class TestCli:
             ["verify", "-", "--max-degree", "2"], stdin_text=out, capsys=capsys, monkeypatch=monkeypatch
         )
         assert code == 0
+        g = tmp_path / "kont_loc.ndb"
+        assert self.run(["localize", str(f), "--invert", "1,2", "-o", str(g)], capsys=capsys,
+                        monkeypatch=monkeypatch) == (0, "", "")
+        assert g.read_text() == out
 
     @pytest.mark.parametrize("invert,localised", [
         ("3", False),    # out of range
@@ -401,6 +439,14 @@ class TestCli:
         )
         assert code == 0
         assert "algebra v1 v2 v3 v4;" in out
+        # a wrong arity, a value outside the domain and an unknown family exit 2
+        for argv, err_start in (
+            (["builtin", "cl1", "--params", "1,2"], "error: expected (lam, rho, g1, g2, g3, g4)\n"),
+            (["builtin", "cl3a", "--params", "0,0,2,0,0,0"], "error: expected parameters in {0,1}\n"),
+            (["builtin", "nosuch"], "usage: "),
+        ):
+            code, out, err = self.run(argv, capsys=capsys, monkeypatch=monkeypatch)
+            assert code == 2 and not out and err.startswith(err_start)
 
     def test_broken_pipe_exits_141_quietly(self):
         read_end, write_end = os.pipe()
