@@ -322,7 +322,7 @@ class _Parser:
         """One tensor factor: optional rational coefficient times a word.
 
         Returns (coef, word-as-(name, exp, token)-list).  A bare integer is a
-        multiple of the unit monomial; '0' makes the whole term vanish.
+        multiple of the unit monomial; a 0 drops the term once its words resolve.
         """
         if self.cur.kind == "INT":
             c = self.rational()
