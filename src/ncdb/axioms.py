@@ -31,11 +31,12 @@ the sweep itself one of more than ``MAX_WITNESSES`` witnesses.  It holds
 the one class rule of the package: every kernel depends on a and b only
 through their cyclic classes, so the sweep computes it once per pair of
 classes, at their normal forms.  Its kernels are the cyclic normal form of
-{a,b} + {b,a} (``check_h0_skew``), an integer trace at a matrix point
-(``repspace.check_induced_poisson``) and the Jacobiator itself
-(:func:`ncdb.bracket.jacobiator_ids`, read by ``check_jacobi`` and at the
-point by ``check_induced_poisson``); for fixed (a, b) the Jacobiator is a
-derivation in c, so a row that vanishes on the letters is decided there.
+{a,b} + {b,a}, summed from letter skew defects (``check_h0_skew``), an
+integer trace at a matrix point (``repspace.check_induced_poisson``) and the
+Jacobiator itself (:func:`ncdb.bracket.jacobiator_ids`, read by
+``check_jacobi`` and at the point by ``check_induced_poisson``); for fixed
+(a, b) the Jacobiator is a derivation in c, so a row that vanishes on the
+letters is decided there.
 Each kernel's class rule is proved in the docstring of its checker.
 """
 
@@ -457,27 +458,38 @@ def check_h0_skew(spec: BracketSpec, maxdeg: int = 4, all_witnesses: bool = Fals
     {u, bc} - {u, cb} = [b,{u,c}] + [{u,b},c], so {u, -} maps [A,A] into
     itself and {u, w} = {u, cnf(w)} mod [A,A].  Hence the residual at
     (a, b) is the residual at (cnf(a), cnf(b)).
+
+    It is read off the letter skew defects, once each per check.  A term
+    c * p (x) q of <<x,y>>, x = a_i and y = b_j, gives c * b_<j p A_i q b_>j
+    in {a,b} (``_mb_words``), A_i = a_>i a_<i; one of <<y,x>> gives
+    a_<i p B_j q a_>i in {b,a}, a rotation of b_<j q A_i p b_>j, the word
+    of q (x) p in flip(<<y,x>>).  So the residual sums c * cnf(b_<j p A_i q
+    b_>j) over the terms of :func:`skew_defect` (x, y); on a Laurent algebra
+    the two words are conjugate in the free group, so one cnf serves.
     """
     words = spec.algebra.words_up_to(maxdeg)
     ids = sweep_ids(spec, words, 2)
-    mb = spec._mb_ids
     word_of = spec._id_words
+    defect = functools.cache(functools.partial(skew_defect, spec))
+    reduced = spec.algebra.has_inverses
 
-    def residual(a, b):  # {a,b} + {b,a} on cyclic normal forms
+    def residual(a, b):  # {a,b} + {b,a} on cyclic normal forms, from the skew defects
+        u, w = word_of[a], word_of[b]
+        mids = [(x, concat(u[i + 1 :], u[:i])) for i, x in enumerate(u)]  # x = a_i and A_i
         res = {}
-        for part in (mb(a, b), mb(b, a)):
-            for w, c in part.items():
-                k = cyclic_normal_form(word_of[w])
-                v = res.get(k)
-                res[k] = c if v is None else v + c
-        return any(res.values()) and res
+        for j, y in enumerate(w):
+            wp, ws = w[:j], w[j + 1 :]
+            for x, mid in mids:
+                for (p, q), c in defect(x, y).items():  # the word of _mb_words; a free algebra takes the faster +
+                    k = cyclic_normal_form(concat(concat(concat(wp, p), mid), concat(q, ws))
+                                           if reduced else wp + p + mid + q + ws)
+                    v = res.get(k)
+                    res[k] = c if v is None else v + c
+        return any(res.values()) and {k: v for k, v in res.items() if v}
 
     cnf_names = WordNames(spec.algebra)  # the residual is keyed by words, not by the sweep's ids
-
-    def render(res, _):
-        return render_terms(spec.algebra, {k: v for k, v in res.items() if v}, 1, cnf_names)
-
-    pairs, witnesses = sweep(spec, ids, 2, residual, render, "0 mod commutators", all_witnesses)
+    pairs, witnesses = sweep(spec, ids, 2, residual, lambda res, _: render_terms(spec.algebra, res, 1, cnf_names),
+                             "0 mod commutators", all_witnesses)
     return report("h0_skew_symmetry", spec, {"maxdeg": maxdeg, "pairs": pairs, "words": len(words)}, witnesses)
 
 

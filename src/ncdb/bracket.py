@@ -20,11 +20,11 @@ positive generators (absent pairs are zero).  Everything else is derived:
 A spec is a frozen value, its ``table`` a read-only map of its own copies
 of the nonzero entries, so no memo can outlive the value it was computed
 from.  Each computed value has one memo, read by the route that fills it:
-the sweeps in :mod:`ncdb.axioms` and :mod:`ncdb.repspace` read {u, w} on
-interned word ids (``_mb_ids``), the element-level ``mbracket`` and
-``jacobiator`` read it per word pair (``_mb_cache``), and ``_mb_words``,
-``_dbr_words`` and ``_djac_words`` themselves keep nothing.  Memos take no
-part in equality and only ever hold idempotent pure values, safe to share.
+the Jacobi sweeps in :mod:`ncdb.axioms` and :mod:`ncdb.repspace` read
+{u, w} on interned word ids (``_mb_ids``; the h0 sweep reads only letter
+brackets), ``mbracket`` and ``jacobiator`` per word pair (``_mb_cache``),
+and ``_mb_words``, ``_dbr_words`` and ``_djac_words`` keep nothing.  Memos
+take no part in equality and only ever hold idempotent pure values.
 """
 
 from __future__ import annotations

@@ -83,15 +83,16 @@ def cyclic_normal_form(w: Word) -> Word:
     n = len(w)
     if n <= 1:
         return w
-    keyed = [letter_key(g) for g in w]
-    best = None
-    best_rot = w
-    for k in range(n):
-        cand = keyed[k:] + keyed[:k]
-        if best is None or cand < best:
-            best = cand
-            best_rot = w[k:] + w[:k]
-    return best_rot
+    least = min(w)  # the minimal rotation starts at a least letter: only those are compared
+    if least < 0:  # an inverse letter: compare in letter order
+        keyed = [letter_key(g) for g in w]
+        least = min(keyed)
+        k = min((k for k in range(n) if keyed[k] == least), key=lambda k: keyed[k:] + keyed[:k])
+        return w[k:] + w[:k]
+    k = w.index(least)  # no inverse letter: letter order is integer order
+    if w.count(least) == 1:
+        return w[k:] + w[:k]
+    return min(w[k:] + w[:k] for k in range(k, n) if w[k] == least)
 
 
 # ---------------------------------------------------------------------------

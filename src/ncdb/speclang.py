@@ -98,6 +98,8 @@ def tokenize(text: str):
             j = i
             while j < n and text[j] in _DIGITS:
                 j += 1
+            if j - i > 4300:  # int() refuses a longer string by default
+                raise ParseError("integer of more than 4300 digits", line, col)
             toks.append(Token("INT", text[i:j], line, col))
             col += j - i
             i = j

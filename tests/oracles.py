@@ -1,7 +1,8 @@
 """Reference implementations that the tests compare the package against.
 
 Each is the plain, direct spelling of something ncdb computes another way:
-bimodule actions written term by term, classes modulo commutators through
+bimodule actions written term by term, the cyclic normal form as the
+minimal rotation over every rotation, classes modulo commutators through
 ``cyclic_normal_form``, matrix evaluation by ``Fraction`` products of the
 letter matrices, never through a point's integer word cache, the h0 skew
 sweep bracketing every pair on its own words, the Jacobi sweep on every
@@ -20,7 +21,7 @@ import math
 from fractions import Fraction
 
 from ncdb.axioms import Witness, check_double_poisson, report
-from ncdb.freealg import Element, Tensor2, Tensor3, _merge_term, concat, cyclic_normal_form
+from ncdb.freealg import Element, Tensor2, Tensor3, _merge_term, concat, cyclic_normal_form, cyclic_reduce, letter_key
 
 # ---------------------------------------------------------------------------
 # bimodule actions and mixed constructors
@@ -74,6 +75,19 @@ def m2(u: Tensor2) -> Element:
     for (a, b), c in u.terms.items():
         _merge_term(terms, concat(a, b), c)
     return Element(u.algebra, terms)
+
+
+def rotation_normal_form(w):
+    """``cyclic_normal_form`` as the plain loop over every rotation of the
+    cyclically reduced word, compared in letter order."""
+    w = cyclic_reduce(w)
+    keyed = [letter_key(g) for g in w]
+    best, best_rot = None, w
+    for k in range(len(w)):
+        cand = keyed[k:] + keyed[:k]
+        if best is None or cand < best:
+            best, best_rot = cand, w[k:] + w[:k]
+    return best_rot
 
 
 def reduce_mod_commutators(x: Element) -> Element:

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import random
@@ -535,17 +536,40 @@ def test_h0_class_memo_matches_per_pair_sweep(name, maxdeg, all_witnesses):
     assert same, next(((x, y) for x, y in zip(full.witnesses, memo.witnesses) if x != y), "counts differ")
 
 
+@pytest.mark.parametrize("make,maxdeg,all_witnesses,witnesses,digest", [
+    (_flipped_mdb2, 5, True, 60_955, "4d6ad012fba68dfc2ad65e90cf8884fc7e74a1b0d03cf06b9f429ecfb1a7f698"),
+    (lambda: builtin("kontsevich")[0], 6, False, 0, "994a3ba00b25efb2ba41e8a06658424c04584ae07d0b0dc35cdf0ff891ad4b62"),
+], ids=["mdbII_flipped_5", "kontsevich_6"])
+def test_h0_skew_high_degree_digests(make, maxdeg, all_witnesses, witnesses, digest):
+    """Reports of a degree the per-pair sweep above is too slow to reach,
+    pinned by the sha256 of their JSON as the per-pair route wrote it."""
+    r = check_h0_skew(make(), maxdeg, all_witnesses)
+    assert len(r.witnesses) == witnesses
+    assert hashlib.sha256(r.to_json().encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("make,classes", [(H0_SPECS["mdbI"], 45), (_laurent_kontsevich, 51)],
                          ids=["mdbI", "laurent"])
 def test_h0_skew_brackets_once_per_pair_of_classes(make, classes, monkeypatch):
     """mdbI has 45 cyclic classes up to degree 4 and the Laurent Kontsevich
-    51, so a fresh h0 sweep brackets exactly their ordered pairs, reading
-    {a,b} and {b,a} once per unordered pair."""
+    51, so a fresh h0 sweep computes its residual exactly once per unordered
+    pair of classes.  The residual reads only letter skew defects, each once
+    per ordered letter pair, and brackets no two sweep words."""
     spec = make()
-    calls = count_calls(monkeypatch, spec, "_mb_ids")
-    check_h0_skew(spec, 4)
-    assert len(spec._mb_id_cache) == classes ** 2
-    assert len(calls) == classes * (classes + 1)
+    mb_calls = count_calls(monkeypatch, spec, "_mb_ids")
+    residuals, defects = [], []
+    real_sweep, real_defect = axioms.sweep, axioms.skew_defect
+
+    def sweep_spy(spec, ids, arity, residual, *rest):
+        return real_sweep(spec, ids, arity, lambda a, b: residuals.append((a, b)) or residual(a, b), *rest)
+
+    monkeypatch.setattr(axioms, "sweep", sweep_spy)
+    monkeypatch.setattr(axioms, "skew_defect", lambda s, x, y: defects.append((x, y)) or real_defect(s, x, y))
+    assert check_h0_skew(spec, 4).passed
+    assert len(residuals) == len(set(residuals)) == classes * (classes + 1) // 2
+    assert not mb_calls and not spec._mb_id_cache
+    letters = spec.algebra.letters
+    assert sorted(defects) == sorted(itertools.product(letters, letters))
 
 
 @pytest.mark.parametrize("make,classes,letters", [(H0_SPECS["mdbI"], 20, 3), (lambda: builtin("kontsevich")[0], 9, 2)],

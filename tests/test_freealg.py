@@ -15,7 +15,7 @@ from ncdb.freealg import (
     word_key,
 )
 
-from oracles import inner_act, m2, otimes1_left, outer_act, pure_t2, reduce_mod_commutators
+from oracles import inner_act, m2, otimes1_left, outer_act, pure_t2, reduce_mod_commutators, rotation_normal_form
 
 A3 = FreeAlgebra(("v1", "v2", "v3"))
 L2 = FreeAlgebra(("v", "w"), inverted=(1, 2))
@@ -210,6 +210,19 @@ class TestCyclicClasses:
         assert cyclic_normal_form((1, 2, -1)) == (2,)
         x = L2.element({(1, 2, -1): 1, (2,): -1})
         assert reduce_mod_commutators(x).is_zero()
+
+    def test_least_letter_start_matches_every_rotation(self):
+        """The normal form from a least letter is the minimal rotation over
+        every rotation: on all free words up to length 7 on 3 letters, which
+        repeat their least letter as in (1, 2, 1, 3) and (1, 1, 2, 1, 2), and
+        on all reduced Laurent words up to length 5 on 2 inverted letters,
+        some not cyclically reduced, as (1, 2, -1)."""
+        free = FreeAlgebra.standard(3).words_up_to(7)
+        laurent = FreeAlgebra.standard(2, inverted=(1, 2)).words_up_to(5)
+        assert (1, 2, 1, 3) in free and (1, 1, 2, 1, 2) in free and (1, 2, -1) in laurent
+        assert len(free) == 3280 and len(laurent) == 485
+        for w in free + laurent:
+            assert cyclic_normal_form(w) == rotation_normal_form(w), w
 
     def test_laurent_rotation_invariance(self):
         rng = random.Random(19)

@@ -137,10 +137,14 @@ class TestParse:
         ("algebra v w; bracket {v,w} = 0*u (x) w;", 1, 32, "undeclared generator 'u'"),
         ("algebra v w; bracket {v,w} = 0 (x) u;", 1, 36, "undeclared generator 'u'"),
         ("algebra v w; bracket {v,w} = 0*v^-1 (x) w;", 1, 32, "generator 'v' is not invertible"),
+        # int() refuses more than 4,300 digits; the lexer refuses the token first
+        ("algebra x; weight " + "9" * 5000 + ";", 1, 19, "integer of more than 4300 digits"),
+        ("algebra x;\nbracket {x,x} = x^" + "9" * 5000 + " (x) 1;", 2, 19, "integer of more than 4300 digits"),
     ], ids=["second_name", "repeated_generator", "short_weight", "long_weight_first", "no_keyword",
             "unknown_keyword", "second_algebra", "second_weight", "no_generators", "no_weights",
             "zero_denominator", "zero_exponent", "no_tensor_sign", "no_side", "expected_symbol",
-            "zero_coef_undeclared", "zero_side_undeclared", "zero_coef_not_invertible"])
+            "zero_coef_undeclared", "zero_side_undeclared", "zero_coef_not_invertible",
+            "long_weight_literal", "long_exponent"])
     def test_statement_faults_have_positions(self, text, line, col, message):
         with pytest.raises(ParseError) as ei:
             parse(text)
@@ -341,7 +345,8 @@ class TestCli:
         ("name a;\nalgebra x y;\nname b;", "3:1"),
         ("algebra x x;", "1:11"),
         ("algebra x y;\nweight 1;\n", "2:1"),
-    ], ids=["second_name", "repeated_generator", "short_weight"])
+        ("algebra x;\nweight 1/" + "9" * 5000 + ";", "2:10"),
+    ], ids=["second_name", "repeated_generator", "short_weight", "long_denominator"])
     def test_statement_faults_exit_2(self, text, where, capsys, monkeypatch):
         code, out, err = self.run(["verify", "-"], stdin_text=text, capsys=capsys, monkeypatch=monkeypatch)
         assert code == 2 and out == ""
