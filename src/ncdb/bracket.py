@@ -24,7 +24,7 @@ the Jacobi sweeps in :mod:`ncdb.axioms` and :mod:`ncdb.repspace` read
 {u, w} on interned word ids (``_mb_ids``; the h0 sweep reads only letter
 brackets), ``mbracket`` and ``jacobiator`` per word pair (``_mb_cache``),
 and ``_mb_words``, ``_dbr_words`` and ``_djac_words`` keep nothing.  Memos
-take no part in equality and only ever hold idempotent pure values.
+take no part in equality and hold only idempotent pure values, safe to share.
 """
 
 from __future__ import annotations

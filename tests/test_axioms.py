@@ -537,8 +537,10 @@ def test_h0_class_memo_matches_per_pair_sweep(name, maxdeg, all_witnesses):
 
 
 @pytest.mark.parametrize("make,maxdeg,all_witnesses,witnesses,digest", [
-    (_flipped_mdb2, 5, True, 60_955, "4d6ad012fba68dfc2ad65e90cf8884fc7e74a1b0d03cf06b9f429ecfb1a7f698"),
-    (lambda: builtin("kontsevich")[0], 6, False, 0, "994a3ba00b25efb2ba41e8a06658424c04584ae07d0b0dc35cdf0ff891ad4b62"),
+    (_flipped_mdb2, 5, True, 60_955,
+     "4d6ad012fba68dfc2ad65e90cf8884fc7e74a1b0d03cf06b9f429ecfb1a7f698"),
+    (lambda: builtin("kontsevich")[0], 6, False, 0,
+     "994a3ba00b25efb2ba41e8a06658424c04584ae07d0b0dc35cdf0ff891ad4b62"),
 ], ids=["mdbII_flipped_5", "kontsevich_6"])
 def test_h0_skew_high_degree_digests(make, maxdeg, all_witnesses, witnesses, digest):
     """Reports of a degree the per-pair sweep above is too slow to reach,
