@@ -23,21 +23,27 @@ a failing one; no tensor is built, and text is rendered from those dicts,
 through one memo of word names per check, only once the witness cap holds.
 
 Both are sufficient for the axiom on the whole algebra because the brackets
-are Leibniz extensions.  :func:`sweep` is the bounded check on monomials,
-independent of those comparisons: it runs a residual kernel over unordered
-pairs or ordered triples of monomials up to a degree, and counts every
-cell; :func:`sweep_ids` refuses one of more than ``MAX_CELLS`` cells, and
-the sweep itself one of more than ``MAX_WITNESSES`` witnesses.  It holds
-the one class rule of the package: every kernel depends on a and b only
-through their cyclic classes, so the sweep computes it once per pair of
-classes, at their normal forms.  Its kernels are the cyclic normal form of
-{a,b} + {b,a}, summed from letter skew defects (``check_h0_skew``), an
-integer trace at a matrix point (``repspace.check_induced_poisson``) and the
-Jacobiator itself (:func:`ncdb.bracket.jacobiator_ids`, read by
-``check_jacobi`` and at the point by ``check_induced_poisson``); for fixed
-(a, b) the Jacobiator is a derivation in c, so a row that vanishes on the
-letters is decided there.
-Each kernel's class rule is proved in the docstring of its checker.
+are Leibniz extensions.  :func:`sweep` is the bounded check on monomials: it
+runs a residual kernel over unordered pairs or ordered triples of monomials
+up to a degree, and counts every cell; :func:`sweep_ids` refuses one of more
+than ``MAX_CELLS`` cells, and the sweep itself one of more than
+``MAX_WITNESSES`` witnesses.  It holds the one class rule of the package:
+every kernel depends on a and b only through their cyclic classes, so the
+sweep computes it once per pair of classes, at their normal forms.  Its
+kernels are the cyclic normal form of {a,b} + {b,a}, summed from letter skew
+defects (``check_h0_skew``), an integer trace at a matrix point
+(``repspace.check_induced_poisson``) and the Jacobiator itself
+(:func:`ncdb.bracket.jacobiator_ids`, read by ``check_jacobi`` and at the
+point by ``check_induced_poisson``).  Each kernel's class rule is proved
+in the docstring of its checker.
+
+Both symbolic sweeps decide on the letters what a proof settles there: for
+fixed (a, b) the Jacobiator is a derivation in c, so a row that vanishes on
+the letters is not scanned, and skew defects that are a weight form make
+every h0 residual 0, so that sweep is not run at all.  So the symbolic
+sweeps are not independent of the letter comparisons; the independent
+evidence is the trace check of ``repspace``, which sweeps every pair and
+triple at a matrix point, and the unreduced sweeps of the test oracles.
 """
 
 from __future__ import annotations
@@ -466,9 +472,26 @@ def check_h0_skew(spec: BracketSpec, maxdeg: int = 4, all_witnesses: bool = Fals
     of q (x) p in flip(<<y,x>>).  So the residual sums c * cnf(b_<j p A_i q
     b_>j) over the terms of :func:`skew_defect` (x, y); on a Laurent algebra
     the two words are conjugate in the free group, so one cnf serves.
+
+    When every letter skew defect is a weight form (:func:`infer_weight`
+    finds weights l), the residual is 0 at every (a, b): the sweep is decided
+    on the letters and its n (n + 1) / 2 pairs are counted, not visited.
+    Write alpha_i = a_i A_i and beta_j = b_j B_j for the rotations of a and
+    b.  At (x, y) = (a_i, b_j) the defect is :func:`form_terms` (x, y, s, k),
+    (s, k) = :func:`weight_form` (l_x, l_y), and its four terms put through
+    the word above give the classes s[alpha_i beta_j] - s[alpha_(i+1)
+    beta_(j+1)] + k[alpha_(i+1) beta_j] - k[alpha_i beta_(j+1)], indices mod
+    |a| and |b|.  So the coefficient of [alpha_i beta_j] collects to
+    s(a_i, b_j) - s(a_(i-1), b_(j-1)) + k(a_(i-1), b_j) - k(a_i, b_(j-1)),
+    in which each weight appears once with + 1/2 and once with - 1/2: it is
+    0 for any weights, inverse letters included, and pairs (i, j) of one
+    class add zeros.
     """
     words = spec.algebra.words_up_to(maxdeg)
-    ids = sweep_ids(spec, words, 2)
+    ids = sweep_ids(spec, words, 2)  # refuses an oversized sweep before any letter bracket
+    if infer_weight(spec) is not None:  # a weight form: every residual is 0, see above
+        n = len(words)
+        return report("h0_skew_symmetry", spec, {"maxdeg": maxdeg, "pairs": n * (n + 1) // 2, "words": n}, [])
     word_of = spec._id_words
     defect = functools.cache(functools.partial(skew_defect, spec))
     reduced = spec.algebra.has_inverses
@@ -528,7 +551,7 @@ def check_jacobi(spec: BracketSpec, maxdeg: int = 3, all_witnesses: bool = False
     letters = [spec._wid((g,)) for g in spec.algebra.letters]
 
     def row(a, b):
-        at = functools.partial(jacobiator_ids, spec._mb_ids, a, b)
+        at = functools.cache(functools.partial(jacobiator_ids, spec._mb_ids, a, b))  # one for a class pair's rows
         return at if any(map(at, letters)) else None  # a derivation in c
 
     triples, witnesses = sweep(spec, ids, 3, row, lambda res, names: render_terms(spec.algebra, res, 1, names),

@@ -31,6 +31,7 @@ parse(render(doc)) == doc.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -68,6 +69,8 @@ class Token:
 
 
 def tokenize(text: str):
+    # int() refuses a longer digit string; a limit of 0 (none) keeps the default cap
+    cap = min(4300, getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300)
     toks = []
     line, col = 1, 1
     i, n = 0, len(text)
@@ -98,8 +101,8 @@ def tokenize(text: str):
             j = i
             while j < n and text[j] in _DIGITS:
                 j += 1
-            if j - i > 4300:  # int() refuses a longer string by default
-                raise ParseError("integer of more than 4300 digits", line, col)
+            if j - i > cap:
+                raise ParseError(f"integer of more than {cap} digits", line, col)
             toks.append(Token("INT", text[i:j], line, col))
             col += j - i
             i = j

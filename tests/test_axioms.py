@@ -277,8 +277,8 @@ class TestH0Skew:
         assert w.residual == "v1*v2"
 
     def test_poisson_failing_grid_point_still_h0_skew(self):
-        # the weighted skew condition alone forces H0 skew symmetry; take a
-        # parameter point that fails the Jacobiator conditions
+        # the weighted skew condition alone forces H0 skew symmetry (proved in
+        # the check_h0_skew docstring); take a point that fails the Jacobiator
         spec, w = build(FamilyParams("cl3a", (0, 1, 0, 0, 0, 0)))
         assert check_weight(spec, w).passed
         assert not check_poisson_property(spec, w).passed
@@ -498,7 +498,7 @@ def test_sweeps_leave_the_element_memo_to_mbracket(monkeypatch):
 def test_h0_skew_reads_the_normal_form_cache():
     """Words of one class meet within a sweep, so the normal-form cache hits."""
     cyclic_normal_form.cache_clear()
-    check_h0_skew(builtin("mdbI")[0], 3)
+    check_h0_skew(_flipped_mdb2(), 3)
     assert cyclic_normal_form.cache_info().hits > 0
 
 
@@ -550,28 +550,113 @@ def test_h0_skew_high_degree_digests(make, maxdeg, all_witnesses, witnesses, dig
     assert hashlib.sha256(r.to_json().encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("make,classes", [(H0_SPECS["mdbI"], 45), (_laurent_kontsevich, 51)],
-                         ids=["mdbI", "laurent"])
-def test_h0_skew_brackets_once_per_pair_of_classes(make, classes, monkeypatch):
-    """mdbI has 45 cyclic classes up to degree 4 and the Laurent Kontsevich
-    51, so a fresh h0 sweep computes its residual exactly once per unordered
-    pair of classes.  The residual reads only letter skew defects, each once
-    per ordered letter pair, and brackets no two sweep words."""
+@pytest.mark.parametrize("make,classes,swept", [
+    (H0_SPECS["mdbI"], 45, False), (_laurent_kontsevich, 51, False),
+    (_flipped_mdb2, 45, True), (_broken_laurent, 51, True),
+], ids=["mdbI", "laurent", "mdbII_flipped", "laurent_broken"])
+def test_h0_skew_brackets_once_per_pair_of_classes(make, classes, swept, monkeypatch):
+    """Up to degree 4 mdbI and the flipped mdbII have 45 cyclic classes, and
+    the Laurent Kontsevich spec and its doubled variant 51.  A fresh h0 sweep
+    with every witness computes its residual exactly once per unordered pair
+    of classes; the residual reads only letter skew defects, each once per
+    ordered letter pair, and brackets no two sweep words.  mdbI and the
+    Laurent Kontsevich spec, whose skew defects are weight forms, are
+    decided on the letters and never compute the residual."""
     spec = make()
     mb_calls = count_calls(monkeypatch, spec, "_mb_ids")
-    residuals, defects = [], []
+    residuals, defects, swept_defects = [], [], []
     real_sweep, real_defect = axioms.sweep, axioms.skew_defect
 
     def sweep_spy(spec, ids, arity, residual, *rest):
-        return real_sweep(spec, ids, arity, lambda a, b: residuals.append((a, b)) or residual(a, b), *rest)
+        start = len(defects)  # infer_weight reads skew defects before the sweep
+        out = real_sweep(spec, ids, arity, lambda a, b: residuals.append((a, b)) or residual(a, b), *rest)
+        swept_defects.extend(defects[start:])
+        return out
 
     monkeypatch.setattr(axioms, "sweep", sweep_spy)
     monkeypatch.setattr(axioms, "skew_defect", lambda s, x, y: defects.append((x, y)) or real_defect(s, x, y))
-    assert check_h0_skew(spec, 4).passed
-    assert len(residuals) == len(set(residuals)) == classes * (classes + 1) // 2
+    r = check_h0_skew(spec, 4, all_witnesses=True)
+    assert r.passed is not swept
+    n = r.params["words"]
+    assert r.params["pairs"] == n * (n + 1) // 2
+    assert len(residuals) == len(set(residuals)) == (classes * (classes + 1) // 2 if swept else 0)
     assert not mb_calls and not spec._mb_id_cache
     letters = spec.algebra.letters
-    assert sorted(defects) == sorted(itertools.product(letters, letters))
+    assert sorted(swept_defects) == (sorted(itertools.product(letters, letters)) if swept else [])
+
+
+def _one_generator(inverted):
+    """<<x,x>> = 1 (x) x^2 - x^2 (x) 1: its skew defect is 0, a weight form."""
+    alg = FreeAlgebra(("x",), inverted=(1,) if inverted else ())
+    return BracketSpec(alg, {(1, 1): alg.tensor2({((), (1, 1)): 1, ((1, 1), ()): -1})})
+
+
+WEIGHT_FORM_SPECS = {
+    "cl1_point": (lambda: build(FamilyParams("cl1", (2, Fraction(-1, 3), 1, -3, 2, Fraction(5, 2))))[0], 4),
+    "cld_point": (lambda: build(FamilyParams("cld", (4, 2)))[0], 3),
+    "cld2_point": (lambda: build(FamilyParams("cld2", (4, 1)))[0], 3),
+    "one_generator": (lambda: _one_generator(False), 6),
+    "one_generator_laurent": (lambda: _one_generator(True), 4),
+}
+
+
+@pytest.mark.parametrize("name", WEIGHT_FORM_SPECS)
+def test_weight_form_h0_skew_matches_per_pair_sweep(name, monkeypatch):
+    """A spec whose skew defects are a weight form is decided on the letters,
+    with every report byte of the sweep that brackets each pair on its own
+    words: the cl1 point has weights (2, -1/3), off rho = +-lam."""
+    make, maxdeg = WEIGHT_FORM_SPECS[name]
+    assert infer_weight(make()) is not None
+    full = unreduced_check_h0_skew(make(), maxdeg, all_witnesses=True)
+    monkeypatch.setattr(axioms, "sweep", None)  # the shortcut runs no sweep
+    same = check_h0_skew(make(), maxdeg, all_witnesses=True).to_json() == full.to_json()  # not inline, as above
+    assert full.passed and same
+
+
+def test_broken_weight_form_runs_the_sweep():
+    """mdbI with <<x1,x3>> doubled breaks the weight form on the one pair
+    {x1, x3}: the sweep runs and fails, as the per-pair sweep does."""
+    spec = builtin("mdbI")[0]
+    table = dict(spec.table)
+    table[(1, 3)] = table[(1, 3)].scale(2)
+    broken = BracketSpec(spec.algebra, table)
+    fails = check_weight(broken, builtin("mdbI")[1]).witnesses
+    assert [w.inputs for w in fails] == [("x1", "x3"), ("x3", "x1")] and infer_weight(broken) is None
+    r = check_h0_skew(broken, 3, all_witnesses=True)
+    same = r.to_json() == unreduced_check_h0_skew(broken, 3, all_witnesses=True).to_json()  # not inline, as above
+    assert not r.passed and same
+
+
+def _gauge_table(spec, weights):
+    """The table of ``spec`` minus F/2 on every ordered pair of generators,
+    F being the weight form of ``weights``: each skew defect D becomes D - F."""
+    alg = spec.algebra
+    table = dict(spec.table)
+    for x, y in itertools.product(range(1, alg.d + 1), repeat=2):
+        s, k = axioms.weight_form(weights[x - 1], weights[y - 1])
+        half = alg.tensor2(axioms.form_terms(x, y, s / 2, k / 2))
+        table[(x, y)] = table[(x, y)] - half if (x, y) in table else -half
+    return table
+
+
+@pytest.mark.parametrize("name", [name for name, make in H0_SPECS.items() if infer_weight(make()) is None])
+def test_h0_skew_is_blind_to_a_weight_form(name):
+    """Subtracting a weight form from every skew defect of a spec that is not
+    one leaves every report byte of its h0 sweep: the residual of a weight
+    form is 0, as the check_h0_skew docstring proves, and this sweep, which
+    runs, reads it through its real fold."""
+    spec = H0_SPECS[name]()
+    alg = spec.algebra
+    rng = random.Random(f"gauge/{name}")
+    weights = tuple(Fraction(rng.randint(1, 9), rng.randint(1, 4)) * rng.choice((1, -1)) for _ in range(alg.d))
+    form_only = BracketSpec(alg, _gauge_table(BracketSpec(alg, {}), weights))
+    # its defects are -F, the weight form of -weights, on the inverse letters too
+    assert infer_weight(form_only) == tuple(-w for w in alg.letter_weights(weights))
+    gauged = BracketSpec(alg, _gauge_table(spec, weights))
+    assert gauged != spec and infer_weight(gauged) is None
+    r = check_h0_skew(gauged, 3, all_witnesses=True)
+    same = r.to_json() == check_h0_skew(spec, 3, all_witnesses=True).to_json()  # not inline, as above
+    assert r.witnesses and same
 
 
 @pytest.mark.parametrize("make,classes,letters", [(H0_SPECS["mdbI"], 20, 3), (lambda: builtin("kontsevich")[0], 9, 2)],

@@ -150,6 +150,28 @@ class TestParse:
             parse(text)
         assert (ei.value.line, ei.value.col, ei.value.message) == (line, col, message)
 
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="this Python has no int() digit limit")
+    def test_long_integer_cap_follows_the_int_limit(self, monkeypatch):
+        """The lexer refuses what int() would: under a limit of 640 digits a
+        1,000-digit weight is a positioned ParseError, not int()'s plain
+        ValueError.  No limit (0), or no limit to read, keeps 4,300."""
+        def fault(digits):
+            with pytest.raises(ParseError) as ei:
+                parse("algebra x; weight " + "9" * digits + ";")
+            return ei.value.line, ei.value.col, ei.value.message
+
+        limit = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(640)
+            assert fault(1000) == (1, 19, "integer of more than 640 digits")
+            assert parse("algebra x; weight " + "9" * 640 + ";").spec.weight == (10 ** 640 - 1,)
+            sys.set_int_max_str_digits(0)
+            assert fault(4301) == (1, 19, "integer of more than 4300 digits")
+        finally:
+            sys.set_int_max_str_digits(limit)
+        monkeypatch.delattr(sys, "get_int_max_str_digits")
+        assert fault(4301) == (1, 19, "integer of more than 4300 digits")
+
     def test_reserved_generator_name_rejected(self):
         with pytest.raises(ParseError):
             parse("algebra inv v;")
@@ -351,6 +373,17 @@ class TestCli:
         code, out, err = self.run(["verify", "-"], stdin_text=text, capsys=capsys, monkeypatch=monkeypatch)
         assert code == 2 and out == ""
         assert err.startswith(f"parse error: {where}: ") and err.count("\n") == 1
+
+    def test_h0skew_cell_cap_precedes_the_weight_test(self, mdbI_file, capsys, monkeypatch):
+        """h0skew --max-degree 9 on three generators, 29,524 words, is refused
+        at the cell cap before the weight-form test reads a letter bracket."""
+        specs = []
+        real = axioms.sweep_ids
+        monkeypatch.setattr(axioms, "sweep_ids", lambda spec, *rest: specs.append(spec) or real(spec, *rest))
+        code, out, err = self.run(["h0skew", mdbI_file, "--max-degree", "9"], capsys=capsys, monkeypatch=monkeypatch)
+        assert code == 2 and not out
+        assert err == "error: 29524 monomials give a sweep of 435848050 cells, more than 50000000\n"
+        assert len(specs) == 1 and not specs[0]._letter_cache
 
     def test_usage_error_exits_2(self, capsys, monkeypatch):
         code, _, _ = self.run(["frobnicate"], capsys=capsys, monkeypatch=monkeypatch)
