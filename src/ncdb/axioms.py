@@ -30,8 +30,9 @@ than ``MAX_CELLS`` cells, and the sweep itself one of more than
 ``MAX_WITNESSES`` witnesses.  It holds the one class rule of the package:
 every kernel depends on a and b only through their cyclic classes, so the
 sweep computes it once per pair of classes, at their normal forms.  Its
-kernels are the cyclic normal form of {a,b} + {b,a}, summed from letter skew
-defects (``check_h0_skew``), an integer trace at a matrix point
+kernels are the cyclic normal form of {a,b} + {b,a}, which is {a,b} with the
+letter skew defects as letter brackets (``check_h0_skew``, through
+``BracketSpec._mb_words``), an integer trace at a matrix point
 (``repspace.check_induced_poisson``) and the Jacobiator itself
 (:func:`ncdb.bracket.jacobiator_ids`, read by ``check_jacobi`` and at the
 point by ``check_induced_poisson``).  Each kernel's class rule is proved
@@ -259,19 +260,21 @@ def triple_witnesses(spec: BracketSpec, weights) -> list:
 MAX_CELLS = 50_000_000  # most cells one sweep may count; Jacobi to degree 5 on three generators has 363**3
 
 
-def sweep_ids(spec: BracketSpec, words, arity: int) -> list:
-    """The interned ids of ``words`` for :func:`sweep`.
+def sweep_ids(spec: BracketSpec, words, arity: int) -> tuple:
+    """(cells, ids): the number of cells of a :func:`sweep` of ``arity`` over
+    ``words``, n (n + 1) / 2 unordered pairs or n**3 triples of n words, and
+    their interned ids, an iterator that interns each word as it is read, so
+    a check decided without sweeping interns none.
 
-    A sweep of ``arity`` over them that would count more than ``MAX_CELLS``
-    cells (n (n + 1) / 2 unordered pairs or n**3 triples of n words) is a
-    ValueError, raised before any bracket is computed: the word cap bounds
-    the words, not the cells, and a sweep's memos grow with its cells.
+    More than ``MAX_CELLS`` cells is a ValueError, raised before any bracket
+    is computed: the word cap bounds the words, not the cells, and a sweep's
+    memos grow with its cells.
     """
     n = len(words)
     cells = n * (n + 1) // 2 if arity == 2 else n ** 3
     if cells > MAX_CELLS:
         raise ValueError(f"{n} monomials give a sweep of {cells} cells, more than {MAX_CELLS}")
-    return [spec._wid(w) for w in words]
+    return cells, map(spec._wid, words)
 
 
 MAX_WITNESSES = 100_000  # most witnesses one sweep may keep; the largest report of the tests has 43,086
@@ -300,6 +303,7 @@ def sweep(spec: BracketSpec, ids, arity: int, residual, render, expected: str, a
     every cell in order, and witnesses name the original monomials.
     """
     word_of = spec._id_words
+    ids = list(ids)
     cls = {a: spec._wid(cyclic_normal_form(word_of[a])) for a in ids}
     memo = functools.cache(residual)
     if arity == 2:
@@ -465,13 +469,14 @@ def check_h0_skew(spec: BracketSpec, maxdeg: int = 4, all_witnesses: bool = Fals
     itself and {u, w} = {u, cnf(w)} mod [A,A].  Hence the residual at
     (a, b) is the residual at (cnf(a), cnf(b)).
 
-    It is read off the letter skew defects, once each per check.  A term
-    c * p (x) q of <<x,y>>, x = a_i and y = b_j, gives c * b_<j p A_i q b_>j
-    in {a,b} (``_mb_words``), A_i = a_>i a_<i; one of <<y,x>> gives
-    a_<i p B_j q a_>i in {b,a}, a rotation of b_<j q A_i p b_>j, the word
-    of q (x) p in flip(<<y,x>>).  So the residual sums c * cnf(b_<j p A_i q
-    b_>j) over the terms of :func:`skew_defect` (x, y); on a Laurent algebra
-    the two words are conjugate in the free group, so one cnf serves.
+    It is {a,b} with the letter skew defects D = :func:`skew_defect` as its
+    letter brackets, ``_mb_words`` (a, b, D), each word put to its cnf; D is
+    read once per ordered letter pair per check.  A term c * p (x) q of
+    <<x,y>>, x = a_i and y = b_j, gives c * b_<j p A_i q b_>j in {a,b} and
+    under D alike, A_i = a_>i a_<i.  One of <<y,x>> gives a_<i p B_j q a_>i
+    in {b,a}; in D(x, y) it is the term c * q (x) p of flip(<<y,x>>), whose
+    word b_<j q A_i p b_>j is a rotation of it.  On a Laurent algebra the
+    two words are conjugate in the free group, so one cnf serves.
 
     When every letter skew defect is a weight form (:func:`infer_weight`
     finds weights l), the residual is 0 at every (a, b): the sweep is decided
@@ -488,27 +493,17 @@ def check_h0_skew(spec: BracketSpec, maxdeg: int = 4, all_witnesses: bool = Fals
     class add zeros.
     """
     words = spec.algebra.words_up_to(maxdeg)
-    ids = sweep_ids(spec, words, 2)  # refuses an oversized sweep before any letter bracket
+    pairs, ids = sweep_ids(spec, words, 2)  # refuses an oversized sweep before any letter bracket
     if infer_weight(spec) is not None:  # a weight form: every residual is 0, see above
-        n = len(words)
-        return report("h0_skew_symmetry", spec, {"maxdeg": maxdeg, "pairs": n * (n + 1) // 2, "words": n}, [])
+        return report("h0_skew_symmetry", spec, {"maxdeg": maxdeg, "pairs": pairs, "words": len(words)}, [])
     word_of = spec._id_words
     defect = functools.cache(functools.partial(skew_defect, spec))
-    reduced = spec.algebra.has_inverses
 
-    def residual(a, b):  # {a,b} + {b,a} on cyclic normal forms, from the skew defects
-        u, w = word_of[a], word_of[b]
-        mids = [(x, concat(u[i + 1 :], u[:i])) for i, x in enumerate(u)]  # x = a_i and A_i
+    def residual(a, b):  # {a,b} + {b,a} on cyclic normal forms: {a,b} under the skew defects
         res = {}
-        for j, y in enumerate(w):
-            wp, ws = w[:j], w[j + 1 :]
-            for x, mid in mids:
-                for (p, q), c in defect(x, y).items():  # the word of _mb_words; a free algebra takes the faster +
-                    k = cyclic_normal_form(concat(concat(concat(wp, p), mid), concat(q, ws))
-                                           if reduced else wp + p + mid + q + ws)
-                    v = res.get(k)
-                    res[k] = c if v is None else v + c
-        return any(res.values()) and {k: v for k, v in res.items() if v}
+        for word, c in spec._mb_words(word_of[a], word_of[b], defect).items():
+            _merge_term(res, cyclic_normal_form(word), c)
+        return res
 
     cnf_names = WordNames(spec.algebra)  # the residual is keyed by words, not by the sweep's ids
     pairs, witnesses = sweep(spec, ids, 2, residual, lambda res, _: render_terms(spec.algebra, res, 1, cnf_names),
@@ -547,7 +542,7 @@ def check_jacobi(spec: BracketSpec, maxdeg: int = 3, all_witnesses: bool = False
     rotating c changes J by a commutator, not by 0.
     """
     words = spec.algebra.words_up_to(maxdeg, include_unit=False)
-    ids = sweep_ids(spec, words, 3)
+    ids = sweep_ids(spec, words, 3)[1]
     letters = [spec._wid((g,)) for g in spec.algebra.letters]
 
     def row(a, b):

@@ -11,18 +11,19 @@ positive generators (absent pairs are zero).  Everything else is derived:
       <<ab,c>> = (1 (x) a) <<b,c>> + <<a,c>> (b (x) 1);
 * every public operation -- the double and multiplied brackets and both
   Jacobiators -- is one multilinear extension (``BracketSpec._extend``) of
-  a monomial kernel over sparse operands.  The Jacobiator kernels compose a
-  bracket kernel passed in as an argument: ``_djac_words`` a ``dbr``, so a
-  caller that brackets many monomial triples can pass it a memo of
-  ``_dbr_words``, and :func:`jacobiator_ids` an ``mb``, the one formula of
-  the Jacobiator on words and on interned word ids alike.
+  a monomial kernel over sparse operands.  Kernels take the bracket they
+  compose as an argument: ``_djac_words`` a ``dbr``, so a caller that
+  brackets many monomial triples can pass it a memo of ``_dbr_words``,
+  :func:`jacobiator_ids` an ``mb``, the one formula of the Jacobiator on
+  words and on interned word ids alike, and ``_mb_words`` a letter bracket,
+  the spec's own or, for the h0 residual, the letter skew defects.
 
 A spec is a frozen value, its ``table`` a read-only map of its own copies
 of the nonzero entries, so no memo can outlive the value it was computed
 from.  Each computed value has one memo, read by the route that fills it:
 the Jacobi sweeps in :mod:`ncdb.axioms` and :mod:`ncdb.repspace` read
-{u, w} on interned word ids (``_mb_ids``; the h0 sweep reads only letter
-brackets), ``mbracket`` and ``jacobiator`` per word pair (``_mb_cache``),
+{u, w} on interned word ids (``_mb_ids``; the h0 sweep keeps only its skew
+defects), ``mbracket`` and ``jacobiator`` per word pair (``_mb_cache``),
 and ``_mb_words``, ``_dbr_words`` and ``_djac_words`` keep nothing.  Memos
 take no part in equality and hold only idempotent pure values, safe to share.
 """
@@ -160,16 +161,17 @@ class BracketSpec:
                 _merge_term(res, (k1, q, k2), -c * d)
         return res
 
-    def _mb_words(self, u, w) -> dict:
-        """Raw multiplied bracket {u, w} of two monomials (not memoized)."""
+    def _mb_words(self, u, w, letter) -> dict:
+        """Raw multiplied bracket {u, w} of two monomials (not memoized), with
+        ``letter`` as the double bracket of two letters: each term c * p (x) q
+        of letter(u_a, w_b) gives c * w_<b p u_>a u_<a q w_>b."""
         res = {}
-        lr = self._letter_raw
         reduced = self.algebra.has_inverses
         for a in range(len(u)):
             x = u[a]
             mid = concat(u[a + 1 :], u[:a])  # a_suffix a_prefix
             for b in range(len(w)):
-                lb = lr(x, w[b])
+                lb = letter(x, w[b])
                 if not lb:
                     continue
                 wp = w[:b]
@@ -185,7 +187,7 @@ class BracketSpec:
         """{u, w} memoized per word pair for :meth:`mbracket`."""
         row = self._mb_cache.get((u, w))
         if row is None:
-            row = self._mb_cache[u, w] = self._mb_words(u, w)
+            row = self._mb_cache[u, w] = self._mb_words(u, w, self._letter_raw)
         return row
 
     # -- interned-id variants used by the bounded sweeps -------------------------
@@ -204,7 +206,7 @@ class BracketSpec:
         cached = self._mb_id_cache.get(key)
         if cached is not None:
             return cached
-        raw = self._mb_words(self._id_words[uid], self._id_words[wid])
+        raw = self._mb_words(self._id_words[uid], self._id_words[wid], self._letter_raw)
         out = {}
         wid_of = self._wid
         for word, c in raw.items():

@@ -297,6 +297,9 @@ def _is_poisson(spec: BracketSpec, w) -> bool:
     return check_weight(spec, w).passed and check_poisson_property(spec, w).passed
 
 
+MAX_GRID = 100_000  # most points search_cl1_grid builds a spec for
+
+
 def search_cl1_grid(lam, rhos=None, gamma_values=None):
     """The d=2 grid with both the generic verdict (weight + Jacobiator
     checks) and the closed-form verdict per point, for pointwise comparison.
@@ -305,13 +308,17 @@ def search_cl1_grid(lam, rhos=None, gamma_values=None):
     {0,-2 lam}^4, built around a nonzero lam.  Passing ``rhos`` or
     ``gamma_values`` samples an exploratory grid instead, which is NOT
     exhaustive for any classification.  Repeated values count once, in
-    first-seen order.
+    first-seen order.  A grid of more than ``MAX_GRID`` points is a
+    ValueError, raised before any spec is built.
     """
     lam = Fraction(lam)
     if rhos is None and gamma_values is None and lam == 0:
         raise ValueError("the grid is built around a nonzero weight")
     rhos = dict.fromkeys(map(Fraction, (lam, -lam) if rhos is None else rhos))
     values = tuple(dict.fromkeys(map(Fraction, (0, -2 * lam) if gamma_values is None else gamma_values)))
+    points = len(rhos) * len(values) ** 4
+    if points > MAX_GRID:
+        raise ValueError(f"a grid of {points} points, more than {MAX_GRID}")
     rows = []
     for rho in rhos:
         for gamma in itertools.product(values, repeat=4):

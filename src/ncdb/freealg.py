@@ -237,9 +237,6 @@ class FreeAlgebra:
     def tensor2(self, terms: dict) -> "Tensor2":
         return self._linear(Tensor2, terms)
 
-    def tensor3(self, terms: dict) -> "Tensor3":
-        return self._linear(Tensor3, terms)
-
     # -- enumeration and rendering ------------------------------------------
 
     def words_up_to(self, maxdeg: int, include_unit: bool = True):
@@ -306,9 +303,6 @@ class _Linear:
     def __init__(self, algebra: FreeAlgebra, terms: dict):
         self.algebra = algebra
         self.terms = terms
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __bool__(self):
         return bool(self.terms)
@@ -386,13 +380,6 @@ class Tensor2(_Linear):
     """Sparse element of the tensor square, keyed by pairs of words."""
 
     arity = 2
-
-    def flip(self) -> "Tensor2":
-        """Swap the tensor factors term by term."""
-        terms = {}
-        for (a, b), c in self.terms.items():
-            _merge_term(terms, (b, a), c)
-        return Tensor2(self.algebra, terms)
 
 
 class Tensor3(_Linear):

@@ -219,7 +219,7 @@ def check_induced_poisson(spec: BracketSpec, p: MatrixPoint, maxdeg: int = 3,
     if p.algebra != alg:
         raise ValueError("algebra mismatch")
     words = alg.words_up_to(maxdeg, include_unit=False)
-    ids = sweep_ids(spec, words, 3)  # the triple stage is the larger sweep
+    ids = list(sweep_ids(spec, words, 3)[1])  # the triple stage is the larger sweep
     # E, L and the powers D**(L - k) of the module docstring
     raws = [spec._letter_raw(x, y) for x in alg.letters for y in alg.letters]
     e = math.lcm(*(c.denominator for raw in raws for c in raw.values()))

@@ -32,6 +32,7 @@ from ncdb.classify import (
 from ncdb.localize import localize
 from ncdb.repspace import MatrixPoint, check_induced_poisson
 from ncdb.speclang import parse, render
+from oracles import flip
 from test_speclang import random_document
 
 F = Fraction
@@ -265,7 +266,7 @@ def test_criterion_8_infrastructure():
         right = Tensor3(alg, {(w3, (), ()): 1})
         main = mid * spec.djac(a2, b, c) + spec.djac(a1, b, c) * right
         u = spec.dbracket(a2, c)
-        defect = spec.dbracket(b, a1) + spec.dbracket(a1, b).flip()
+        defect = spec.dbracket(b, a1) + flip(spec.dbracket(a1, b))
         corr_terms = {}
         for (p, q), cu in u.terms.items():
             for (r1, r2), cd in defect.terms.items():

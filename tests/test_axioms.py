@@ -27,7 +27,7 @@ from ncdb.localize import localize
 from ncdb.repspace import MatrixPoint, check_induced_poisson
 
 import oracles
-from oracles import reduce_mod_commutators, unreduced_check_h0_skew, unreduced_check_jacobi
+from oracles import flip, reduce_mod_commutators, unreduced_check_h0_skew, unreduced_check_jacobi
 from test_golden_reports import _laurent_kontsevich, _random_spec
 
 
@@ -72,7 +72,7 @@ class TestCyclicSkew:
         w = r.witnesses[0]
         assert w.inputs == ("x1", "x2")
         alg = mdbII.algebra
-        residual = mdbII.letter_bracket(1, 2) + mdbII.letter_bracket(2, 1).flip()
+        residual = mdbII.letter_bracket(1, 2) + flip(mdbII.letter_bracket(2, 1))
         assert residual == alg.tensor2({((1,), (2,)): -1, ((2,), (1,)): 1})
         assert w.residual == str(residual)
 
@@ -558,12 +558,14 @@ def test_h0_skew_brackets_once_per_pair_of_classes(make, classes, swept, monkeyp
     """Up to degree 4 mdbI and the flipped mdbII have 45 cyclic classes, and
     the Laurent Kontsevich spec and its doubled variant 51.  A fresh h0 sweep
     with every witness computes its residual exactly once per unordered pair
-    of classes; the residual reads only letter skew defects, each once per
-    ordered letter pair, and brackets no two sweep words.  mdbI and the
-    Laurent Kontsevich spec, whose skew defects are weight forms, are
-    decided on the letters and never compute the residual."""
+    of classes, as one ``_mb_words`` call that brackets the pair's two class
+    words under the letter skew defects.  Those are read once per ordered
+    letter pair, and no {u, w} is memoized on ids.  mdbI and the Laurent
+    Kontsevich spec, whose skew defects are weight forms, are decided on the
+    letters and never compute the residual."""
     spec = make()
     mb_calls = count_calls(monkeypatch, spec, "_mb_ids")
+    mb_words_calls = count_calls(monkeypatch, spec, "_mb_words")
     residuals, defects, swept_defects = [], [], []
     real_sweep, real_defect = axioms.sweep, axioms.skew_defect
 
@@ -580,9 +582,20 @@ def test_h0_skew_brackets_once_per_pair_of_classes(make, classes, swept, monkeyp
     n = r.params["words"]
     assert r.params["pairs"] == n * (n + 1) // 2
     assert len(residuals) == len(set(residuals)) == (classes * (classes + 1) // 2 if swept else 0)
+    word_of = spec._id_words
+    assert [(u, w) for u, w, _ in mb_words_calls] == [(word_of[a], word_of[b]) for a, b in residuals]
     assert not mb_calls and not spec._mb_id_cache
     letters = spec.algebra.letters
     assert sorted(swept_defects) == (sorted(itertools.product(letters, letters)) if swept else [])
+
+
+def test_decided_h0_skew_interns_no_word():
+    """A sweep decided on the letters checks its cell cap from the word
+    count alone: the spec's word table keeps only the unit word."""
+    spec = builtin("mdbI")[0]
+    r = check_h0_skew(spec, 6)
+    assert r.passed and r.params["words"] == 1093
+    assert len(spec._id_words) == 1
 
 
 def _one_generator(inverted):

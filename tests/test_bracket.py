@@ -9,7 +9,18 @@ from ncdb.axioms import check_poisson_property
 from ncdb.bracket import BracketSpec
 from ncdb.classify import builtin
 
-from oracles import inner_act, m2, outer_act, pure_t2, reduce_mod_commutators, tbracket_L, tbracket_R, tbracket_swapL
+from oracles import (
+    flip,
+    inner_act,
+    m2,
+    outer_act,
+    pure_t2,
+    reduce_mod_commutators,
+    tbracket_L,
+    tbracket_R,
+    tbracket_swapL,
+    tensor3,
+)
 
 
 @pytest.fixture(scope="module")
@@ -103,7 +114,7 @@ class TestLetterBracket:
             hash(mdbII)
 
     def test_zero_default(self, mdbII):
-        assert mdbII.letter_bracket(1, 3).is_zero()
+        assert not mdbII.letter_bracket(1, 3)
 
     def test_table_is_read_only(self, mdbII):
         """The memo caches are derived from the table, so it must not change
@@ -114,7 +125,7 @@ class TestLetterBracket:
         copy = dict(mdbII.table)
         copy[(1, 3)] = copy[(1, 2)]
         assert (1, 3) not in mdbII.table
-        assert mdbII.letter_bracket(1, 3).is_zero()
+        assert not mdbII.letter_bracket(1, 3)
         with pytest.raises(TypeError):
             mdbII.table[(1, 2)].terms[((1,), (2,))] = 5
         alg, w = mdbII.algebra, mdbII.weight
@@ -136,7 +147,7 @@ class TestLetterBracket:
         got = outer_act(alg.gen(1), kont_laurent.letter_bracket(2, -1), alg.one()) + outer_act(
             alg.one(), kont_laurent.letter_bracket(2, 1), alg.element({(-1,): 1})
         )
-        assert got.is_zero()
+        assert not got
 
     def test_inverse_first_argument(self, kont_laurent):
         # <<v^-1, w>> = -v^-1 * <<v, w>> * v^-1 = (w (x) v^-1 w... ) computed:
@@ -148,7 +159,7 @@ class TestLetterBracket:
         got = inner_act(alg.gen(1), kont_laurent.letter_bracket(-1, 2), alg.one()) + inner_act(
             alg.one(), kont_laurent.letter_bracket(1, 2), alg.element({(-1,): 1})
         )
-        assert got.is_zero()
+        assert not got
 
     def test_double_inverse_order_independent(self, kont_laurent):
         alg = kont_laurent.algebra
@@ -177,12 +188,12 @@ class TestDbracket:
     def test_unit_brackets_vanish(self, mdbI):
         alg = mdbI.algebra
         a = alg.element({(1, 2): 2, (3,): Fraction(1, 3)})
-        assert mdbI.dbracket(a, alg.one()).is_zero()
-        assert mdbI.dbracket(alg.one(), a).is_zero()
+        assert not mdbI.dbracket(a, alg.one())
+        assert not mdbI.dbracket(alg.one(), a)
 
     def test_skew_defect_display(self, mdbI):
         alg = mdbI.algebra
-        d = mdbI.dbracket(alg.gen(1), alg.gen(2)) + mdbI.dbracket(alg.gen(2), alg.gen(1)).flip()
+        d = mdbI.dbracket(alg.gen(1), alg.gen(2)) + flip(mdbI.dbracket(alg.gen(2), alg.gen(1)))
         assert d == alg.tensor2({((), (1, 2)): 1, ((2, 1), ()): -1})
 
     def test_matches_recursive_leibniz_oracle(self, mdbI):
@@ -234,7 +245,7 @@ class TestMbracket:
         assert mdbII.mbracket(algII.gen(3), algII.gen(1)) == algII.element(
             {(1, 3): 1, (3, 1): -1}
         )
-        assert mdbI.mbracket(algI.element({(1, 2): 1}), algI.one()).is_zero()
+        assert not mdbI.mbracket(algI.element({(1, 2): 1}), algI.one())
 
     def test_equals_m2_of_dbracket(self, mdbII):
         rng = random.Random(37)
@@ -280,21 +291,19 @@ class TestTripleBrackets:
     def test_left(self, mdbII):
         alg = mdbII.algebra
         u = pure_t2(alg.gen(2), alg.gen(3))
-        assert tbracket_L(mdbII, alg.gen(1), u) == alg.tensor3({((1,), (2,), (3,)): -1})
+        assert tbracket_L(mdbII, alg.gen(1), u) == tensor3(alg, {((1,), (2,), (3,)): -1})
 
     def test_right_unit(self, mdbII):
         alg = mdbII.algebra
         u = pure_t2(alg.one(), alg.one())
-        assert tbracket_R(mdbII, alg.gen(1), u).is_zero()
+        assert not tbracket_R(mdbII, alg.gen(1), u)
 
     def test_swap_left(self, mdbII):
         alg = mdbII.algebra
         c = alg.element({(3, 3): 2})
         u = pure_t2(alg.gen(1), c)
         # <<x1 (x) c, x2>>_L = <<x1, x2>> otimes_1 c = -x1 (x) c (x) x2
-        assert tbracket_swapL(mdbII, u, alg.gen(2)) == alg.tensor3(
-            {((1,), (3, 3), (2,)): -2}
-        )
+        assert tbracket_swapL(mdbII, u, alg.gen(2)) == tensor3(alg, {((1,), (3, 3), (2,)): -2})
 
     def test_triple_brackets_bilinear(self, mdbI):
         rng = random.Random(41)
@@ -323,7 +332,7 @@ class TestDjac:
     def test_zero_spec(self):
         alg = FreeAlgebra(("v1", "v2"))
         zero = BracketSpec(alg, {})
-        assert zero.djac(alg.gen(1), alg.gen(2), alg.gen(1)).is_zero()
+        assert not zero.djac(alg.gen(1), alg.gen(2), alg.gen(1))
 
     def test_closed_form_on_generator_triples(self):
         # engine DJac(v1,v2,v3) against the hand expansion of the binary family
@@ -335,7 +344,8 @@ class TestDjac:
             alg = spec.algebra
             a1, a2, a3 = at
             b1, b2, b3 = bt
-            expected = alg.tensor3(
+            expected = tensor3(
+                alg,
                 {
                     ((1,), (2,), (3,)): -(a1 * a2 + a2 * a3 - a1 * a3),
                     ((3,), (2,), (1,)): b2,
@@ -350,7 +360,8 @@ class TestDjac:
         alg = FreeAlgebra(("v",))
         spec = BracketSpec(alg, {(1, 1): alg.tensor2({((1, 1), ()): 1, ((), (1, 1)): -1})})
         v = alg.gen(1)
-        expected = alg.tensor3(
+        expected = tensor3(
+            alg,
             {
                 ((1, 1), (1,), ()): 1,
                 ((1,), (1, 1), ()): -1,
@@ -363,22 +374,22 @@ class TestDjac:
         assert spec.djac(v, v, v) == expected
         # <<v, v>> = v (x) v^2 - v^2 (x) v, by contrast, is double Poisson
         spec2 = BracketSpec(alg, {(1, 1): alg.tensor2({((1,), (1, 1)): 1, ((1, 1), (1,)): -1})})
-        assert spec2.djac(v, v, v).is_zero()
+        assert not spec2.djac(v, v, v)
 
 
 class TestJacobiator:
     def test_exact_zero_for_mdbI_generators(self, mdbI):
         alg = mdbI.algebra
         j = mdbI.jacobiator(alg.gen(1), alg.gen(2), alg.gen(3))
-        assert j.is_zero()
-        assert reduce_mod_commutators(j).is_zero()
+        assert not j
+        assert not reduce_mod_commutators(j)
 
     def test_zero_spec_and_unit(self, mdbI):
         alg = mdbI.algebra
         zero = BracketSpec(alg, {})
-        assert zero.jacobiator(alg.gen(1), alg.gen(2), alg.gen(3)).is_zero()
+        assert not zero.jacobiator(alg.gen(1), alg.gen(2), alg.gen(3))
         a = alg.element({(1, 2): 1})
-        assert mdbI.jacobiator(alg.one(), a, alg.gen(3)).is_zero()
+        assert not mdbI.jacobiator(alg.one(), a, alg.gen(3))
 
 
 class TestDerivationLaws:
@@ -421,7 +432,7 @@ class TestDerivationLaws:
             right = Tensor3(alg, {(w, (), ()): cc for w, cc in a2.terms.items()})
             main = mid * mdbI.djac(a2, b, c) + mdbI.djac(a1, b, c) * right
             w = mdbI.dbracket(a2, c)
-            defect = mdbI.dbracket(b, a1) + mdbI.dbracket(a1, b).flip()
+            defect = mdbI.dbracket(b, a1) + flip(mdbI.dbracket(a1, b))
             # correction term: w' (x) defect' (x) defect'' w''
             from ncdb.freealg import concat, _merge_term
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from ncdb import classify
 from ncdb.axioms import check_poisson_property, check_weight, infer_weight
 from ncdb.bracket import BracketSpec
 from ncdb.classify import (
@@ -35,7 +36,7 @@ class TestBuild:
         assert spec.letter_bracket(3, 2) == alg.tensor2({((2,), (3,)): 1})
         assert spec.letter_bracket(3, 1) == alg.tensor2({((), (3, 1)): -1})
         assert spec.letter_bracket(1, 3) == alg.tensor2({((), (1, 3)): 1})
-        assert spec.letter_bracket(1, 1).is_zero()
+        assert not spec.letter_bracket(1, 1)
 
     def test_negated_mdbII_is_the_cl3a_point(self):
         # scaling by -1 with v_i := x_i reproduces the binary-family point
@@ -53,7 +54,7 @@ class TestBuild:
         alg = spec.algebra
         assert w == sign_weight(4, 2) == (1, 1, -1, -1)
         assert spec.letter_bracket(1, 3) == alg.tensor2({((), (1, 3)): 1, ((3, 1), ()): -1})
-        assert spec.letter_bracket(3, 1).is_zero()
+        assert not spec.letter_bracket(3, 1)
         assert spec.letter_bracket(1, 2) == alg.tensor2({((1,), (2,)): 1, ((2,), (1,)): -1})
         assert spec.letter_bracket(3, 4) == alg.tensor2({((3,), (4,)): -1, ((4,), (3,)): 1})
 
@@ -70,9 +71,9 @@ class TestBuild:
     def test_cl3a_zero_parameters(self):
         spec, _ = build(FamilyParams("cl3a", (0, 0, 0, 0, 0, 0)))
         alg = spec.algebra
-        assert spec.letter_bracket(1, 2).is_zero()
+        assert not spec.letter_bracket(1, 2)
         assert spec.letter_bracket(2, 1) == alg.tensor2({((1,), (2,)): -1, ((2,), (1,)): 1})
-        assert spec.letter_bracket(1, 1).is_zero()
+        assert not spec.letter_bracket(1, 1)
 
     def test_domain_validation(self):
         with pytest.raises(ValueError):
@@ -193,6 +194,18 @@ class TestSearchCL1:
         assert len(rows) == 32
         assert set(cl1_survivors(rows)) == self.EXPECTED
         assert len(search_cl1_grid(1, rhos=(1, F(2, 2), -1))) == 32
+
+    def test_grid_cap(self, monkeypatch):
+        """A grid of exactly ``MAX_GRID`` points is searched; one more is
+        refused before any spec is built."""
+        monkeypatch.setattr(classify, "MAX_GRID", 32)
+        assert len(search_cl1_grid(1)) == 32
+        monkeypatch.setattr(classify, "MAX_GRID", 31)
+        built = []
+        monkeypatch.setattr(classify, "build", built.append)
+        with pytest.raises(ValueError, match="a grid of 32 points, more than 31"):
+            search_cl1_grid(1)
+        assert not built
 
     def test_kontsevich_is_a_case1_member(self):
         spec, w = builtin("kontsevich")

@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 
@@ -15,7 +16,17 @@ from ncdb.freealg import (
     word_key,
 )
 
-from oracles import inner_act, m2, otimes1_left, outer_act, pure_t2, reduce_mod_commutators, rotation_normal_form
+from oracles import (
+    flip,
+    inner_act,
+    m2,
+    otimes1_left,
+    outer_act,
+    pure_t2,
+    reduce_mod_commutators,
+    rotation_normal_form,
+    tensor3,
+)
 
 A3 = FreeAlgebra(("v1", "v2", "v3"))
 L2 = FreeAlgebra(("v", "w"), inverted=(1, 2))
@@ -121,7 +132,7 @@ class TestElementArithmetic:
 
     def test_no_stored_zeros(self):
         x = A3.element({(1,): 1}) - A3.element({(1,): 1})
-        assert x.is_zero() and x.terms == {}
+        assert not x and x.terms == {}
 
 
 class TestTensors:
@@ -149,9 +160,9 @@ class TestTensors:
 
     def test_flip(self):
         u = A3.tensor2({((1,), (2, 3)): 1})
-        assert u.flip() == A3.tensor2({((2, 3), (1,)): 1})
-        assert u.flip().flip() == u
-        assert A3.tensor2({((2, 1), ()): -1}).flip() == A3.tensor2({((), (2, 1)): -1})
+        assert flip(u) == A3.tensor2({((2, 3), (1,)): 1})
+        assert flip(flip(u)) == u
+        assert flip(A3.tensor2({((2, 1), ()): -1})) == A3.tensor2({((), (2, 1)): -1})
 
     def test_flip_exchanges_outer_and_inner(self):
         rng = random.Random(5)
@@ -162,18 +173,18 @@ class TestTensors:
             )
             c1 = A3.element({rng.choice(words): rng.randint(-2, 2)})
             c2 = A3.element({rng.choice(words): rng.randint(-2, 2)})
-            assert outer_act(c1, u, c2).flip() == inner_act(c1, u.flip(), c2)
+            assert flip(outer_act(c1, u, c2)) == inner_act(c1, flip(u), c2)
 
     def test_otimes1(self):
         u = pure_t2(A3.gen(1), A3.gen(2))
-        t = A3.tensor3({((1,), (3,), (2,)): 1})
+        t = tensor3(A3, {((1,), (3,), (2,)): 1})
         assert otimes1_left(u, A3.gen(3)) == t
-        assert otimes1_left(u, A3.zero()).is_zero()
+        assert not otimes1_left(u, A3.zero())
 
     def test_m2_m3(self):
         u = pure_t2(A3.gen(1), A3.gen(2))
         assert m2(u) == A3.element({(1, 2): 1})
-        assert m2(u + u.flip()) == A3.element({(1, 2): 1, (2, 1): 1})
+        assert m2(u + flip(u)) == A3.element({(1, 2): 1, (2, 1): 1})
 
 
 class TestCyclicClasses:
@@ -184,7 +195,7 @@ class TestCyclicClasses:
 
     def test_commutator_reduces_to_zero(self):
         x = A3.element({(1, 2): 1, (2, 1): -1})
-        assert reduce_mod_commutators(x).is_zero()
+        assert not reduce_mod_commutators(x)
 
     def test_rotation_invariance(self):
         rng = random.Random(13)
@@ -193,7 +204,7 @@ class TestCyclicClasses:
             k = rng.randrange(len(w))
             rot = w[k:] + w[:k]
             diff = A3.element({w: 1}) - A3.element({rot: 1})
-            assert reduce_mod_commutators(diff).is_zero()
+            assert not reduce_mod_commutators(diff)
 
     def test_idempotent_linear(self):
         rng = random.Random(17)
@@ -209,7 +220,7 @@ class TestCyclicClasses:
         # v w v^-1 is conjugate to w
         assert cyclic_normal_form((1, 2, -1)) == (2,)
         x = L2.element({(1, 2, -1): 1, (2,): -1})
-        assert reduce_mod_commutators(x).is_zero()
+        assert not reduce_mod_commutators(x)
 
     def test_least_letter_start_matches_every_rotation(self):
         """The normal form from a least letter is the minimal rotation over
@@ -233,7 +244,7 @@ class TestCyclicClasses:
             k = rng.randrange(len(w))
             rot = reduce_word(w[k:] + w[:k])
             diff = L2.element({w: 1}) - (L2.element({rot: 1}) if rot else L2.one())
-            assert reduce_mod_commutators(diff).is_zero()
+            assert not reduce_mod_commutators(diff)
 
 
 class TestOrderingAndRendering:
@@ -286,7 +297,8 @@ class TestOrderingAndRendering:
         assert y == A3.gen(1)
         assert all(isinstance(c, (int, Fraction)) for c in y.terms.values())
         # integral coefficients are stored as int, whatever type they came in
-        for make, key in ((A3.element, (1,)), (A3.tensor2, ((1,), ())), (A3.tensor3, ((1,), (), ()))):
+        t3 = functools.partial(tensor3, A3)
+        for make, key in ((A3.element, (1,)), (A3.tensor2, ((1,), ())), (t3, ((1,), (), ()))):
             assert type(make({key: Fraction(4, 2)}).terms[key]) is int
             assert make({key: Fraction(1, 2)}).terms[key] == Fraction(1, 2)
             for bad in (0.5, 0.0, "1"):

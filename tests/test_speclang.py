@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from ncdb import axioms
+from ncdb import axioms, classify
 from ncdb.axioms import modified_double_poisson_battery
 from ncdb.cli import _emit_reports, main
 from ncdb.classify import FamilyParams, build, builtin
@@ -384,6 +384,17 @@ class TestCli:
         assert code == 2 and not out
         assert err == "error: 29524 monomials give a sweep of 435848050 cells, more than 50000000\n"
         assert len(specs) == 1 and not specs[0]._letter_cache
+
+    def test_oversized_cl1_grid_exits_2(self, capsys, monkeypatch):
+        """--gamma-grid 1,...,40 gives 2 * 40**4 points, refused before any
+        spec is built."""
+        built = []
+        monkeypatch.setattr(classify, "build", built.append)
+        grid = ",".join(map(str, range(1, 41)))
+        code, out, err = self.run(["classify", "cl1", "--gamma-grid", grid], capsys=capsys, monkeypatch=monkeypatch)
+        assert code == 2 and not out
+        assert err == "error: a grid of 5120000 points, more than 100000\n"
+        assert not built
 
     def test_usage_error_exits_2(self, capsys, monkeypatch):
         code, _, _ = self.run(["frobnicate"], capsys=capsys, monkeypatch=monkeypatch)
