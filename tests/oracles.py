@@ -1,10 +1,11 @@
 """Reference implementations that the tests compare the package against.
 
 Each is the plain, direct spelling of something ncdb computes another way:
-bimodule actions and the factor flip written term by term, the cyclic normal form as the
-minimal rotation over every rotation, classes modulo commutators through
-``cyclic_normal_form``, matrix evaluation by ``Fraction`` products of the
-letter matrices, never through a point's integer word cache, the h0 skew
+bimodule actions and the factor flip written term by term, the cyclic
+normal form as the minimal rotation over every rotation, classes modulo
+commutators through ``cyclic_normal_form``, matrix evaluation by
+``Fraction`` products of the letter matrices, never through a point's
+integer word cache, the h0 skew
 sweep bracketing every pair on its own words, the Jacobi sweep on every
 triple, with no row decided on the letters or shared within cyclic classes,
 the induced trace check on every triple without the derivation rule, all
