@@ -41,10 +41,12 @@ in the docstring of its checker.
 Both symbolic sweeps decide on the letters what a proof settles there: for
 fixed (a, b) the Jacobiator is a derivation in c, so a row that vanishes on
 the letters is not scanned, and skew defects that are a weight form make
-every h0 residual 0, so that sweep is not run at all.  So the symbolic
-sweeps are not independent of the letter comparisons; the independent
-evidence is the trace check of ``repspace``, which sweeps every pair and
-triple at a matrix point, and the unreduced sweeps of the test oracles.
+every h0 residual 0, so that sweep is not run at all, and make the Jacobi
+row (b, a) the row (a, b) negated, so only rows a < b are built.  So the
+symbolic sweeps are not independent of the letter comparisons; the
+independent evidence is the trace check of ``repspace``, which sweeps every
+pair and triple at a matrix point and builds a Jacobi row for every ordered
+pair of classes, and the unreduced sweeps of the test oracles.
 """
 
 from __future__ import annotations
@@ -540,14 +542,32 @@ def check_jacobi(spec: BracketSpec, maxdeg: int = 3, all_witnesses: bool = False
     {b,c} and {b,{a,c}}, and {a,b} by an element of [A,A], which {-, c}
     maps to 0.  The third argument stays a word: J is a derivation in c, so
     rotating c changes J by a commutator, not by 0.
+
+    When every letter skew defect is a weight form (:func:`infer_weight`
+    finds weights), rows are built only for class pairs a < b.  For such a
+    spec :func:`check_h0_skew` proves {a,b} + {b,a} in [A,A] for every pair
+    of monomials, and {-, c} vanishes on [A,A] exactly, so {{a,b},c} =
+    -{{b,a},c}.  The other two terms of J(b,a,c) are those of J(a,b,c)
+    negated, hence J(a,b,c) + J(b,a,c) = 0 exactly.  So the row (b, a) is
+    the row (a, b) with every cell negated, read through the one cell memo
+    of that pair, and over Q the row (a, a) is 0.  Any other spec builds
+    every ordered pair.
     """
     words = spec.algebra.words_up_to(maxdeg, include_unit=False)
     ids = sweep_ids(spec, words, 3)[1]
     letters = [spec._wid((g,)) for g in spec.algebra.letters]
+    mirror = infer_weight(spec) is not None  # J(b,a,c) = -J(a,b,c), see above
 
-    def row(a, b):
+    @functools.cache
+    def direct(a, b):  # not recursive, so no sweep closure reaches itself and keeps the spec alive
         at = functools.cache(functools.partial(jacobiator_ids, spec._mb_ids, a, b))  # one for a class pair's rows
         return at if any(map(at, letters)) else None  # a derivation in c
+
+    def row(a, b):
+        if not mirror or a < b:
+            return direct(a, b)
+        at = direct(b, a) if a > b else None  # the row (a, a) is 0
+        return None if at is None else lambda c: {u: -v for u, v in at(c).items()}
 
     triples, witnesses = sweep(spec, ids, 3, row, lambda res, names: render_terms(spec.algebra, res, 1, names),
                                "0", all_witnesses)

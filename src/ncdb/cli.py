@@ -108,7 +108,8 @@ def _build_parser():
 
     for command, check, degree, text in (
             ("jacobi", "check_jacobi", 3, "Jacobi identity on bounded monomials, each (a, b) row "
-             "built once per pair of cyclic classes"),
+             "built once per pair of cyclic classes, and rows over unordered class pairs when the "
+             "skew defects are a weight form"),
             ("h0skew", "check_h0_skew", 4, "bounded skew symmetry modulo commutators: decided on the "
              "letters when the skew defects are a weight form, else one residual per pair of cyclic classes")):
         s = sub.add_parser(command, help=text)

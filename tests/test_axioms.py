@@ -1,7 +1,9 @@
+import gc
 import hashlib
 import itertools
 import json
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -442,11 +444,13 @@ JACOBI_SPECS = {
     "mdbII_scaled": _scaled_mdb2,
     "cl3a_point": lambda: build(FamilyParams("cl3a", (0, 0, 0, 1, 0, 1)))[0],
     "cl3b_point": lambda: build(FamilyParams("cl3b", (0, 0, 0, 0, 1, 0)))[0],
+    "laurent": _laurent_kontsevich,
 }
+# the Laurent spec passes, so its plain sweep at degree 3 visits all 52**3 cells (5 s)
 JACOBI_CASES = (
     [(name, 2, True) for name in JACOBI_SPECS]
     + [(name, 3, True) for name in ("random_0", "random_4")]
-    + [(name, 3, False) for name in JACOBI_SPECS]
+    + [(name, 3, False) for name in JACOBI_SPECS if name != "laurent"]
 )
 
 
@@ -459,23 +463,93 @@ def test_jacobi_row_reduction_matches_full_sweep(name, maxdeg, all_witnesses):
     assert same
 
 
+@pytest.mark.parametrize("make,maxdeg,all_witnesses,witnesses,digest", [
+    (JACOBI_SPECS["cl3a_point"], 3, True, 47_682,
+     "0b04e446ad9fc9e863c8d65747f69fcec325159db86f97a12b35834efe57f97e"),
+    (_laurent_kontsevich, 4, False, 0,
+     "28b81fd3d72394f7462ab10a0691299218175952e9cb38979deefe1c3c4ba364"),
+], ids=["cl3a_point_3", "laurent_4"])
+def test_jacobi_high_degree_digests(make, maxdeg, all_witnesses, witnesses, digest):
+    """Reports of weight forms the plain sweep above is too slow to reach,
+    pinned by the sha256 of their JSON as the sweep over every ordered pair
+    of classes wrote it: a failing one with every witness, and a passing
+    one on a Laurent algebra."""
+    r = check_jacobi(make(), maxdeg, all_witnesses)
+    assert len(r.witnesses) == witnesses
+    assert hashlib.sha256(r.to_json().encode()).hexdigest() == digest
+
+
 def test_jacobi_row_reduction_runs_both_paths(monkeypatch):
     """The -3/7 mdbII at degree 2 decides some rows on the letters and scans
-    the others, so the comparison above exercises both paths."""
-    decided = []  # per (a, b) row: True when skipped, False when scanned
+    the others, so the comparison above exercises both paths.  The cl3a
+    point, a weight form, also scans mirrored rows (b, a), b > a, and its
+    diagonal rows are all decided."""
+    rows = []  # per (a, b) class pair: (a, b, True when skipped, False when scanned)
     real = axioms.sweep
 
     def spy(spec, ids, arity, residual, *rest):
         def watched(a, b):
             at = residual(a, b)
-            decided.append(at is None)
+            rows.append((a, b, at is None))
             return at
 
         return real(spec, ids, arity, watched, *rest)
 
     monkeypatch.setattr(axioms, "sweep", spy)
     check_jacobi(_scaled_mdb2(), 2, all_witnesses=True)
-    assert True in decided and False in decided
+    assert {decided for _, _, decided in rows} == {True, False}
+    rows.clear()
+    check_jacobi(JACOBI_SPECS["cl3a_point"](), 2, all_witnesses=True)
+    assert {decided for a, b, decided in rows if a != b} == {True, False}
+    assert any(a > b and not decided for a, b, decided in rows)
+    assert all(decided for a, b, decided in rows if a == b)
+
+
+@pytest.mark.parametrize("make,mirrored", [
+    (lambda: builtin("mdbI")[0], True), (_laurent_kontsevich, True),
+    (JACOBI_SPECS["random_0"], False), (_scaled_mdb2, False),
+], ids=["mdbI", "laurent", "random_0", "mdbII_scaled"])
+def test_jacobi_mirrors_rows_of_a_weight_form(make, mirrored, monkeypatch):
+    """A spec whose skew defects are a weight form evaluates the Jacobiator
+    kernel on exactly the class pairs a < b: each row (b, a) is its
+    partner's negated, and each row (a, a) is 0.  Any other spec evaluates
+    it on every ordered class pair, the diagonal included."""
+    spec = make()
+    assert (infer_weight(spec) is not None) is mirrored
+    pairs = set()
+    real = axioms.jacobiator_ids
+    monkeypatch.setattr(axioms, "jacobiator_ids", lambda mb, a, b, c: pairs.add((a, b)) or real(mb, a, b, c))
+    check_jacobi(spec, 2, all_witnesses=True)
+    words = spec.algebra.words_up_to(2, include_unit=False)
+    classes = {spec._wid(cyclic_normal_form(w)) for w in words}
+    ordered = set(itertools.product(classes, repeat=2))  # every row reads its letters
+    assert pairs == ({(a, b) for a, b in ordered if a < b} if mirrored else ordered)
+
+
+@pytest.mark.parametrize("check", [
+    lambda spec: check_jacobi(spec, 3),
+    lambda spec: check_h0_skew(spec, 3),
+    lambda spec: axioms.modified_double_poisson_battery(spec, None, 3, 2),
+    lambda spec: check_induced_poisson(spec, MatrixPoint.random(spec.algebra, 2, 0), 2),
+], ids=["jacobi", "h0skew", "battery", "rep"])
+@pytest.mark.parametrize("make", [lambda: builtin("mdbI")[0], lambda: builtin("mdbII")[0], JACOBI_SPECS["cl3a_point"]],
+                         ids=["mdbI", "mdbII", "cl3a_point"])
+def test_sweeps_leave_no_cycle_through_the_spec(check, make):
+    """A check keeps no reference cycle that reaches the spec, so its memos
+    die with the spec's last reference, without waiting for the cyclic
+    garbage collector: a sweep closure that reached itself would keep every
+    row, and through them the spec, alive until a full collection."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        spec = make()
+        ref = weakref.ref(spec)
+        check(spec)
+        del spec
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_sweeps_leave_the_element_memo_to_mbracket(monkeypatch):
