@@ -30,7 +30,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .freealg import FreeAlgebra, exact
+from .freealg import MAX_GENERATORS, FreeAlgebra, exact
 from .bracket import BracketSpec
 from .axioms import check_poisson_property, check_weight, form_terms, modified_double_poisson_battery, weight_form
 
@@ -215,8 +215,8 @@ def _cld_domain(d, delta):
         raise ValueError("d and delta must be integers")
     if d < 4:
         raise ValueError("family defined for d >= 4")
-    if d > 64:
-        raise ValueError("at most 64 generators: the table grows as d^2")
+    if d > MAX_GENERATORS:
+        raise ValueError(f"at most {MAX_GENERATORS} generators: the table grows as d^2")
     if not 0 <= delta <= d:
         raise ValueError("need 0 <= delta <= d")
 

@@ -22,6 +22,7 @@ from .freealg import exact
 from .localize import localize
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE, EXIT_PIPE = 0, 1, 2, 141
+MAX_POINTS = 10_000  # most matrix points one ``rep`` run checks
 
 
 def _read_text(path: str) -> str:
@@ -119,15 +120,17 @@ def _build_parser():
         s.add_argument("--all-witnesses", action="store_true")
         s.add_argument("--json", action="store_true")
 
-    c = sub.add_parser("classify", help="reproduce a classification table")
-    c.add_argument("family", choices=["cl1", "cl3a", "cl3b"])
+    families = sub.add_parser("classify", help="reproduce a classification table").add_subparsers(
+        dest="family", required=True)
+    c = families.add_parser("cl1")  # only the cl1 grid takes options
     c.add_argument("--lam", type=_fraction, default=Fraction(1),
                    help="weight scale for the cl1 grid (default 1)")
     c.add_argument("--rho-grid", type=_fraction_list, default=None,
-                   help="exploratory: comma-separated second weights (cl1 only)")
+                   help="exploratory: comma-separated second weights")
     c.add_argument("--gamma-grid", type=_fraction_list, default=None,
                    help="exploratory: comma-separated values for each gamma entry")
-    c.add_argument("--json", action="store_true")
+    for family in (c, families.add_parser("cl3a"), families.add_parser("cl3b")):
+        family.add_argument("--json", action="store_true")
 
     l = sub.add_parser("localize", help="extend a spec to a Laurent localisation")
     l.add_argument("file")
@@ -208,6 +211,8 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "rep":
+        if args.points > MAX_POINTS:  # each point's report is kept until the output is written
+            raise ValueError(f"--points must be at most {MAX_POINTS}, got {args.points}")
         spec, _ = _load_spec(args.file)
         reports = []
         for k in range(args.points):

@@ -25,19 +25,20 @@ from fractions import Fraction
 
 Word = tuple  # tuple of nonzero signed ints
 MAX_WORDS = 100_000  # most words ``words_up_to`` builds
+MAX_GENERATORS = 64  # most generators of an algebra: a spec's letter-bracket table grows as d^2
 
 # ---------------------------------------------------------------------------
 # words
 
 
-def letter_key(g: int):
-    """Sort key for a single letter: by generator index, positive before inverse."""
-    return (abs(g), g < 0)
+def letter_key(g: int) -> int:
+    """Integer sort key for a single letter: by generator index, positive before inverse."""
+    return 2 * g if g > 0 else 1 - 2 * g
 
 
 def word_key(w: Word):
     """Degree-lexicographic sort key for words."""
-    return (len(w), tuple((abs(g), g < 0) for g in w))
+    return (len(w), tuple(map(letter_key, w)))
 
 
 def reduce_word(letters) -> Word:
@@ -80,19 +81,9 @@ def cyclic_normal_form(w: Word) -> Word:
     commutators iff their normal forms coincide.
     """
     w = cyclic_reduce(w)
-    n = len(w)
-    if n <= 1:
-        return w
-    least = min(w)  # the minimal rotation starts at a least letter: only those are compared
-    if least < 0:  # an inverse letter: compare in letter order
-        keyed = [letter_key(g) for g in w]
-        least = min(keyed)
-        k = min((k for k in range(n) if keyed[k] == least), key=lambda k: keyed[k:] + keyed[:k])
-        return w[k:] + w[:k]
-    k = w.index(least)  # no inverse letter: letter order is integer order
-    if w.count(least) == 1:
-        return w[k:] + w[:k]
-    return min(w[k:] + w[:k] for k in range(k, n) if w[k] == least)
+    key = tuple(map(letter_key, w))
+    k = min(range(len(w)), key=lambda k: key[k:] + key[:k], default=0)
+    return w[k:] + w[:k]
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +148,8 @@ class FreeAlgebra:
             raise ValueError("generator names must be distinct")
         if not names:
             raise ValueError("need at least one generator")
+        if len(names) > MAX_GENERATORS:
+            raise ValueError(f"more than {MAX_GENERATORS} generators")
         for i in inverted:
             if not 1 <= i <= len(names):
                 raise ValueError(f"inverted index {i} out of range")

@@ -35,7 +35,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .freealg import FreeAlgebra, coef_str, reduce_word
+from .freealg import MAX_GENERATORS, FreeAlgebra, coef_str, reduce_word
 from .bracket import BracketSpec
 
 KEYWORDS = {"name", "algebra", "weight", "bracket", "inv"}
@@ -261,6 +261,8 @@ class _Parser:
                 )
             if any(n == t.text for n, _ in gens):
                 raise ParseError(f"duplicate generator {t.text!r}", t.line, t.col)
+            if len(gens) == MAX_GENERATORS:
+                raise ParseError(f"more than {MAX_GENERATORS} generators", t.line, t.col)
             inv = False
             if self.cur.kind == "IDENT" and self.cur.text == "inv":
                 self.advance()

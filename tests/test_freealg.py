@@ -11,6 +11,7 @@ from ncdb.freealg import (
     _merge_term,
     concat,
     cyclic_normal_form,
+    letter_key,
     reduce_word,
     render_terms,
     word_key,
@@ -84,6 +85,13 @@ class TestWords:
         L2.validate_word((1, -2))
         with pytest.raises(ValueError):
             L2.validate_word((1, -1))  # not reduced
+
+    def test_generator_cap(self):
+        """An algebra has at most ``MAX_GENERATORS`` generators: a spec's
+        letter-bracket table grows as d^2."""
+        assert FreeAlgebra.standard(freealg.MAX_GENERATORS).d == 64
+        with pytest.raises(ValueError, match="more than 64 generators"):
+            FreeAlgebra.standard(65)
 
     def test_one_letter_order(self):
         alg = FreeAlgebra(("v", "w"), (2, 1))
@@ -222,11 +230,11 @@ class TestCyclicClasses:
         x = L2.element({(1, 2, -1): 1, (2,): -1})
         assert not reduce_mod_commutators(x)
 
-    def test_least_letter_start_matches_every_rotation(self):
-        """The normal form from a least letter is the minimal rotation over
-        every rotation: on all free words up to length 7 on 3 letters, which
-        repeat their least letter as in (1, 2, 1, 3) and (1, 1, 2, 1, 2), and
-        on all reduced Laurent words up to length 5 on 2 inverted letters,
+    def test_normal_form_matches_every_rotation(self):
+        """The normal form is the oracle's minimal rotation, compared one
+        rotation at a time: on all free words up to length 7 on 3 letters,
+        which repeat their least letter as in (1, 2, 1, 3) and (1, 1, 2, 1, 2),
+        and on all reduced Laurent words up to length 5 on 2 inverted letters,
         some not cyclically reduced, as (1, 2, -1)."""
         free = FreeAlgebra.standard(3).words_up_to(7)
         laurent = FreeAlgebra.standard(2, inverted=(1, 2)).words_up_to(5)
@@ -253,6 +261,9 @@ class TestOrderingAndRendering:
         assert word_key((2,)) < word_key((1, 1))
         assert word_key((1,)) < word_key((-1,))
         assert word_key((-1,)) < word_key((2,))
+        # the order is letter_key's, one integer per letter
+        assert sorted([-3, 2, -1, 1, 3, -2], key=letter_key) == [1, -1, 2, -2, 3, -3]
+        assert all(type(letter_key(g)) is int for g in (1, -1, 2, -2))
 
     def test_canonical_rendering(self):
         alg = FreeAlgebra(("x1", "x2", "x3"), inverted=(2,))

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from ncdb import axioms, classify
+from ncdb import axioms, classify, cli, repspace
 from ncdb.axioms import modified_double_poisson_battery
 from ncdb.cli import _emit_reports, main
 from ncdb.classify import FamilyParams, build, builtin
@@ -140,11 +140,13 @@ class TestParse:
         # int() refuses more than 4,300 digits; the lexer refuses the token first
         ("algebra x; weight " + "9" * 5000 + ";", 1, 19, "integer of more than 4300 digits"),
         ("algebra x;\nbracket {x,x} = x^" + "9" * 5000 + " (x) 1;", 2, 19, "integer of more than 4300 digits"),
+        # the 65th generator, at its name: "algebra " and g1 .. g64 take 255 columns
+        ("algebra " + " ".join(f"g{i}" for i in range(1, 70)) + ";", 1, 256, "more than 64 generators"),
     ], ids=["second_name", "repeated_generator", "short_weight", "long_weight_first", "no_keyword",
             "unknown_keyword", "second_algebra", "second_weight", "no_generators", "no_weights",
             "zero_denominator", "zero_exponent", "no_tensor_sign", "no_side", "expected_symbol",
             "zero_coef_undeclared", "zero_side_undeclared", "zero_coef_not_invertible",
-            "long_weight_literal", "long_exponent"])
+            "long_weight_literal", "long_exponent", "generator_cap"])
     def test_statement_faults_have_positions(self, text, line, col, message):
         with pytest.raises(ParseError) as ei:
             parse(text)
@@ -396,6 +398,28 @@ class TestCli:
         assert err == "error: a grid of 5120000 points, more than 100000\n"
         assert not built
 
+    @pytest.mark.parametrize("argv", [["classify", "cl3a", "--lam", "5"], ["classify", "cl3b", "--gamma-grid", "0"]])
+    def test_cl1_options_refused_on_cl3(self, argv, capsys, monkeypatch):
+        """--lam, --rho-grid and --gamma-grid exist only on classify cl1."""
+        code, out, err = self.run(argv, capsys=capsys, monkeypatch=monkeypatch)
+        assert code == 2 and not out
+        assert f"error: unrecognized arguments: {argv[2]} {argv[3]}" in err
+
+    def test_rep_points_cap(self, mdbI_file, capsys, monkeypatch):
+        """More than MAX_POINTS points is refused before the spec is loaded
+        or any point is drawn; exactly MAX_POINTS runs."""
+        monkeypatch.setattr(cli, "MAX_POINTS", 2)
+        argv = ["rep", mdbI_file, "--max-degree", "1", "--points", "2"]
+        assert self.run(argv, capsys=capsys, monkeypatch=monkeypatch)[0] == 0
+
+        def refuse(*args):
+            raise AssertionError("drawn or loaded past the cap")
+        monkeypatch.setattr(cli, "_load_spec", refuse)
+        monkeypatch.setattr(repspace.MatrixPoint, "random", refuse)
+        code, out, err = self.run(argv[:-1] + ["3"], capsys=capsys, monkeypatch=monkeypatch)
+        assert code == 2 and not out
+        assert err == "error: --points must be at most 2, got 3\n"
+
     def test_usage_error_exits_2(self, capsys, monkeypatch):
         code, _, _ = self.run(["frobnicate"], capsys=capsys, monkeypatch=monkeypatch)
         assert code == 2
@@ -518,6 +542,9 @@ class TestCli:
         assert code == 2 and not out and "exceeds 64" in err
         code, out, err = self.run(["builtin", "cld", "--params", "65,1"], capsys=capsys, monkeypatch=monkeypatch)
         assert code == 2 and not out and "at most 64" in err
+        f.write_text("algebra " + " ".join(f"g{i}" for i in range(1, 66)) + "; bracket {g1,g2} = g1 (x) g2;")
+        code, out, err = self.run(["verify", str(f)], capsys=capsys, monkeypatch=monkeypatch)
+        assert code == 2 and not out and err == "parse error: 1:256: more than 64 generators\n"
 
     @pytest.mark.parametrize("params", ["4,3/2", "9/2,2"])
     def test_non_integral_cld_params_exit_2(self, params, capsys, monkeypatch):
