@@ -57,7 +57,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .freealg import WordNames, _merge_term, concat, cyclic_normal_form, exact, render_terms
+from .freealg import WordNames, _merge_term, coef_str, concat, cyclic_normal_form, exact, render_terms
 from .bracket import BracketSpec, jacobiator_ids
 
 
@@ -357,7 +357,7 @@ def check_weight(spec: BracketSpec, weights) -> VerificationReport:
     """
     w = spec.algebra.weight_vector(weights)
     witnesses = pair_witnesses(spec, lambda i, j: weight_form(w[i], w[j]))
-    params = {"weights": [str(x) for x in w], "pairs": len(w) ** 2}
+    params = {"weights": [coef_str(x) for x in w], "pairs": len(w) ** 2}
     return report("weighted_skew_symmetry", spec, params, witnesses)
 
 
@@ -427,7 +427,7 @@ def infer_mixed_type(spec: BracketSpec):
 def check_poisson_property(spec: BracketSpec, weights) -> VerificationReport:
     """The double Jacobiator on letter triples takes its prescribed value."""
     w = spec.algebra.weight_vector(weights)
-    params = {"weights": [str(x) for x in w], "triples": len(w) ** 3}
+    params = {"weights": [coef_str(x) for x in w], "triples": len(w) ** 3}
     return report("poisson_property", spec, params, triple_witnesses(spec, w))
 
 
@@ -445,7 +445,7 @@ def check_lambda_double_lie(spec: BracketSpec, lam) -> VerificationReport:
                 witness = Witness(names, "a combination of generator (x) generator terms", str(u), str(u))
                 return report("lambda_double_lie", spec, {"reason": "not V(x)V-valued"}, [witness])
     witnesses = pair_witnesses(spec, lambda i, j: (lam, 0)) + triple_witnesses(spec, (lam,) * alg.d)
-    return report("lambda_double_lie", spec, {"lambda": str(lam)}, witnesses)
+    return report("lambda_double_lie", spec, {"lambda": coef_str(lam)}, witnesses)
 
 
 # ---------------------------------------------------------------------------

@@ -90,10 +90,8 @@ class BracketSpec:
         cached = self._letter_cache.get(key)
         if cached is not None:
             return cached
-        if x < 0 and -x not in self.algebra.inverted:
-            raise ValueError(f"letter {x}: generator not invertible")
-        if y < 0 and -y not in self.algebra.inverted:
-            raise ValueError(f"letter {y}: generator not invertible")
+        for g in key:  # a refused pair caches nothing
+            self.algebra.validate_word((g,))
         if x < 0:
             # <<b^-1, a>> = -(1 (x) b^-1) <<b, a>> (b^-1 (x) 1)
             base = self._letter_raw(-x, y)

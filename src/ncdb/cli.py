@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 
 from . import axioms, classify, repspace, speclang
-from .freealg import exact
+from .freealg import coef_str, digit_cap, exact
 from .localize import localize
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE, EXIT_PIPE = 0, 1, 2, 141
@@ -66,6 +66,17 @@ def _emit_reports(reports, as_json: bool, extra=None):
 
 
 def _fraction(text: str) -> Fraction:
+    # Fraction builds 10**e for an exponent e: bound the digits of the numerator and
+    # denominator as written, as the .ndb lexer bounds each integer, before any is built
+    mantissa, _, exponent = text.strip().lower().partition("e")
+    num, _, den = mantissa.partition("/")
+    try:
+        shift = int(exponent or 0) - sum(map(str.isdecimal, num.partition(".")[2]))
+    except ValueError:
+        shift = 0  # not a literal: Fraction says why
+    cap = digit_cap()
+    if max(sum(map(str.isdecimal, num)) + max(shift, 0), sum(map(str.isdecimal, den)), 1 - shift) > cap:
+        raise argparse.ArgumentTypeError(f"a numerator or denominator of more than {cap} digits")
     try:
         return Fraction(text)
     except ValueError as e:
@@ -114,7 +125,7 @@ def _build_parser():
             ("h0skew", "check_h0_skew", 4, "bounded skew symmetry modulo commutators: decided on the "
              "letters when the skew defects are a weight form, else one residual per pair of cyclic classes")):
         s = sub.add_parser(command, help=text)
-        s.set_defaults(check=check)  # the checker in axioms
+        s.set_defaults(run=_check, check=check)
         s.add_argument("file")
         s.add_argument("--max-degree", type=_positive_int, default=degree)
         s.add_argument("--all-witnesses", action="store_true")
@@ -129,8 +140,10 @@ def _build_parser():
                    help="exploratory: comma-separated second weights")
     c.add_argument("--gamma-grid", type=_fraction_list, default=None,
                    help="exploratory: comma-separated values for each gamma entry")
-    for family in (c, families.add_parser("cl3a"), families.add_parser("cl3b")):
+    for family, run in ((c, _classify_cl1), (families.add_parser("cl3a"), _classify_cl3),
+                        (families.add_parser("cl3b"), _classify_cl3)):
         family.add_argument("--json", action="store_true")
+        family.set_defaults(run=run)
 
     l = sub.add_parser("localize", help="extend a spec to a Laurent localisation")
     l.add_argument("file")
@@ -151,6 +164,8 @@ def _build_parser():
     b.add_argument("--params", type=_fraction_list, default=(),
                    help="comma-separated family parameters, e.g. 4,2 for cld")
     b.add_argument("-o", "--output", default="-")
+    for parser, run in ((v, _verify), (l, _localize), (r, _rep), (b, _builtin)):
+        parser.set_defaults(run=run)
     return p
 
 
@@ -161,7 +176,7 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:
-        code = _dispatch(args)
+        code = args.run(args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:
@@ -178,83 +193,75 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
 
-def _dispatch(args) -> int:
-    if args.command == "verify":
-        spec, weights = _load_spec(args.file)
-        pair_deg, triple_deg = (4, 3) if args.max_degree is None else (args.max_degree,) * 2
-        if args.pair_degree is not None:
-            pair_deg = args.pair_degree
-        if args.triple_degree is not None:
-            triple_deg = args.triple_degree
-        reports, used = axioms.modified_double_poisson_battery(
-            spec, weights, pair_deg, triple_deg
-        )
-        extra = {"weights": [str(w) for w in used]} if used else None
-        return _emit_reports(reports, args.json, extra)
+# handlers look library functions up through their modules when they run, where a tracer may swap them
+def _verify(args) -> int:
+    spec, weights = _load_spec(args.file)
+    reports, used = axioms.modified_double_poisson_battery(
+        spec, weights, args.pair_degree or args.max_degree or 4, args.triple_degree or args.max_degree or 3)
+    extra = {"weights": [coef_str(w) for w in used]} if used else None
+    return _emit_reports(reports, args.json, extra)
 
-    if "check" in args:  # jacobi and h0skew
-        spec, _ = _load_spec(args.file)
-        check = getattr(axioms, args.check)
-        return _emit_reports([check(spec, args.max_degree, args.all_witnesses)], args.json)
 
-    if args.command == "classify":
-        return _classify(args)
+def _check(args) -> int:  # jacobi and h0skew: args.check names the checker in axioms
+    spec, _ = _load_spec(args.file)
+    return _emit_reports([getattr(axioms, args.check)(spec, args.max_degree, args.all_witnesses)], args.json)
 
-    if args.command == "localize":
-        spec, weights = _load_spec(args.file)
+
+def _localize(args) -> int:
+    spec, weights = _load_spec(args.file)
+    if weights is None:
+        weights = axioms.infer_weight(spec)
         if weights is None:
-            weights = axioms.infer_weight(spec)
-            if weights is None:
-                raise ValueError("spec admits no weight vector; cannot localise")
-        loc, _ = localize(spec, weights, args.invert)
-        _write_text(args.output, speclang.render(speclang.doc_from_spec(loc)))
-        return EXIT_OK
-
-    if args.command == "rep":
-        if args.points > MAX_POINTS:  # each point's report is kept until the output is written
-            raise ValueError(f"--points must be at most {MAX_POINTS}, got {args.points}")
-        spec, _ = _load_spec(args.file)
-        reports = []
-        for k in range(args.points):
-            p = repspace.MatrixPoint.random(spec.algebra, args.size, args.seed + k)
-            r = repspace.check_induced_poisson(spec, p, args.max_degree)
-            r.params["seed"] = args.seed + k
-            reports.append(r)
-        return _emit_reports(reports, args.json)
-
-    if args.command == "builtin":
-        spec, _ = classify.builtin(args.name, args.params)
-        _write_text(args.output, speclang.render(speclang.doc_from_spec(spec, name=args.name)))
-        return EXIT_OK
-
-    raise AssertionError("unhandled command")
+            raise ValueError("spec admits no weight vector; cannot localise")
+    loc, _ = localize(spec, weights, args.invert)
+    _write_text(args.output, speclang.render(speclang.doc_from_spec(loc)))
+    return EXIT_OK
 
 
-def _classify(args) -> int:
-    if args.family == "cl1":
-        rows = classify.search_cl1_grid(args.lam, args.rho_grid, args.gamma_grid)
-        survivors = classify.cl1_survivors(rows)
-        exploratory = args.rho_grid is not None or args.gamma_grid is not None
-        agree = all(r["generic"] == r["closed_form"] for r in rows)
-        if args.json:
-            listing = [{"rho": str(rho), "gamma": [str(g) for g in gamma]} for rho, gamma in survivors]
-            payload = {"family": "cl1", "lam": str(args.lam), "survivors": listing}
-            payload.update({"exhaustive": False} if exploratory else {"closed_form_agrees": agree})
-            print(json.dumps(payload, indent=2, sort_keys=True))
+def _rep(args) -> int:
+    if args.points > MAX_POINTS:  # each point's report is kept until the output is written
+        raise ValueError(f"--points must be at most {MAX_POINTS}, got {args.points}")
+    spec, _ = _load_spec(args.file)
+    reports = []
+    for k in range(args.points):
+        p = repspace.MatrixPoint.random(spec.algebra, args.size, args.seed + k)
+        r = repspace.check_induced_poisson(spec, p, args.max_degree)
+        r.params["seed"] = args.seed + k
+        reports.append(r)
+    return _emit_reports(reports, args.json)
+
+
+def _builtin(args) -> int:
+    spec, _ = classify.builtin(args.name, args.params)
+    _write_text(args.output, speclang.render(speclang.doc_from_spec(spec, name=args.name)))
+    return EXIT_OK
+
+
+def _classify_cl1(args) -> int:
+    rows = classify.search_cl1_grid(args.lam, args.rho_grid, args.gamma_grid)
+    survivors = classify.cl1_survivors(rows)
+    exploratory = args.rho_grid is not None or args.gamma_grid is not None
+    agree = all(r["generic"] == r["closed_form"] for r in rows)
+    lam = coef_str(args.lam)
+    if args.json:
+        listing = [{"rho": coef_str(rho), "gamma": list(map(coef_str, gamma))} for rho, gamma in survivors]
+        payload = {"family": "cl1", "lam": lam, "survivors": listing}
+        payload.update({"exhaustive": False} if exploratory else {"closed_form_agrees": agree})
+        print(json.dumps(payload, indent=2, sort_keys=True))
+    else:
+        if exploratory:
+            print(f"cl1 exploratory grid at lam={lam} (non-exhaustive): {len(survivors)} passing points")
         else:
-            if exploratory:
-                print(f"cl1 exploratory grid at lam={args.lam} (non-exhaustive): "
-                      f"{len(survivors)} passing points")
-            else:
-                print(f"cl1 grid at lam={args.lam}: {len(survivors)} survivors")
-            for rho, gamma in survivors:
-                print(f"  rho={rho}  gamma=({', '.join(str(g) for g in gamma)})")
-            if not exploratory:
-                print(f"closed-form conditions agree pointwise: {agree}")
-        return EXIT_OK if exploratory or agree else EXIT_FAIL
+            print(f"cl1 grid at lam={lam}: {len(survivors)} survivors")
+        for rho, gamma in survivors:
+            print(f"  rho={coef_str(rho)}  gamma=({', '.join(map(coef_str, gamma))})")
+        if not exploratory:
+            print(f"closed-form conditions agree pointwise: {agree}")
+    return EXIT_OK if exploratory or agree else EXIT_FAIL
 
-    search = classify.search_cl3a if args.family == "cl3a" else classify.search_cl3b
-    survivors = search()
+
+def _classify_cl3(args) -> int:
+    survivors = getattr(classify, f"search_{args.family}")()
     if args.json:
         print(json.dumps({
             "family": args.family,

@@ -19,7 +19,9 @@ helpers, rendering, serialisation), so results are deterministic across runs.
 
 from __future__ import annotations
 
+import decimal
 import functools
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -103,9 +105,18 @@ def exact(c):
 
 
 def coef_str(c) -> str:
-    if isinstance(c, Fraction) and c.denominator != 1:
-        return f"{c.numerator}/{c.denominator}"
-    return str(int(c))
+    """``str(c)`` for an exact rational ``c``, at any length."""
+    try:
+        return str(c)
+    except ValueError:  # an int past int()'s digit limit: Decimal converts it exactly
+        n, d = (str(decimal.Decimal(k)) for k in (c.numerator, c.denominator))
+        return n if d == "1" else f"{n}/{d}"
+
+
+def digit_cap() -> int:
+    """The most digits an integer literal may have: ``int()``'s limit, at
+    most 4,300; a limit of 0 (none), or none to read, keeps 4,300."""
+    return min(4300, getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300)
 
 
 def _merge_term(terms: dict, key, c):
@@ -237,10 +248,11 @@ class FreeAlgebra:
 
         More than ``MAX_WORDS`` words is a ValueError, raised before any is
         built: every sweep over them is at least quadratic in their number.
-        So is a degree below 1, over which a sweep would pass vacuously.
+        So is a degree below 1, over which a sweep would pass vacuously, and
+        one that is not an int (a bool is not a degree).
         """
-        if maxdeg < 1:
-            raise ValueError(f"degree must be at least 1, got {maxdeg}")
+        if type(maxdeg) is not int or maxdeg < 1:
+            raise ValueError(f"degree must be an int of at least 1, got {maxdeg!r}")
         # reduced words of each length: a word ending in one of the 2 * len(inverted)
         # invertible letters cannot be followed by that letter's inverse
         n, m = len(self.letters), 2 * len(self.inverted)

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
 
-from .freealg import Element, FreeAlgebra, exact
+from .freealg import Element, FreeAlgebra, coef_str, exact
 from .bracket import BracketSpec, _memo, jacobiator_ids
 from .axioms import VerificationReport, report, sweep, sweep_ids
 
@@ -69,7 +69,7 @@ MAX_SIZE = 64  # largest matrix point: each word matrix holds size**2 integers
 
 
 def _checked_size(n):
-    if not isinstance(n, int) or not 1 <= n <= MAX_SIZE:
+    if type(n) is not int or not 1 <= n <= MAX_SIZE:  # a bool is not a size
         raise ValueError(f"size must be an int from 1 to {MAX_SIZE}, got {n!r}")
     return n
 
@@ -257,10 +257,10 @@ def check_induced_poisson(spec: BracketSpec, p: MatrixPoint, maxdeg: int = 3,
     dcell = p.denom ** (bound + maxdeg - 1)  # the power of D in every cell
     params = {"size": p.size, "maxdeg": maxdeg}
     params["pairs"], witnesses = sweep(spec, ids, 2, lambda a, b: row(a)[b] + row(b)[a],
-                                       lambda t, _: str(Fraction(t, e * dcell)), "0", all_witnesses)
+                                       lambda t, _: coef_str(Fraction(t, e * dcell)), "0", all_witnesses)
     if witnesses and not all_witnesses:
         return report("induced_trace_skew", spec, params, witnesses)
     params["triples"], more = sweep(spec, ids, 3,
                                     lambda a, b: cells(functools.partial(jacobiator_ids, mb, a, b), e * e).__getitem__,
-                                    lambda t, _: str(Fraction(t, e * e * dcell)), "0", all_witnesses)
+                                    lambda t, _: coef_str(Fraction(t, e * e * dcell)), "0", all_witnesses)
     return report("induced_trace_poisson", spec, params, witnesses + more)

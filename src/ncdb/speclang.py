@@ -31,11 +31,10 @@ parse(render(doc)) == doc.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .freealg import MAX_GENERATORS, FreeAlgebra, coef_str, reduce_word
+from .freealg import MAX_GENERATORS, FreeAlgebra, coef_str, digit_cap, reduce_word
 from .bracket import BracketSpec
 
 KEYWORDS = {"name", "algebra", "weight", "bracket", "inv"}
@@ -69,8 +68,7 @@ class Token:
 
 
 def tokenize(text: str):
-    # int() refuses a longer digit string; a limit of 0 (none) keeps the default cap
-    cap = min(4300, getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300)
+    cap = digit_cap()  # int() refuses a longer digit string
     toks = []
     line, col = 1, 1
     i, n = 0, len(text)

@@ -392,6 +392,20 @@ def test_sweep_below_degree_one_refused(sweep, mdbI):
         sweep(mdbI, builtin("mdbI")[1])
 
 
+@pytest.mark.parametrize("call", [
+    lambda spec: check_jacobi(spec, True),
+    lambda spec: check_h0_skew(spec, 2.5),
+    lambda spec: check_induced_poisson(spec, MatrixPoint.random(spec.algebra, 2, 0), True),
+    lambda spec: MatrixPoint.random(spec.algebra, True, 0),
+    lambda spec: spec.algebra.words_up_to(Fraction(2)),
+], ids=["jacobi_bool", "h0skew_float", "rep_bool", "size_bool", "words_fraction"])
+def test_non_int_degree_or_size_refused(call, mdbI):
+    """A bool would pass as 1 and reach a report's "maxdeg" or "size" as
+    true, which the report schema refuses; a float would reach range()."""
+    with pytest.raises(ValueError, match="must be an int"):
+        call(mdbI)
+
+
 def _scaled_mdb2():
     spec = builtin("mdbII")[0]
     table = dict(spec.table)

@@ -176,6 +176,15 @@ class TestLetterBracket:
         with pytest.raises(ValueError):
             mdbI.letter_bracket(1, -2)
 
+    @pytest.mark.parametrize("x,y", [(5, 1), (0, 2), (-1, 2), (1, 4), (2, -3)])
+    def test_letters_outside_the_algebra_refused(self, x, y):
+        """Both letters of a pair not yet cached are checked as words of the
+        algebra; a refused pair caches nothing."""
+        spec = builtin("mdbI")[0]  # not the shared fixture: its cache is asserted empty
+        with pytest.raises(ValueError, match="out of range|not invertible"):
+            spec.letter_bracket(x, y)
+        assert not spec._letter_cache
+
 
 class TestDbracket:
     def test_leibniz_one_contributing_pair(self, mdbII):

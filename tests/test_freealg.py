@@ -1,5 +1,6 @@
 import functools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from ncdb.freealg import (
     FreeAlgebra,
     WordNames,
     _merge_term,
+    coef_str,
     concat,
     cyclic_normal_form,
     letter_key,
@@ -253,6 +255,56 @@ class TestCyclicClasses:
             rot = reduce_word(w[k:] + w[:k])
             diff = L2.element({w: 1}) - (L2.element({rot: 1}) if rot else L2.one())
             assert not reduce_mod_commutators(diff)
+
+
+def wide_str(c):
+    """``str(c)`` with ``int()``'s digit limit lifted, where this Python has one."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is None:
+        return str(c)
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(c)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def long_rationals(rng, lengths):
+    """Ints and Fractions whose numerators or denominators have the given digit counts."""
+    values = [10 ** (n - 1) for n in lengths] + [10 ** n - 1 for n in lengths]
+    for n in lengths:
+        k = rng.randrange(10 ** (n - 1), 10 ** n)
+        values += [k, -k, Fraction(k, 7), Fraction(-3, k), Fraction(k, rng.randrange(2, 10 ** n))]
+    return values
+
+
+class TestCoefficientText:
+    def test_matches_str_at_any_length(self):
+        """coef_str is str() wherever str() answers, and past int()'s digit
+        limit, at 4,301 digits and beyond, it is what str() gives once the
+        limit is lifted."""
+        rng = random.Random(5)
+        values = [rng.randint(-99, 99) for _ in range(200)]
+        values += [Fraction(rng.randint(-99, 99), rng.randint(1, 99)) for _ in range(200)]
+        short = values + long_rationals(rng, (19, 20, 640, 4299, 4300))
+        for c in short:
+            assert coef_str(c) == str(c)
+        for c in short + long_rationals(rng, (4301, 4302, 9000)):
+            assert coef_str(c) == wide_str(c)
+        assert coef_str(-(10 ** 4300)) == "-1" + "0" * 4300
+        assert coef_str(Fraction(1, 10 ** 4300)) == "1/1" + "0" * 4300
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="this Python has no int() digit limit")
+    def test_ignores_a_lower_int_limit(self):
+        values = long_rationals(random.Random(6), (639, 640, 641, 4301))
+        expected = [wide_str(c) for c in values]
+        limit = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(640)
+            got = [coef_str(c) for c in values]
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert got == expected
 
 
 class TestOrderingAndRendering:

@@ -1,8 +1,10 @@
+import argparse
 import dataclasses
 import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -16,7 +18,7 @@ from ncdb.cli import _emit_reports, main
 from ncdb.classify import FamilyParams, build, builtin
 from ncdb.localize import localize
 from ncdb.bracket import BracketSpec
-from ncdb.freealg import FreeAlgebra, reduce_word
+from ncdb.freealg import FreeAlgebra, digit_cap, reduce_word
 from ncdb.speclang import (
     ParseError,
     SpecDocument,
@@ -607,6 +609,92 @@ class TestCli:
         code, out, err = self.run(argv, capsys=capsys, monkeypatch=monkeypatch)
         assert code == 2 and not out
         assert err == "error: sweep has more than 1 witnesses\n"
+
+    # every command's flags, past -h/--help
+    FLAGS = {
+        (): [],
+        ("verify",): ["--max-degree", "--pair-degree", "--triple-degree", "--json"],
+        ("jacobi",): ["--max-degree", "--all-witnesses", "--json"],
+        ("h0skew",): ["--max-degree", "--all-witnesses", "--json"],
+        ("classify",): [],
+        ("classify", "cl1"): ["--lam", "--rho-grid", "--gamma-grid", "--json"],
+        ("classify", "cl3a"): ["--json"],
+        ("classify", "cl3b"): ["--json"],
+        ("localize",): ["--invert", "-o", "--output"],
+        ("rep",): ["--size", "--seed", "--max-degree", "--points", "--json"],
+        ("builtin",): ["--params", "-o", "--output"],
+    }
+
+    def test_every_help_lists_its_flags(self, capsys, monkeypatch):
+        """--help on every command exits 0 and names each of its flags and
+        subcommands; the wording around them is left to argparse."""
+        def walk(parser, path):
+            subs = {}
+            for action in parser._actions:
+                if isinstance(action, argparse._SubParsersAction):
+                    subs = action.choices
+            yield path, parser, list(subs)
+            for name, sub in subs.items():
+                yield from walk(sub, path + (name,))
+
+        commands = list(walk(cli._build_parser(), ()))
+        assert {path for path, _, _ in commands} == set(self.FLAGS)
+        for path, parser, subs in commands:
+            flags = [f for action in parser._actions for f in action.option_strings]
+            assert sorted(flags) == sorted(self.FLAGS[path] + ["-h", "--help"])
+            code, out, err = self.run(list(path) + ["--help"], capsys=capsys, monkeypatch=monkeypatch)
+            assert code == 0 and not err
+            words = set(re.findall(r"(?<![\w-])-{0,2}[a-z][\w-]*", out))
+            assert set(flags + subs) <= words, path
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--lam", "1e10000000"),
+        ("--gamma-grid", "0,1e1000000"),
+        ("--rho-grid", "1e-4300"),        # a denominator of 4,301 digits
+        ("--lam", "1_0e4299"),
+        ("--lam", "0." + "5" * 4301),
+        ("--lam", "1/" + "3" * 4301),
+    ], ids=["exponent", "grid_exponent", "negative_exponent", "underscore", "decimals", "denominator"])
+    def test_long_rationals_refused_before_they_are_built(self, flag, value, capsys, monkeypatch):
+        """A literal whose numerator or denominator as written has more digits
+        than the .ndb lexer takes is refused before Fraction sees it."""
+        seen = []
+        real = cli.Fraction
+        monkeypatch.setattr(cli, "Fraction", lambda x=0: seen.append(x) or real(x))
+        code, out, err = self.run(["classify", "cl1", f"{flag}={value}"], capsys=capsys, monkeypatch=monkeypatch)
+        assert code == 2 and not out
+        assert f"error: argument {flag}: a numerator or denominator of more than {digit_cap()} digits" in err
+        assert value.split(",")[-1] not in seen
+
+    @pytest.mark.parametrize("text", ["-1/2", "0.5", "1e3", "2/4", " 3 ", "1e4299", "1e-4299", "9" * 4300,
+                                      "0." + "5" * 4299, "1/" + "3" * 4300])
+    def test_cli_rationals_up_to_the_cap_accepted(self, text):
+        assert cli._fraction(text) == Fraction(text)
+
+    def test_long_report_rationals_print_in_full(self, capsys, monkeypatch, tmp_path):
+        """Rationals past int()'s digit limit that a spec within the lexer's
+        cap produces print in full: an 8,000-digit Jacobi witness coefficient,
+        and a 4,301-digit weight candidate in verify's weight inference."""
+        big = tmp_path / "big.ndb"
+        big.write_text(f"algebra x y z; bracket {{x,y}} = {'7' * 4000} * x (x) z; bracket {{y,z}} = y (x) x;\n")
+        big2 = tmp_path / "big2.ndb"
+        big2.write_text(f"algebra x y; bracket {{x,y}} = {'9' * 4300} * x (x) y + {'9' * 4300} (x) x*y;\n")
+        payloads = []
+        for argv in (["jacobi", str(big), "--json"], ["h0skew", str(big), "--json"], ["rep", str(big), "--json"],
+                     ["verify", str(big2), "--max-degree", "2", "--json"]):
+            code, out, err = self.run(argv, capsys=capsys, monkeypatch=monkeypatch)
+            assert (code, err) == (1, ""), argv
+            payloads.append(json.loads(out))
+        witness = payloads[0]["reports"][0]["witnesses"][0]
+        assert max(map(len, re.findall(r"\d+", witness["residual"]))) == 8000  # N * N
+        assert payloads[3]["reports"][0]["params"]["reason"] == "no consistent weight vector exists"
+        code, out, _ = self.run(["verify", str(big2), "--max-degree", "2"], capsys=capsys, monkeypatch=monkeypatch)
+        assert code == 1 and "reason=no consistent weight vector exists" in out
+        jsonschema = pytest.importorskip("jsonschema")
+        schema = json.loads((Path(__file__).resolve().parents[1] / "docs" / "report_schema.json").read_text())
+        for payload in payloads:
+            for rep in payload["reports"]:
+                jsonschema.validate(rep, schema)
 
     def test_emit_reports_refuses_empty_list(self):
         with pytest.raises(ValueError):
