@@ -667,7 +667,9 @@ class TestCli:
         assert value.split(",")[-1] not in seen
 
     @pytest.mark.parametrize("text", ["-1/2", "0.5", "1e3", "2/4", " 3 ", "1e4299", "1e-4299", "9" * 4300,
-                                      "0." + "5" * 4299, "1/" + "3" * 4300])
+                                      "0." + "5" * 4299, "1/" + "3" * 4300],
+                             ids=["negative", "decimal", "exponent", "reducible", "spaces", "exponent_at_cap",
+                                  "negative_exponent_at_cap", "integer_at_cap", "decimals_at_cap", "denominator_at_cap"])
     def test_cli_rationals_up_to_the_cap_accepted(self, text):
         assert cli._fraction(text) == Fraction(text)
 
