@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -134,6 +135,7 @@ def _build_parser():
     families = sub.add_parser("classify", help="reproduce a classification table").add_subparsers(
         dest="family", required=True)
     c = families.add_parser("cl1")  # only the cl1 grid takes options
+    c._negative_number_matcher = re.compile(r"-\.?\d")  # so that --lam -1/2 reads -1/2 as its value
     c.add_argument("--lam", type=_fraction, default=Fraction(1),
                    help="weight scale for the cl1 grid (default 1)")
     c.add_argument("--rho-grid", type=_fraction_list, default=None,
@@ -221,6 +223,9 @@ def _localize(args) -> int:
 def _rep(args) -> int:
     if args.points > MAX_POINTS:  # each point's report is kept until the output is written
         raise ValueError(f"--points must be at most {MAX_POINTS}, got {args.points}")
+    cap = digit_cap()  # a report prints each point's seed with str()
+    if max(abs(args.seed), abs(args.seed + args.points - 1)) >= 10 ** cap:
+        raise ValueError(f"--seed: a point seed of more than {cap} digits")
     spec, _ = _load_spec(args.file)
     reports = []
     for k in range(args.points):

@@ -16,10 +16,15 @@ Grammar (EBNF; whitespace-insensitive, '#' starts a line comment)::
     word       = factor { "*" factor } | "1" ;
     factor     = IDENT [ "^" [ "-" ] INT ] ;
 
-"(x)" is the tensor separator; a Unicode tensor sign is accepted as an
-alias on input.  "1" denotes the unit monomial, "x^-1" an inverse letter
-(the generator must be declared "inv"); exponents are at most 64 in
-absolute value.  A single-token lookahead suffices throughout.
+Tokens: an IDENT is a letter or "_", then any letters, digits and "_"
+(Unicode ones too, as ``str.isalnum``: "α" and "x٣" are names, "²x" is
+not); an INT is a run of at most 4,300 ASCII digits 0-9 (fewer under a
+lower ``int()`` digit limit).  "⊗" is an alias for the tensor separator
+"(x)", and "#" comments out the rest of its line.  A column counts each
+character of its line, a tab as one, from 1.  "1" denotes the unit
+monomial, "x^-1" an inverse letter (the generator must be declared "inv");
+exponents are at most 64 in absolute value.  A single-token lookahead
+suffices throughout.
 
 A document is what fixes a double bracket: a :class:`BracketSpec` (an
 algebra, the :class:`Tensor2` value of each ordered pair of generators and
@@ -31,6 +36,7 @@ parse(render(doc)) == doc.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -55,8 +61,9 @@ class ParseError(Exception):
 # ---------------------------------------------------------------------------
 # lexer
 
-_SYMBOLS = {"{", "}", "=", ",", ";", "+", "-", "*", "/", "^"}
-_DIGITS = frozenset("0123456789")
+# one alternative per token kind, as the module docstring states them
+_TOKEN = re.compile(r"(?P<NL>\n)|(?P<SKIP>[^\S\n]+|#[^\n]*)|(?P<TENSOR>\(x\)|⊗)|(?P<INT>[0-9]+)"
+                    r"|(?P<IDENT>\w+)|(?P<SYM>[-{}=,;+*/^])|(?P<BAD>.)")
 
 
 @dataclass(frozen=True)
@@ -70,54 +77,20 @@ class Token:
 def tokenize(text: str):
     cap = digit_cap()  # int() refuses a longer digit string
     toks = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif ch.isspace():
-            i += 1
-            col += 1
-        elif ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif ch == "(":
-            if text[i : i + 3] == "(x)":
-                toks.append(Token("TENSOR", TENSOR_SEP, line, col))
-                i += 3
-                col += 3
-            else:
-                raise ParseError("expected the tensor separator '(x)'", line, col)
-        elif ch == "⊗":  # tensor sign alias
-            toks.append(Token("TENSOR", TENSOR_SEP, line, col))
-            i += 1
-            col += 1
-        elif ch in _DIGITS:  # str.isdigit() would take superscripts and other scripts' digits
-            j = i
-            while j < n and text[j] in _DIGITS:
-                j += 1
-            if j - i > cap:
-                raise ParseError(f"integer of more than {cap} digits", line, col)
-            toks.append(Token("INT", text[i:j], line, col))
-            col += j - i
-            i = j
-        elif ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(Token("IDENT", text[i:j], line, col))
-            col += j - i
-            i = j
-        elif ch in _SYMBOLS:
-            toks.append(Token("SYM", ch, line, col))
-            i += 1
-            col += 1
-        else:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-    toks.append(Token("EOF", "", line, col))
+    line, start = 1, 0  # start: the offset of the current line
+    for m in _TOKEN.finditer(text):
+        kind, tok, col = m.lastgroup, m.group(), m.start() - start + 1
+        if kind == "NL":
+            line, start = line + 1, m.end()
+        elif kind == "BAD" or kind == "IDENT" and not (tok[0].isalpha() or tok[0] == "_"):
+            # \w also takes digits of other scripts and superscripts, which may not start a name
+            message = "expected the tensor separator '(x)'" if tok == "(" else f"unexpected character {tok[0]!r}"
+            raise ParseError(message, line, col)
+        elif kind == "INT" and len(tok) > cap:
+            raise ParseError(f"integer of more than {cap} digits", line, col)
+        elif kind != "SKIP":
+            toks.append(Token(kind, TENSOR_SEP if kind == "TENSOR" else tok, line, col))
+    toks.append(Token("EOF", "", line, len(text) - start + 1))
     return toks
 
 
@@ -172,7 +145,7 @@ class _Parser:
     def expect(self, kind, text=None) -> Token:
         t = self.cur
         if t.kind != kind or (text is not None and t.text != text):
-            self.fail(f"'{text}'" if text else kind)
+            self.fail(f"'{text}'" if text else {"IDENT": "a name", "INT": "an integer"}[kind])
         return self.advance()
 
     def at_sym(self, text) -> bool:

@@ -26,6 +26,7 @@ from ncdb.speclang import (
     parse,
     quadratic_warnings,
     render,
+    tokenize,
 )
 
 SPECS = Path(__file__).resolve().parents[1] / "perfbench" / "specs"
@@ -109,6 +110,18 @@ class TestParse:
         assert (ei.value.line, ei.value.col) == (line, col)
         assert "unexpected character" in ei.value.message
 
+    def test_unicode_names(self):
+        """A name starts with a Unicode letter or "_" and goes on with letters
+        and digits of any script; each token's column counts characters."""
+        text = "algebra \u03b1 x\u0663;\nbracket {\u03b1,x\u0663} = x\u0663 \u2297 \u03b1;"
+        doc = parse(text)
+        assert doc.spec.algebra.names == ("\u03b1", "x\u0663")
+        assert doc.spec.table[(1, 2)].terms == {((2,), (1,)): 1}
+        toks = [(t.kind, t.text, t.line, t.col) for t in tokenize(text)]
+        assert toks[1:4] == [("IDENT", "\u03b1", 1, 9), ("IDENT", "x\u0663", 1, 11), ("SYM", ";", 1, 13)]
+        assert toks[-5:] == [("IDENT", "x\u0663", 2, 18), ("TENSOR", "(x)", 2, 21), ("IDENT", "\u03b1", 2, 23),
+                             ("SYM", ";", 2, 24), ("EOF", "", 2, 25)]
+
     def test_missing_algebra(self):
         with pytest.raises(ParseError) as ei:
             parse("bracket {v,w} = v (x) w;")
@@ -144,11 +157,22 @@ class TestParse:
         ("algebra x;\nbracket {x,x} = x^" + "9" * 5000 + " (x) 1;", 2, 19, "integer of more than 4300 digits"),
         # the 65th generator, at its name: "algebra " and g1 .. g64 take 255 columns
         ("algebra " + " ".join(f"g{i}" for i in range(1, 70)) + ";", 1, 256, "more than 64 generators"),
+        # an expected name or integer is named in words
+        ("algebra x", 1, 10, "expected a name, found 'end of input'"),
+        ("weight x;", 1, 8, "expected an integer, found 'x'"),
+        # lexer edge cases: a tab and a carriage return are one column each
+        ("algebra x;\tweight 1 \u00b2;", 1, 21, "unexpected character '\u00b2'"),
+        ("algebra x;\rweight 1 \u00b2;", 1, 21, "unexpected character '\u00b2'"),
+        ("algebra x;\nbracket {x,x} = x (y) 1;", 2, 19, "expected the tensor separator '(x)'"),
+        ("algebra x;\nbracket {x,x} = x \u2297", 2, 20, "expected a coefficient or a word, found 'end of input'"),
+        # the end of input after a trailing comment is at its own column, not the comment's
+        ("algebra x # no semicolon", 1, 25, "expected a name, found 'end of input'"),
     ], ids=["second_name", "repeated_generator", "short_weight", "long_weight_first", "no_keyword",
             "unknown_keyword", "second_algebra", "second_weight", "no_generators", "no_weights",
             "zero_denominator", "zero_exponent", "no_tensor_sign", "no_side", "expected_symbol",
             "zero_coef_undeclared", "zero_side_undeclared", "zero_coef_not_invertible",
-            "long_weight_literal", "long_exponent", "generator_cap"])
+            "long_weight_literal", "long_exponent", "generator_cap", "expected_name", "expected_integer",
+            "tab", "carriage_return", "open_paren", "tensor_sign_no_side", "comment_at_end"])
     def test_statement_faults_have_positions(self, text, line, col, message):
         with pytest.raises(ParseError) as ei:
             parse(text)
@@ -421,6 +445,30 @@ class TestCli:
         code, out, err = self.run(argv[:-1] + ["3"], capsys=capsys, monkeypatch=monkeypatch)
         assert code == 2 and not out
         assert err == "error: --points must be at most 2, got 3\n"
+
+    def test_rep_seed_cap(self, mdbI_file, capsys, monkeypatch):
+        """A --seed whose point seeds seed + k would pass int()'s digit limit is
+        refused before the spec is loaded; a report prints each seed with str()."""
+        argv = ["rep", mdbI_file, "--max-degree", "1", "--size", "1", "--seed", "9" * digit_cap(), "--points", "1"]
+        code, out, err = self.run(argv, capsys=capsys, monkeypatch=monkeypatch)
+        assert (code, err) == (0, "") and f"seed={'9' * digit_cap()}" in out
+
+        def refuse(*args):
+            raise AssertionError("loaded past the cap")
+        monkeypatch.setattr(cli, "_load_spec", refuse)
+        code, out, err = self.run(argv[:-1] + ["2"], capsys=capsys, monkeypatch=monkeypatch)
+        assert code == 2 and not out
+        assert err == f"error: --seed: a point seed of more than {digit_cap()} digits\n"
+
+    @pytest.mark.parametrize("flag,value", [("--lam", "-1/2"), ("--lam", "-.5"), ("--rho-grid", "-1,1"),
+                                            ("--gamma-grid", "-2,0")])
+    def test_negative_cl1_values(self, flag, value, capsys, monkeypatch):
+        """A negative value may follow its cl1 option as a separate word."""
+        spaced = self.run(["classify", "cl1", flag, value], capsys=capsys, monkeypatch=monkeypatch)
+        joined = self.run(["classify", "cl1", f"{flag}={value}"], capsys=capsys, monkeypatch=monkeypatch)
+        assert spaced == joined and spaced[0] == 0 and spaced[1]
+        code, out, err = self.run(["classify", "cl1", "-5"], capsys=capsys, monkeypatch=monkeypatch)
+        assert code == 2 and not out and "unrecognized arguments: -5" in err
 
     def test_usage_error_exits_2(self, capsys, monkeypatch):
         code, _, _ = self.run(["frobnicate"], capsys=capsys, monkeypatch=monkeypatch)
