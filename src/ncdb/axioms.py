@@ -504,11 +504,10 @@ def check_h0_skew(spec: BracketSpec, maxdeg: int = 4, all_witnesses: bool = Fals
     def residual(a, b):  # {a,b} + {b,a} on cyclic normal forms: {a,b} under the skew defects
         res = {}
         for word, c in spec._mb_words(word_of[a], word_of[b], defect).items():
-            _merge_term(res, cyclic_normal_form(word), c)
+            _merge_term(res, spec._wid(cyclic_normal_form(word)), c)
         return res
 
-    cnf_names = WordNames(spec.algebra)  # the residual is keyed by words, not by the sweep's ids
-    pairs, witnesses = sweep(spec, ids, 2, residual, lambda res, _: render_terms(spec.algebra, res, 1, cnf_names),
+    pairs, witnesses = sweep(spec, ids, 2, residual, lambda res, names: render_terms(spec.algebra, res, 1, names),
                              "0 mod commutators", all_witnesses)
     return report("h0_skew_symmetry", spec, {"maxdeg": maxdeg, "pairs": pairs, "words": len(words)}, witnesses)
 

@@ -162,6 +162,7 @@ def _build_parser():
     r.add_argument("--json", action="store_true")
 
     b = sub.add_parser("builtin", help="emit a bundled spec as .ndb text")
+    b._negative_number_matcher = c._negative_number_matcher  # so that --params -2,1 reads -2,1 as its value
     b.add_argument("name", choices=sorted(classify._FAMILIES))
     b.add_argument("--params", type=_fraction_list, default=(),
                    help="comma-separated family parameters, e.g. 4,2 for cld")

@@ -39,6 +39,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .freealg import MAX_GENERATORS, FreeAlgebra, coef_str, digit_cap, reduce_word
 from .bracket import BracketSpec
@@ -66,8 +67,7 @@ _TOKEN = re.compile(r"(?P<NL>\n)|(?P<SKIP>[^\S\n]+|#[^\n]*)|(?P<TENSOR>\(x\)|⊗
                     r"|(?P<IDENT>\w+)|(?P<SYM>[-{}=,;+*/^])|(?P<BAD>.)")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # IDENT, INT, SYM, TENSOR, EOF
     text: str
     line: int
@@ -156,41 +156,48 @@ class _Parser:
             self.fail(expected)
         return self.expect("INT")
 
+    def sign(self) -> int:
+        """-1 after an optional leading '-', which it consumes, else 1."""
+        if self.at_sym("-"):
+            self.advance()
+            return -1
+        return 1
+
+    def one_or_more(self, item, what) -> list:
+        """The values of ``item()`` read once or more, up to the ';' that ends the statement."""
+        if self.at_sym(";"):
+            self.fail(f"at least one {what}")
+        vals = []
+        while not self.at_sym(";"):
+            vals.append(item())
+        return vals
+
     # -- grammar -----------------------------------------------------------
 
     def document(self) -> SpecDocument:
-        name = gens = weights = None
+        once = {"name": (lambda: self.expect("IDENT").text, "name statement"),
+                "algebra": (self.algebra_stmt, "algebra block"), "weight": (self.weight_stmt, "weight block")}
+        found = {}  # keyword -> (its token, its value), for each once-only statement read
         raw_entries = []  # (two factors, terms), resolved after the algebra block
         while self.cur.kind != "EOF":
             t = self.cur
             if t.kind != "IDENT":
                 self.fail("a statement keyword")
-            if t.text == "name":
-                if name is not None:
-                    raise ParseError("duplicate name statement", t.line, t.col)
-                self.advance()
-                name = self.expect("IDENT").text
-                self.expect("SYM", ";")
-            elif t.text == "algebra":
-                if gens is not None:
-                    raise ParseError("duplicate algebra block", t.line, t.col)
-                self.advance()
-                gens = self.algebra_block()
-            elif t.text == "weight":
-                if weights is not None:
-                    raise ParseError("duplicate weight block", t.line, t.col)
-                weight_tok = self.advance()
-                weights = self.weight_block()
-            elif t.text == "bracket":
+            if t.text == "bracket":
                 self.advance()
                 raw_entries.append(self.bracket_stmt())
+            elif t.text in once:
+                stmt, what = once[t.text]
+                if t.text in found:
+                    raise ParseError(f"duplicate {what}", t.line, t.col)
+                self.advance()
+                found[t.text] = t, stmt()
             else:
                 self.fail("'name', 'algebra', 'weight' or 'bracket'")
-        if gens is None:
+            self.expect("SYM", ";")
+        if "algebra" not in found:
             raise ParseError("missing algebra block", self.cur.line, self.cur.col)
-        alg = FreeAlgebra(
-            tuple(n for n, _ in gens), tuple(i + 1 for i, (_, inv) in enumerate(gens) if inv)
-        )
+        alg = found["algebra"][1]
         index = {n: i + 1 for i, n in enumerate(alg.names)}
         table = {}
         for f1, f2, terms in raw_entries:
@@ -202,11 +209,12 @@ class _Parser:
                 k = (self.resolve_word(w1, index, alg), self.resolve_word(w2, index, alg))
                 resolved[k] = resolved.get(k, 0) + c
             table[pair] = alg.tensor2(resolved)
+        weight_tok, weights = found.get("weight", (None, None))
         if weights is not None and len(weights) != alg.d:
             raise ParseError(f"weight block has {len(weights)} entries for {alg.d} generators",
                              weight_tok.line, weight_tok.col)
         weights = None if weights is None else alg.letter_weights(weights)
-        return SpecDocument(BracketSpec(alg, table, weights), name)
+        return SpecDocument(BracketSpec(alg, table, weights), found.get("name", (None, None))[1])
 
     def resolve_word(self, word, index, alg):
         letters = []
@@ -219,48 +227,37 @@ class _Parser:
             letters.extend([g if exp > 0 else -g] * abs(exp))
         return reduce_word(letters)
 
-    def algebra_block(self):
-        """The declared generators as (name, inverted) pairs."""
-        gens = []
-        if self.at_sym(";"):
-            self.fail("at least one generator name")
-        while not self.at_sym(";"):
+    def algebra_stmt(self) -> FreeAlgebra:
+        names = []
+
+        def gen_decl():  # whether the generator is inverted
             t = self.expect("IDENT")
             if t.text in KEYWORDS:
                 raise ParseError(
                     f"{t.text!r} is reserved and cannot name a generator", t.line, t.col
                 )
-            if any(n == t.text for n, _ in gens):
+            if t.text in names:
                 raise ParseError(f"duplicate generator {t.text!r}", t.line, t.col)
-            if len(gens) == MAX_GENERATORS:
+            if len(names) == MAX_GENERATORS:
                 raise ParseError(f"more than {MAX_GENERATORS} generators", t.line, t.col)
-            inv = False
-            if self.cur.kind == "IDENT" and self.cur.text == "inv":
+            names.append(t.text)
+            inv = self.cur.kind == "IDENT" and self.cur.text == "inv"
+            if inv:
                 self.advance()
-                inv = True
-            gens.append((t.text, inv))
-        self.expect("SYM", ";")
-        return gens
+            return inv
 
-    def weight_block(self):
-        vals = []
-        if self.at_sym(";"):
-            self.fail("at least one weight")
-        while not self.at_sym(";"):
-            vals.append(self.rational())
-        self.expect("SYM", ";")
-        return tuple(vals)
+        invs = self.one_or_more(gen_decl, "generator name")
+        return FreeAlgebra(tuple(names), tuple(i + 1 for i, inv in enumerate(invs) if inv))
+
+    def weight_stmt(self):
+        return tuple(self.one_or_more(self.rational, "weight"))
 
     def rational(self) -> Fraction:
-        sign = 1
-        if self.at_sym("-"):
-            self.advance()
-            sign = -1
-        num = int(self.expect("INT").text)
+        num = self.sign() * int(self.expect("INT").text)
         if self.at_sym("/"):
             self.advance()
-            return Fraction(sign * num, int(self.nonzero_int("a nonzero denominator").text))
-        return Fraction(sign * num)
+            return Fraction(num, int(self.nonzero_int("a nonzero denominator").text))
+        return Fraction(num)
 
     def bracket_stmt(self):
         """The two generators, as one-letter factors, and the terms."""
@@ -271,16 +268,10 @@ class _Parser:
         self.expect("SYM", "}")
         self.expect("SYM", "=")
         terms = self.tensor_expr()
-        self.expect("SYM", ";")
         return (t1.text, 1, t1), (t2.text, 1, t2), terms
 
     def tensor_expr(self):
-        terms = []
-        sign = 1
-        if self.at_sym("-"):
-            self.advance()
-            sign = -1
-        terms.extend(self.term(sign))
+        terms = self.term(self.sign())
         while self.at_sym("+") or self.at_sym("-"):
             sign = 1 if self.advance().text == "+" else -1
             terms.extend(self.term(sign))
@@ -324,10 +315,7 @@ class _Parser:
         exp = 1
         if self.at_sym("^"):
             self.advance()
-            sign = 1
-            if self.at_sym("-"):
-                self.advance()
-                sign = -1
+            sign = self.sign()
             n = self.nonzero_int("a nonzero exponent")
             exp = sign * int(n.text)
             if abs(exp) > MAX_EXPONENT:  # x^N expands to N letters

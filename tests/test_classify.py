@@ -1,10 +1,19 @@
+import functools
 import itertools
 from fractions import Fraction
 
 import pytest
 
 from ncdb import classify
-from ncdb.axioms import check_poisson_property, check_weight, infer_weight
+from ncdb.axioms import (
+    check_poisson_property,
+    check_weight,
+    form_terms,
+    infer_weight,
+    poisson_rhs,
+    skew_defect,
+    weight_form,
+)
 from ncdb.bracket import BracketSpec
 from ncdb.classify import (
     TRIPLE_SOLUTIONS,
@@ -264,3 +273,66 @@ class TestFamilies:
         for name in ("cld", "cld2"):
             spec, w = build(FamilyParams(name, (4, 1)))
             assert infer_weight(spec) == w
+
+    def test_cld_families_for_every_d_and_delta(self):
+        """cld(d, delta) and cld2(d, delta) are weighted skew symmetric and
+        Poisson for every d >= 4 and 0 <= delta <= d, by locality.
+
+        Both properties are letter-level comparisons of raw dicts (criterion
+        4): a letter pair's skew defect <<x,y>> + flip<<y,x>> against its
+        weight form, and a letter triple's double Jacobiator (``_djac_words``
+        on letters) against ``poisson_rhs``.  Each side reads only brackets
+        among the tuple's own letters: the skew defect reads <<x,y>> and
+        <<y,x>>; the Jacobiator reads <<y,z>>, <<x,z>> and <<x,y>>, then the
+        bracket of a letter of the triple with each word of those, whose
+        letters are again among x, y, z; ``poisson_rhs`` reads <<x,z>>.  In
+        ``classify._blocks`` the entry of a pair i < j is one formula per
+        pair of sign blocks, in the letters i and j, and the forced (j, i)
+        entry depends only on their weights, which are +-1 by block.  So a
+        tuple's two dicts are fixed, up to relabelling its letters, by its
+        type: the order pattern of its indices (repeats included) and the
+        block of each index.
+
+        The +1 block comes first, so a type's distinct indices, in order,
+        run through + blocks and then - blocks; with three indices in each
+        block, cld(6, 3) and cld2(6, 3) realise every type of a pair or a
+        triple.  The test builds the table of types there and asserts that
+        every residual is 0.  For every d <= 12 and every delta it asserts
+        that each letter pair and triple has a type in the table, and for
+        d <= 8 that the tuple's two dicts are its type representative's
+        after relabelling: the locality above, checked.
+        """
+
+        def dicts_of(spec):  # a letter tuple -> its (actual, expected) raw dicts
+            dbr = functools.cache(spec._dbr_words)
+
+            def dicts(cell):
+                form = weight_form(spec.weight[cell[0] - 1], spec.weight[cell[1] - 1])
+                if len(cell) == 2:
+                    return skew_defect(spec, *cell), form_terms(*cell, *form)
+                return spec._djac_words(*((g,) for g in cell), dbr), poisson_rhs(spec, *cell, *form)
+            return dicts
+
+        def letter_type(cell, delta):
+            order = sorted(set(cell))
+            return tuple((order.index(g), g <= delta) for g in cell)
+
+        def relabel(terms, to):
+            return {tuple(tuple(to[g] for g in w) for w in key): c for key, c in terms.items()}
+
+        for name in ("cld", "cld2"):
+            dicts = dicts_of(build(FamilyParams(name, (6, 3)))[0])
+            table = {}  # type -> (its first letter tuple, that tuple's two dicts)
+            for cell in itertools.chain(*(itertools.product(range(1, 7), repeat=n) for n in (2, 3))):
+                table.setdefault(letter_type(cell, 3), (cell, dicts(cell)))
+            assert len(table) == 8 + 44  # pair types and triple types
+            assert all(actual == expected for _, (actual, expected) in table.values())
+            for d in range(4, 13):
+                for delta in range(d + 1):
+                    dicts = dicts_of(build(FamilyParams(name, (d, delta)))[0]) if d <= 8 else None
+                    for n in (2, 3):
+                        for cell in itertools.product(range(1, d + 1), repeat=n):
+                            rep, rep_dicts = table[letter_type(cell, delta)]
+                            if dicts is not None:
+                                to = dict(zip(rep, cell))
+                                assert dicts(cell) == tuple(relabel(t, to) for t in rep_dicts), (name, d, delta, cell)

@@ -325,12 +325,52 @@ def random_document(rng: random.Random) -> SpecDocument:
     return SpecDocument(BracketSpec(alg, table, weights), name)
 
 
+# what a mutation may insert or put in place of a character or a token
+MUTANT_PIECES = ["name", "algebra", "weight", "bracket", "inv", "x1", "y", "0", "1", "-1", "1/2", "0/3", "^", "^-",
+                 "^0", "^65", "-", "+", "*", "/", "{", "}", ",", ";", "=", "(x)", "\u2297", "(", "#", "\n", " ",
+                 "\t", "\u00b2", "\u03b1", "x1 inv", "weight 1;", "name n;", "algebra a;"]
+
+
+def mutate(rng: random.Random, text: str) -> str:
+    """One to three deletions, insertions or replacements of a character or a token."""
+    for _ in range(rng.randint(1, 3)):
+        pieces = list(text) if rng.random() < 0.5 else re.findall(r"\(x\)|\w+|\s+|.", text, re.S)
+        i = rng.randrange(len(pieces) + 1)
+        op = rng.choice(("delete", "insert", "replace"))
+        if op == "insert":
+            pieces.insert(i, rng.choice(MUTANT_PIECES))
+        elif pieces:
+            i = min(i, len(pieces) - 1)
+            pieces[i:i + 1] = [] if op == "delete" else [rng.choice(MUTANT_PIECES)]
+        text = "".join(pieces)
+    return text
+
+
 class TestRoundTripProperty:
     def test_random_documents(self):
         rng = random.Random(97)
         for _ in range(120):
             doc = random_document(rng)
             assert parse(render(doc)) == doc
+
+    def test_mutated_specs(self):
+        """Every mutation of the benchmark specs either parses to a document
+        that round-trips or raises a ParseError at a position in its text;
+        no other exception escapes the parser."""
+        rng = random.Random(26)
+        texts = [path.read_text(encoding="utf-8") for path in sorted(SPECS.glob("*.ndb"))]
+        parsed = 0
+        for _ in range(3000):
+            text = mutate(rng, rng.choice(texts))
+            try:
+                doc = parse(text)
+            except ParseError as e:
+                lines = text.split("\n")
+                assert 1 <= e.line <= len(lines) and 1 <= e.col <= len(lines[e.line - 1]) + 1, text
+            else:
+                parsed += 1
+                assert parse(render(doc)) == doc, text
+        assert 100 < parsed < 2900  # both outcomes are exercised
 
 
 class TestCli:
@@ -469,6 +509,14 @@ class TestCli:
         assert spaced == joined and spaced[0] == 0 and spaced[1]
         code, out, err = self.run(["classify", "cl1", "-5"], capsys=capsys, monkeypatch=monkeypatch)
         assert code == 2 and not out and "unrecognized arguments: -5" in err
+
+    def test_negative_builtin_params(self, capsys, monkeypatch):
+        """A negative first parameter may follow --params as a separate word."""
+        spaced = self.run(["builtin", "cl1", "--params", "-2,1,0,0,0,0"], capsys=capsys, monkeypatch=monkeypatch)
+        joined = self.run(["builtin", "cl1", "--params=-2,1,0,0,0,0"], capsys=capsys, monkeypatch=monkeypatch)
+        assert spaced == joined and spaced[0] == 0 and spaced[1]
+        code, out, err = self.run(["builtin", "-5"], capsys=capsys, monkeypatch=monkeypatch)
+        assert code == 2 and not out and "invalid choice: '-5'" in err
 
     def test_usage_error_exits_2(self, capsys, monkeypatch):
         code, _, _ = self.run(["frobnicate"], capsys=capsys, monkeypatch=monkeypatch)
