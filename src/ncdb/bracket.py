@@ -3,8 +3,10 @@
 A :class:`BracketSpec` stores the bracket <<v_i, v_j>> on ordered pairs of
 positive generators (absent pairs are zero).  Everything else is derived:
 
-* brackets on inverse letters come from conjugating with the inverse and
-  negating, once per side, which is forced by <<a,1>> = 0;
+* brackets on inverse letters follow one rule, forced by <<a,1>> = 0,
+      <<b^-1, a>> = -(1 (x) b^-1) <<b, a>> (b^-1 (x) 1)
+      <<a, b^-1>> = -(b^-1 (x) 1) <<a, b>> (1 (x) b^-1),
+  applied to both slots of the positive entry's terms in one pass;
 * brackets of arbitrary monomials come from the closed-form double sum over
   letter positions, equivalent to iterating the two Leibniz rules
       <<a,bc>> = (b (x) 1) <<a,c>> + <<a,b>> (1 (x) c)
@@ -16,7 +18,8 @@ positive generators (absent pairs are zero).  Everything else is derived:
   brackets many monomial triples can pass it a memo of ``_dbr_words``,
   :func:`jacobiator_ids` an ``mb``, the one formula of the Jacobiator on
   words and on interned word ids alike, and ``_mb_words`` a letter bracket,
-  the spec's own or, for the h0 residual, the letter skew defects.
+  the spec's own or, for the h0 residual, the letter skew defects.  Every
+  kernel merges its terms through ``_merge_term``.
 
 A spec is a frozen value, its ``table`` a read-only map of its own copies
 of the nonzero entries, so no memo can outlive the value it was computed
@@ -86,28 +89,21 @@ class BracketSpec:
     # -- letter-level bracket -------------------------------------------------
 
     def _letter_raw(self, x: int, y: int) -> dict:
-        key = (x, y)
-        cached = self._letter_cache.get(key)
+        cached = self._letter_cache.get((x, y))
         if cached is not None:
             return cached
-        for g in key:  # a refused pair caches nothing
+        for g in (x, y):  # a refused pair caches nothing
             self.algebra.validate_word((g,))
-        if x < 0:
-            # <<b^-1, a>> = -(1 (x) b^-1) <<b, a>> (b^-1 (x) 1)
-            base = self._letter_raw(-x, y)
-            raw = {}
-            for (p, q), c in base.items():
-                _merge_term(raw, (concat(p, (x,)), concat((x,), q)), -c)
-        elif y < 0:
-            # <<a, b^-1>> = -(b^-1 (x) 1) <<a, b>> (1 (x) b^-1)
-            base = self._letter_raw(x, -y)
-            raw = {}
-            for (p, q), c in base.items():
-                _merge_term(raw, (concat((y,), p), concat(q, (y,))), -c)
-        else:
-            u = self.table.get((x, y))
-            raw = dict(u.terms) if u is not None else {}
-        self._letter_cache[key] = raw
+        u = self.table.get((abs(x), abs(y)))
+        sign = -1 if (x < 0) != (y < 0) else 1  # an inverse slot conjugates and negates
+        raw = {}
+        for (p, q), c in (u.terms.items() if u is not None else ()):
+            if x < 0:
+                p, q = concat(p, (x,)), concat((x,), q)
+            if y < 0:
+                p, q = concat((y,), p), concat(q, (y,))
+            _merge_term(raw, (p, q), sign * c)
+        self._letter_cache[x, y] = raw
         return raw
 
     def letter_bracket(self, x: int, y: int) -> Tensor2:
@@ -177,9 +173,8 @@ class BracketSpec:
                 for (p, q), c in lb.items():
                     # concat cancels x x^-1 on a Laurent algebra; a free one takes the faster +
                     word = concat(concat(concat(wp, p), mid), concat(q, ws)) if reduced else wp + p + mid + q + ws
-                    v = res.get(word)
-                    res[word] = c if v is None else v + c
-        return {k: v for k, v in res.items() if v}
+                    _merge_term(res, word, c)
+        return res
 
     def _mb_row(self, u, w) -> dict:
         """{u, w} memoized per word pair for :meth:`mbracket`."""
@@ -206,9 +201,8 @@ class BracketSpec:
             return cached
         raw = self._mb_words(self._id_words[uid], self._id_words[wid], self._letter_raw)
         out = {}
-        wid_of = self._wid
         for word, c in raw.items():
-            out[wid_of(word)] = c
+            out[self._wid(word)] = c
         self._mb_id_cache[key] = out
         return out
 
@@ -254,18 +248,13 @@ def jacobiator_ids(mb, a, b, c) -> dict:
     for the sweeps (``BracketSpec._mb_ids``), words for
     :meth:`BracketSpec.jacobiator` (``BracketSpec._mb_row``)."""
     res = {}
-    get = res.get
     for w, cw in mb(b, c).items():
         for u, cu in mb(a, w).items():
-            v = get(u)
-            res[u] = cw * cu if v is None else v + cw * cu
+            _merge_term(res, u, cw * cu)
     for w, cw in mb(a, c).items():
         for u, cu in mb(b, w).items():
-            v = get(u)
-            res[u] = -cw * cu if v is None else v - cw * cu
+            _merge_term(res, u, -cw * cu)
     for w, cw in mb(a, b).items():
         for u, cu in mb(w, c).items():
-            v = get(u)
-            res[u] = -cw * cu if v is None else v - cw * cu
-    return {u: v for u, v in res.items() if v}
-
+            _merge_term(res, u, -cw * cu)
+    return res

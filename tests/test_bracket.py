@@ -8,6 +8,7 @@ from ncdb.freealg import FreeAlgebra, Tensor3, reduce_word
 from ncdb.axioms import check_poisson_property
 from ncdb.bracket import BracketSpec
 from ncdb.classify import builtin
+from ncdb.localize import localize
 
 from oracles import (
     flip,
@@ -38,6 +39,16 @@ def kont_laurent():
     spec, _ = builtin("kontsevich")
     alg = FreeAlgebra(spec.algebra.names, (1, 2))
     return BracketSpec(alg, {k: alg.tensor2(dict(u.terms)) for k, u in spec.table.items()})
+
+
+@pytest.fixture(scope="module")
+def mdbI_laurent():
+    return localize(*builtin("mdbI"), (1, 3))[0]
+
+
+def letter_pairs(*specs):
+    """(spec, x, y) for every ordered pair of letters of each spec."""
+    return [(spec, x, y) for spec in specs for x in spec.algebra.letters for y in spec.algebra.letters]
 
 
 # ---------------------------------------------------------------------------
@@ -139,38 +150,40 @@ class TestLetterBracket:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(spec, name, value)
 
-    def test_inverse_second_argument(self, kont_laurent):
+    def test_inverse_second_argument(self, kont_laurent, mdbI_laurent):
         # <<w, v^-1>> = -v^-1 . <<w, v>> . v^-1 = -w (x) v^-1
         alg = kont_laurent.algebra
         assert kont_laurent.letter_bracket(2, -1) == alg.tensor2({((2,), (-1,)): -1})
-        # and the defining property: <<w, v v^-1>> expands to zero by Leibniz
-        got = outer_act(alg.gen(1), kont_laurent.letter_bracket(2, -1), alg.one()) + outer_act(
-            alg.one(), kont_laurent.letter_bracket(2, 1), alg.element({(-1,): 1})
-        )
-        assert not got
+        # and the defining property: <<x, b b^-1>> expands to zero by Leibniz
+        for spec, x, y in letter_pairs(kont_laurent, mdbI_laurent):
+            if y < 0:
+                alg = spec.algebra
+                got = outer_act(alg.gen(-y), spec.letter_bracket(x, y), alg.one()) + outer_act(
+                    alg.one(), spec.letter_bracket(x, -y), alg.element({(y,): 1})
+                )
+                assert not got, (spec, x, y)
 
-    def test_inverse_first_argument(self, kont_laurent):
-        # <<v^-1, w>> = -v^-1 * <<v, w>> * v^-1 = (w (x) v^-1 w... ) computed:
-        alg = kont_laurent.algebra
-        base = kont_laurent.letter_bracket(1, 2)  # -wv (x) 1
-        expected = inner_act(alg.element({(-1,): 1}), base, alg.element({(-1,): 1})).scale(-1)
-        assert kont_laurent.letter_bracket(-1, 2) == expected
-        # Leibniz consistency in the first slot: <<v v^-1, w>> = 0
-        got = inner_act(alg.gen(1), kont_laurent.letter_bracket(-1, 2), alg.one()) + inner_act(
-            alg.one(), kont_laurent.letter_bracket(1, 2), alg.element({(-1,): 1})
-        )
-        assert not got
+    def test_inverse_first_argument(self, kont_laurent, mdbI_laurent):
+        # Leibniz consistency in the first slot: <<b b^-1, y>> = 0
+        for spec, x, y in letter_pairs(kont_laurent, mdbI_laurent):
+            if x < 0:
+                alg = spec.algebra
+                got = inner_act(alg.gen(-x), spec.letter_bracket(x, y), alg.one()) + inner_act(
+                    alg.one(), spec.letter_bracket(-x, y), alg.element({(x,): 1})
+                )
+                assert not got, (spec, x, y)
 
-    def test_double_inverse_order_independent(self, kont_laurent):
-        alg = kont_laurent.algebra
-        # resolve y first, then x: must agree with the engine's x-first order
-        base = kont_laurent.letter_bracket(1, 2)
-        via_y_first = inner_act(
-            alg.element({(-1,): 1}),
-            outer_act(alg.element({(-2,): 1}), base, alg.element({(-2,): 1})),
-            alg.element({(-1,): 1}),
-        )
-        assert kont_laurent.letter_bracket(-1, -2) == via_y_first
+    def test_double_inverse_order_independent(self, kont_laurent, mdbI_laurent):
+        # resolve y first, then x, from the positive entry, against the engine's one pass:
+        # <<a, b^-1>> = -(b^-1 (x) 1) <<a, b>> (1 (x) b^-1), <<b^-1, a>> = -(1 (x) b^-1) <<b, a>> (b^-1 (x) 1)
+        for spec, x, y in letter_pairs(kont_laurent, mdbI_laurent):
+            alg = spec.algebra
+            expected = spec.letter_bracket(abs(x), abs(y))
+            if y < 0:
+                expected = outer_act(alg.element({(y,): 1}), expected, alg.element({(y,): 1})).scale(-1)
+            if x < 0:
+                expected = inner_act(alg.element({(x,): 1}), expected, alg.element({(x,): 1})).scale(-1)
+            assert spec.letter_bracket(x, y) == expected, (spec, x, y)
 
     def test_inverse_rejected_on_free_algebra(self, mdbI):
         with pytest.raises(ValueError):
@@ -199,6 +212,14 @@ class TestDbracket:
         a = alg.element({(1, 2): 2, (3,): Fraction(1, 3)})
         assert not mdbI.dbracket(a, alg.one())
         assert not mdbI.dbracket(alg.one(), a)
+
+    @pytest.mark.parametrize("op,arity", [("dbracket", 2), ("mbracket", 2), ("djac", 3), ("jacobiator", 3)])
+    def test_operand_of_another_algebra_refused(self, mdbI, op, arity):
+        # same letters, other names: without the check every kernel would run
+        stranger = FreeAlgebra.standard(3).gen(1)
+        args = [mdbI.algebra.gen(2)] * (arity - 1)
+        with pytest.raises(ValueError, match="algebra mismatch"):
+            getattr(mdbI, op)(*args, stranger)
 
     def test_skew_defect_display(self, mdbI):
         alg = mdbI.algebra

@@ -95,6 +95,15 @@ class TestWords:
         with pytest.raises(ValueError, match="more than 64 generators"):
             FreeAlgebra.standard(65)
 
+    @pytest.mark.parametrize("make,message", [
+        (lambda: FreeAlgebra(("x", "x")), "generator names must be distinct"),
+        (lambda: FreeAlgebra(()), "need at least one generator"),
+        (lambda: A3.gen(0), "generator index 0 out of range"),
+    ], ids=["repeated_name", "no_generator", "generator_zero"])
+    def test_outside_input_refused(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
+
     def test_one_letter_order(self):
         alg = FreeAlgebra(("v", "w"), (2, 1))
         assert alg.inverted == (1, 2) and alg == L2 and alg.letters == (1, 2, -1, -2)
@@ -128,6 +137,17 @@ class TestElementArithmetic:
     def test_scalar_product(self):
         v1, v2 = A3.gen(1), A3.gen(2)
         assert (Fraction(2, 3) * v1) * (3 * v2) == 2 * (v1 * v2)
+        assert v1 * 2 == v1.scale(2) and v1 * Fraction(1, 2) == v1.scale(Fraction(1, 2))
+
+    @pytest.mark.parametrize("op,error,message", [
+        (lambda x, t: x + t, TypeError, "unsupported operand"),
+        (lambda x, t: x * t, TypeError, "unsupported operand"),
+        (lambda x, t: "s" * x, TypeError, "can't multiply sequence"),
+        (lambda x, t: x * L2.gen(1), ValueError, "algebra mismatch"),
+    ], ids=["element_plus_tensor", "element_times_tensor", "string_times_element", "other_algebra"])
+    def test_operands_refused(self, op, error, message):
+        with pytest.raises(error, match=message):
+            op(A3.gen(1), A3.tensor2({((1,), (2,)): 1}))
 
     def test_mul_associative_random(self):
         rng = random.Random(3)

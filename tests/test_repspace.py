@@ -137,6 +137,15 @@ class TestEvaluation:
             mat_mul(p.letter_matrix(-1), p.letter_matrix(2)), p.letter_matrix(1)
         )
 
+    @pytest.mark.parametrize("call,message", [
+        (lambda p: eval_trace(FreeAlgebra(("x", "y")).gen(1), p), "algebra mismatch"),
+        (lambda p: p.letter_matrix(-1), "no stored inverse for generator 1"),
+    ], ids=["element_of_another_algebra", "inverse_on_a_free_algebra"])
+    def test_point_refusals(self, call, message):
+        p = MatrixPoint.random(FreeAlgebra(("v", "w")), 2, seed=0)
+        with pytest.raises(ValueError, match=message):
+            call(p)
+
     def test_linearity(self, mdbI):
         alg = mdbI.algebra
         p = MatrixPoint.random(alg, 2, seed=4)

@@ -525,6 +525,9 @@ class TestCli:
                      ["classify", "cl1", "--lam", "x"]):
             code, out, err = self.run(argv, capsys=capsys, monkeypatch=monkeypatch)
             assert code == 2 and not out and f"error: argument {argv[-2]}: " in err
+        # an exponent that is not an integer: Fraction, not the digit bound, names the fault
+        code, out, err = self.run(["classify", "cl1", "--lam", "1ex"], capsys=capsys, monkeypatch=monkeypatch)
+        assert code == 2 and not out and "error: argument --lam: Invalid literal for Fraction: '1ex'" in err
 
     def test_classify_cl3a_json(self, capsys, monkeypatch):
         code, out, _ = self.run(["classify", "cl3a", "--json"], capsys=capsys, monkeypatch=monkeypatch)
