@@ -95,7 +95,7 @@ class BracketSpec:
         for g in (x, y):  # a refused pair caches nothing
             self.algebra.validate_word((g,))
         u = self.table.get((abs(x), abs(y)))
-        sign = -1 if (x < 0) != (y < 0) else 1  # an inverse slot conjugates and negates
+        sign = -1 if (x < 0) != (y < 0) else 1  # each inverse slot conjugates and negates
         raw = {}
         for (p, q), c in (u.terms.items() if u is not None else ()):
             if x < 0:
