@@ -27,9 +27,11 @@ are Leibniz extensions.  :func:`sweep` is the bounded check on monomials: it
 runs a residual kernel over unordered pairs or ordered triples of monomials
 up to a degree, and counts every cell; :func:`sweep_ids` refuses one of more
 than ``MAX_CELLS`` cells, and the sweep itself one of more than
-``MAX_WITNESSES`` witnesses.  It holds the one class rule of the package:
+``MAX_WITNESSES`` witnesses.  It applies the class rule of the package:
 every kernel depends on a and b only through their cyclic classes, so the
-sweep computes it once per pair of classes, at their normal forms.  Its
+sweep computes it once per pair of classes, at their normal forms, read
+from the spec's one class map (``BracketSpec._cls``), which the Jacobiator
+also reads to bracket the words of {a,b} with c once per class.  Its
 kernels are the cyclic normal form of {a,b} + {b,a}, which is {a,b} with the
 letter skew defects as letter brackets (``check_h0_skew``, through
 ``BracketSpec._mb_words``), an integer trace at a matrix point
@@ -304,15 +306,14 @@ def sweep(spec: BracketSpec, ids, arity: int, residual, render, expected: str, a
     pair (arity 3), memoized for this sweep.  It still visits and counts
     every cell in order, and witnesses name the original monomials.
     """
-    word_of = spec._id_words
     ids = list(ids)
-    cls = {a: spec._wid(cyclic_normal_form(word_of[a])) for a in ids}
+    cls = spec._cls  # the spec's one class map, word id -> id of its normal form
     memo = functools.cache(residual)
     if arity == 2:
-        rows = (((a,), lambda b, ca=cls[a]: memo(*sorted((ca, cls[b]))), ids[i:]) for i, a in enumerate(ids))
+        rows = (((a,), lambda b, ca=cls(a): memo(*sorted((ca, cls(b)))), ids[i:]) for i, a in enumerate(ids))
     else:
-        rows = (((a, b), memo(cls[a], cls[b]), ids) for a in ids for b in ids)
-    names = WordNames(spec.algebra, word_of)
+        rows = (((a, b), memo(cls(a), cls(b)), ids) for a in ids for b in ids)
+    names = WordNames(spec.algebra, spec._id_words)
     count = 0
     witnesses = []
     for head, at, tails in rows:
@@ -540,7 +541,11 @@ def check_jacobi(spec: BracketSpec, maxdeg: int = 3, all_witnesses: bool = False
     {a,{b,c}}, {a,c} and {a,b}.  Replacing b changes the first arguments of
     {b,c} and {b,{a,c}}, and {a,b} by an element of [A,A], which {-, c}
     maps to 0.  The third argument stays a word: J is a derivation in c, so
-    rotating c changes J by a commutator, not by 0.
+    rotating c changes J by a commutator, not by 0.  The same exact rule
+    groups the third term: with {a,b} = sum_w c_w w and K running over the
+    cyclic classes of its words, {{a,b},c} = sum_K (sum_{w in K} c_w)
+    {cnf K, c}, so :func:`ncdb.bracket.jacobiator_ids` brackets each class
+    whose coefficients do not cancel with c once, at its normal form.
 
     When every letter skew defect is a weight form (:func:`infer_weight`
     finds weights), rows are built only for class pairs a < b.  For such a
@@ -559,7 +564,7 @@ def check_jacobi(spec: BracketSpec, maxdeg: int = 3, all_witnesses: bool = False
 
     @functools.cache
     def direct(a, b):  # not recursive, so no sweep closure reaches itself and keeps the spec alive
-        at = functools.cache(functools.partial(jacobiator_ids, spec._mb_ids, a, b))  # one for a class pair's rows
+        at = functools.cache(functools.partial(jacobiator_ids, spec, a, b))  # one for a class pair's rows
         return at if any(map(at, letters)) else None  # a derivation in c
 
     def row(a, b):

@@ -13,27 +13,31 @@ positive generators (absent pairs are zero).  Everything else is derived:
       <<ab,c>> = (1 (x) a) <<b,c>> + <<a,c>> (b (x) 1);
 * every public operation -- the double and multiplied brackets and both
   Jacobiators -- is one multilinear extension (``BracketSpec._extend``) of
-  a monomial kernel over sparse operands.  Kernels take the bracket they
+  a monomial kernel over sparse operands, which refuses an operand that is
+  not an ``Element`` before any kernel runs.  Kernels take the bracket they
   compose as an argument: ``_djac_words`` a ``dbr``, so a caller that
-  brackets many monomial triples can pass it a memo of ``_dbr_words``,
-  :func:`jacobiator_ids` an ``mb``, the one formula of the Jacobiator on
-  words and on interned word ids alike, and ``_mb_words`` a letter bracket,
-  the spec's own or, for the h0 residual, the letter skew defects.  Every
-  kernel merges its terms through ``_merge_term``.
+  brackets many monomial triples can pass it a memo of ``_dbr_words``, and
+  ``_mb_words`` a letter bracket, the spec's own or, for the h0 residual,
+  the letter skew defects.  :func:`jacobiator_ids`, the one formula of the
+  Jacobiator, takes the spec and reads {u, w} on interned word ids; the
+  Jacobi sweeps and ``jacobiator`` alike go through it.  Every kernel
+  merges its terms through ``_merge_term``.
 
 A spec is a frozen value, its ``table`` a read-only map of its own copies
 of the nonzero entries, so no memo can outlive the value it was computed
 from.  Each computed value has one memo, read by the route that fills it:
-the Jacobi sweeps in :mod:`ncdb.axioms` and :mod:`ncdb.repspace` read
-{u, w} on interned word ids (``_mb_ids``; the h0 sweep keeps only its skew
-defects), ``mbracket`` and ``jacobiator`` per word pair (``_mb_cache``),
-and ``_mb_words``, ``_dbr_words`` and ``_djac_words`` keep nothing.  Memos
-take no part in equality and hold only idempotent pure values, safe to share.
+{u, w} on interned word ids (``_mb_ids``) for the Jacobi sweeps of
+:mod:`ncdb.axioms` and :mod:`ncdb.repspace` and for ``jacobiator`` (the h0
+sweep keeps only its skew defects), {u, w} per word pair (``_mb_cache``)
+for ``mbracket``, and the one class map, word id -> id of its cyclic
+normal form (``_cls``), for :func:`jacobiator_ids` and
+:func:`ncdb.axioms.sweep`; ``_mb_words``, ``_dbr_words`` and
+``_djac_words`` keep nothing.  Memos take no part in equality and hold
+only idempotent pure values, safe to share.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -45,6 +49,7 @@ from .freealg import (
     Tensor3,
     _merge_term,
     concat,
+    cyclic_normal_form,
 )
 
 
@@ -65,6 +70,7 @@ class BracketSpec:
     _word_ids: dict = _memo(lambda: {(): 0})  # interning: the sweeps key words by small ids
     _id_words: list = _memo(lambda: [()])
     _mb_id_cache: dict = _memo(dict)   # (uid, wid) -> {word id: coef}, read by the sweeps
+    _cls_ids: dict = _memo(dict)       # word id -> id of its cyclic normal form
 
     def __post_init__(self):
         algebra = self.algebra
@@ -206,12 +212,22 @@ class BracketSpec:
         self._mb_id_cache[key] = out
         return out
 
+    def _cls(self, uid: int) -> int:
+        """The id of the cyclic normal form of the word of id ``uid``."""
+        k = self._cls_ids.get(uid)
+        if k is None:
+            k = self._cls_ids[uid] = self._wid(cyclic_normal_form(self._id_words[uid]))
+        return k
+
     # -- public bracket operations ----------------------------------------------
 
     def _extend(self, cls, kernel, *args):
         """The multilinear extension behind every public bracket: the sum of
         c_1 * ... * c_n * kernel(w_1, ..., w_n) over the terms c_i * w_i of
         each argument."""
+        for x in args:
+            if not isinstance(x, Element):
+                raise ValueError(f"operand of type {type(x).__name__} is not an Element")
         if any(x.algebra != self.algebra for x in args):
             raise ValueError("algebra mismatch")
         terms = {}
@@ -238,15 +254,22 @@ class BracketSpec:
 
     def jacobiator(self, a: Element, b: Element, c: Element) -> Element:
         """{a,{b,c}} - {b,{a,c}} - {{a,b},c}, extended trilinearly from
-        :func:`jacobiator_ids`."""
-        return self._extend(Element, functools.partial(jacobiator_ids, self._mb_row), a, b, c)
+        :func:`jacobiator_ids` on the interned words of each term."""
+        word_of = self._id_words
+
+        def kernel(*words):
+            return {word_of[k]: v for k, v in jacobiator_ids(self, *map(self._wid, words)).items()}
+
+        return self._extend(Element, kernel, a, b, c)
 
 
-def jacobiator_ids(mb, a, b, c) -> dict:
+def jacobiator_ids(spec: BracketSpec, a: int, b: int, c: int) -> dict:
     """The nonzero terms of {a,{b,c}} - {b,{a,c}} - {{a,b},c} on three
-    monomials, with ``mb`` as {u, w} on monomials keyed alike: interned ids
-    for the sweeps (``BracketSpec._mb_ids``), words for
-    :meth:`BracketSpec.jacobiator` (``BracketSpec._mb_row``)."""
+    interned monomial ids, keyed by id, through ``spec._mb_ids``.  The terms
+    of {a,b} are merged by cyclic class first, and each class with a nonzero
+    sum is bracketed with c once, at its normal form (proved in
+    :func:`ncdb.axioms.check_jacobi`)."""
+    mb = spec._mb_ids
     res = {}
     for w, cw in mb(b, c).items():
         for u, cu in mb(a, w).items():
@@ -254,7 +277,10 @@ def jacobiator_ids(mb, a, b, c) -> dict:
     for w, cw in mb(a, c).items():
         for u, cu in mb(b, w).items():
             _merge_term(res, u, -cw * cu)
+    classes = {}
     for w, cw in mb(a, b).items():
-        for u, cu in mb(w, c).items():
-            _merge_term(res, u, -cw * cu)
+        _merge_term(classes, spec._cls(w), cw)
+    for k, ck in classes.items():
+        for u, cu in mb(k, c).items():
+            _merge_term(res, u, -ck * cu)
     return res

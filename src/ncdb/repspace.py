@@ -174,6 +174,8 @@ class MatrixPoint:
 
 
 def eval_trace(x: Element, p: MatrixPoint):
+    if not isinstance(x, Element):
+        raise ValueError(f"operand of type {type(x).__name__} is not an Element")
     if x.algebra != p.algebra:
         raise ValueError("algebra mismatch")
     return sum((c * p.word_trace(w) for w, c in x.terms.items()), Fraction(0))
@@ -226,7 +228,6 @@ def check_induced_poisson(spec: BracketSpec, p: MatrixPoint, maxdeg: int = 3,
     longest = max((len(l) + len(r) for raw in raws for l, r in raw), default=0)
     bound = 3 * maxdeg + 2 * max(longest - 2, 0)
     dpow = [p.denom ** (bound - k) for k in range(bound + 1)]
-    mb = spec._mb_ids
     word_of = spec._id_words
     letters = [(g, spec._wid((g,))) for g in alg.letters]
 
@@ -253,7 +254,7 @@ def check_induced_poisson(spec: BracketSpec, p: MatrixPoint, maxdeg: int = 3,
         at_rotation = [sum(map(operator.mul, at_letter[g], r)) for g, r in rotations]
         return {c: sum(map(at_rotation.__getitem__, vs)) for c, vs in cyclic.items()}
 
-    row = functools.cache(lambda a: cells(functools.partial(mb, a), e))
+    row = functools.cache(lambda a: cells(functools.partial(spec._mb_ids, a), e))
     dcell = p.denom ** (bound + maxdeg - 1)  # the power of D in every cell
     params = {"size": p.size, "maxdeg": maxdeg}
     params["pairs"], witnesses = sweep(spec, ids, 2, lambda a, b: row(a)[b] + row(b)[a],
@@ -261,6 +262,6 @@ def check_induced_poisson(spec: BracketSpec, p: MatrixPoint, maxdeg: int = 3,
     if witnesses and not all_witnesses:
         return report("induced_trace_skew", spec, params, witnesses)
     params["triples"], more = sweep(spec, ids, 3,
-                                    lambda a, b: cells(functools.partial(jacobiator_ids, mb, a, b), e * e).__getitem__,
+                                    lambda a, b: cells(functools.partial(jacobiator_ids, spec, a, b), e * e).__getitem__,
                                     lambda t, _: coef_str(Fraction(t, e * e * dcell)), "0", all_witnesses)
     return report("induced_trace_poisson", spec, params, witnesses + more)

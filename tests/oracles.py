@@ -13,7 +13,9 @@ three through :func:`plain_sweep`, which shares no iteration code with
 the package and keys nothing on cyclic classes, and the generator-level
 comparisons on tensors: the double Jacobiator through
 the three triple brackets of element-level double brackets, compared with
-its prescribed value as a ``Tensor3``, with no memo.
+its prescribed value as a ``Tensor3``, with no memo.  The Jacobiator on
+interned ids is also spelled as its three loops, with no term grouped by
+cyclic class, and on elements as ``mbracket`` composed three times.
 """
 
 import functools
@@ -114,6 +116,33 @@ def reduce_mod_commutators(x: Element) -> Element:
     for w, c in x.terms.items():
         _merge_term(terms, cyclic_normal_form(w), c)
     return Element(x.algebra, terms)
+
+
+# ---------------------------------------------------------------------------
+# the Jacobiator without its class grouping
+
+
+def ungrouped_jacobiator_ids(spec, a, b, c) -> dict:
+    """``ncdb.bracket.jacobiator_ids`` as its three plain loops: every word
+    w of {a,b} is bracketed with c on its own, none merged into its class."""
+    mb = spec._mb_ids
+    res = {}
+    for w, cw in mb(b, c).items():
+        for u, cu in mb(a, w).items():
+            _merge_term(res, u, cw * cu)
+    for w, cw in mb(a, c).items():
+        for u, cu in mb(b, w).items():
+            _merge_term(res, u, -cw * cu)
+    for w, cw in mb(a, b).items():
+        for u, cu in mb(w, c).items():
+            _merge_term(res, u, -cw * cu)
+    return res
+
+
+def mbracket_jacobiator(spec, a: Element, b: Element, c: Element) -> Element:
+    """{a,{b,c}} - {b,{a,c}} - {{a,b},c} on elements, from ``mbracket``."""
+    mb = spec.mbracket
+    return mb(a, mb(b, c)) - mb(b, mb(a, c)) - mb(mb(a, b), c)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 
 from ncdb import axioms, repspace
 from ncdb.freealg import FreeAlgebra, Tensor3, concat, cyclic_normal_form, _merge_term
-from ncdb.bracket import BracketSpec
+from ncdb.bracket import BracketSpec, jacobiator_ids
 from ncdb.axioms import (
     MixedType,
     check_cyclic_skew,
@@ -538,6 +538,66 @@ def test_jacobi_mirrors_rows_of_a_weight_form(make, mirrored, monkeypatch):
     classes = {spec._wid(cyclic_normal_form(w)) for w in words}
     ordered = set(itertools.product(classes, repeat=2))  # every row reads its letters
     assert pairs == ({(a, b) for a, b in ordered if a < b} if mirrored else ordered)
+
+
+# free and Laurent specs, passing (mdbI, laurent) and failing
+GROUPING_SPECS = {"mdbI": lambda: builtin("mdbI")[0], **JACOBI_SPECS,
+                  "random_3": lambda: _random_spec(3), "laurent_broken": _broken_laurent}
+
+
+@pytest.mark.parametrize("name", GROUPING_SPECS)
+def test_grouped_jacobiator_matches_three_loops(name):
+    """Merging the words of {a,b} by cyclic class before bracketing them
+    with c leaves the dict of the three plain loops, on sampled id triples
+    of words up to degree 3, dozens of them not their own normal form."""
+    spec = GROUPING_SPECS[name]()
+    rng = random.Random(f"grouping/{name}")
+    words = spec.algebra.words_up_to(3)
+    cells = [tuple(spec._wid(rng.choice(words)) for _ in range(3)) for _ in range(150)]
+    assert sum(spec._cls(a) != a for a, _, _ in cells) >= 30
+    grouped = nonzero = 0
+    for a, b, c in cells:
+        got = jacobiator_ids(spec, a, b, c)
+        assert got == oracles.ungrouped_jacobiator_ids(spec, a, b, c), (a, b, c)
+        ab = spec._mb_ids(a, b)
+        grouped += len({spec._cls(w) for w in ab}) < len(ab)
+        nonzero += bool(got)
+    assert grouped  # some {a,b} has two words of one class
+    assert (nonzero == 0) is (name in ("mdbI", "laurent"))
+
+
+@pytest.mark.parametrize("name", GROUPING_SPECS)
+def test_jacobiator_matches_mbracket_composition(name):
+    """The element-level ``jacobiator``, through the id kernel, is
+    ``mbracket`` composed three times, on random rational combinations."""
+    spec = GROUPING_SPECS[name]()
+    alg = spec.algebra
+    rng = random.Random(f"composition/{name}")
+    words = alg.words_up_to(2)
+
+    def element():
+        return alg.element({rng.choice(words): Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 3))
+                            for _ in range(rng.randint(1, 3))})
+
+    for _ in range(15):
+        a, b, c = element(), element(), element()
+        assert spec.jacobiator(a, b, c) == oracles.mbracket_jacobiator(spec, a, b, c)
+
+
+@pytest.mark.parametrize("check,entries", [
+    (lambda spec: check_jacobi(spec, 3), 1485),
+    (lambda spec: check_induced_poisson(spec, MatrixPoint.random(spec.algebra, 2, 0), 3), 1602),
+], ids=["jacobi", "rep"])
+def test_jacobiator_brackets_classes_only(check, entries, monkeypatch):
+    """In a fresh Jacobi sweep or trace check on mdbI to degree 3 every
+    first argument of {u, w} on ids is its own cyclic class: the sweep
+    passes class ids, and ``jacobiator_ids`` brackets each class of {a,b}
+    with c once, at its normal form.  So the id memo holds ``entries``."""
+    spec = builtin("mdbI")[0]
+    calls = count_calls(monkeypatch, spec, "_mb_ids")
+    assert check(spec).passed
+    assert calls and all(spec._cls(u) == u for u, _ in calls)
+    assert len(spec._mb_id_cache) == entries
 
 
 @pytest.mark.parametrize("check", [

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import random
 from fractions import Fraction
@@ -44,6 +45,9 @@ def kont_laurent():
 @pytest.fixture(scope="module")
 def mdbI_laurent():
     return localize(*builtin("mdbI"), (1, 3))[0]
+
+
+OPERATIONS = [("dbracket", 2), ("mbracket", 2), ("djac", 3), ("jacobiator", 3)]  # each public bracket, its arity
 
 
 def letter_pairs(*specs):
@@ -213,13 +217,32 @@ class TestDbracket:
         assert not mdbI.dbracket(a, alg.one())
         assert not mdbI.dbracket(alg.one(), a)
 
-    @pytest.mark.parametrize("op,arity", [("dbracket", 2), ("mbracket", 2), ("djac", 3), ("jacobiator", 3)])
+    @pytest.mark.parametrize("op,arity", OPERATIONS)
     def test_operand_of_another_algebra_refused(self, mdbI, op, arity):
         # same letters, other names: without the check every kernel would run
         stranger = FreeAlgebra.standard(3).gen(1)
         args = [mdbI.algebra.gen(2)] * (arity - 1)
         with pytest.raises(ValueError, match="algebra mismatch"):
             getattr(mdbI, op)(*args, stranger)
+
+    @pytest.mark.parametrize("op,slot", [(op, slot) for op, arity in OPERATIONS for slot in range(arity)])
+    @pytest.mark.parametrize("operand", [
+        lambda alg: alg.tensor2({((1,), (2,)): 1}), lambda alg: alg.gen(1).terms, lambda alg: 3,
+    ], ids=["tensor2", "terms_dict", "int"])
+    def test_operand_that_is_not_an_element_refused(self, op, slot, operand):
+        """A tensor of the spec's own algebra, a bare term dict or a number
+        in any slot is a ValueError before any kernel runs or any word is
+        interned: every memo of the spec is unchanged."""
+        spec = builtin("mdbI")[0]
+        alg = spec.algebra
+        arity = dict(OPERATIONS)[op]
+        args = [alg.element({(1, 2): 1, (3,): Fraction(1, 2)})] * arity
+        getattr(spec, op)(*args)  # fills the memos its route reads
+        memos = {f.name: copy.copy(getattr(spec, f.name)) for f in dataclasses.fields(spec) if not f.compare}
+        args[slot] = operand(alg)
+        with pytest.raises(ValueError, match="is not an Element"):
+            getattr(spec, op)(*args)
+        assert {name: getattr(spec, name) for name in memos} == memos
 
     def test_skew_defect_display(self, mdbI):
         alg = mdbI.algebra

@@ -6,6 +6,7 @@ import pytest
 
 from ncdb import classify
 from ncdb.axioms import (
+    check_jacobi,
     check_poisson_property,
     check_weight,
     form_terms,
@@ -336,3 +337,28 @@ class TestFamilies:
                             if dicts is not None:
                                 to = dict(zip(rep, cell))
                                 assert dicts(cell) == tuple(relabel(t, to) for t in rep_dicts), (name, d, delta, cell)
+
+    @pytest.mark.parametrize("name", ["cld", "cld2"])
+    def test_cld_jacobi_to_degree_2_for_every_d_and_delta(self, name):
+        """cld(d, delta) and cld2(d, delta) satisfy the Jacobi identity on
+        every triple of monomials of degree <= 2, for every d >= 4 and
+        0 <= delta <= d, by locality.
+
+        {u, w} sums, over the letters x of u and y of w, terms built from
+        <<x, y>> and the letters of u and w, and every word of a letter
+        bracket of these families is in its two letters.  So J(a,b,c) is
+        built from the brackets among the letters of a, b and c alone, and
+        an injective relabelling s of letters that carries each of those
+        brackets to the bracket of the relabelled letters carries J(a,b,c)
+        to J(s a, s b, s c); J(a,b,c) = 0 iff its image is.  As in the test
+        above, the bracket of two indices is fixed, up to relabelling, by
+        their order and their blocks.  A triple of degree <= 2 has at most 6
+        distinct indices, at most 6 in each block, and the +1 block comes
+        first in both algebras, so the map that sends the +1 indices in
+        order to 1, 2, ... and the -1 indices in order to 7, 8, ... keeps
+        order and blocks and lands in cld(12, 6).  Its degree-2 sweep visits
+        every triple of words of degree <= 2 in 12 letters, so its passing
+        proves the identity for every (d, delta) at this degree.
+        """
+        r = check_jacobi(build(FamilyParams(name, (12, 6)))[0], 2)
+        assert r.passed and r.params["words"] == 156 and r.params["triples"] == 156 ** 3

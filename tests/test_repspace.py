@@ -146,6 +146,21 @@ class TestEvaluation:
         with pytest.raises(ValueError, match=message):
             call(p)
 
+    @pytest.mark.parametrize("operand", [
+        lambda alg: alg.tensor2({((1,), (2,)): 1}), lambda alg: alg.gen(1).terms, lambda alg: 3,
+    ], ids=["tensor2", "terms_dict", "int"])
+    def test_operand_that_is_not_an_element_refused(self, operand):
+        """A tensor of the right algebra, a bare term dict or a number is a
+        ValueError before any word is evaluated: the point's memos are
+        unchanged."""
+        alg = FreeAlgebra(("v", "w"))
+        p = MatrixPoint.random(alg, 2, seed=0)
+        eval_trace(alg.element({(1, 2): 1}), p)
+        memos = (dict(p._words), dict(p._traces))
+        with pytest.raises(ValueError, match="is not an Element"):
+            eval_trace(operand(alg), p)
+        assert (p._words, p._traces) == memos
+
     def test_linearity(self, mdbI):
         alg = mdbI.algebra
         p = MatrixPoint.random(alg, 2, seed=4)
