@@ -545,7 +545,7 @@ def check_jacobi(spec: BracketSpec, maxdeg: int = 3, all_witnesses: bool = False
     groups the third term: with {a,b} = sum_w c_w w and K running over the
     cyclic classes of its words, {{a,b},c} = sum_K (sum_{w in K} c_w)
     {cnf K, c}, so :func:`ncdb.bracket.jacobiator_ids` brackets each class
-    whose coefficients do not cancel with c once, at its normal form.
+    of nonzero sum with c once, at its normal form.
 
     When every letter skew defect is a weight form (:func:`infer_weight`
     finds weights), rows are built only for class pairs a < b.  For such a
