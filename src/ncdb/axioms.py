@@ -497,19 +497,19 @@ def check_h0_skew(spec: BracketSpec, maxdeg: int = 4, all_witnesses: bool = Fals
     """
     words = spec.algebra.words_up_to(maxdeg)
     pairs, ids = sweep_ids(spec, words, 2)  # refuses an oversized sweep before any letter bracket
-    if infer_weight(spec) is not None:  # a weight form: every residual is 0, see above
-        return report("h0_skew_symmetry", spec, {"maxdeg": maxdeg, "pairs": pairs, "words": len(words)}, [])
-    word_of = spec._id_words
-    defect = functools.cache(functools.partial(skew_defect, spec))
+    witnesses = []
+    if infer_weight(spec) is None:  # else a weight form: every residual is 0, see above
+        word_of = spec._id_words
+        defect = functools.cache(functools.partial(skew_defect, spec))
 
-    def residual(a, b):  # {a,b} + {b,a} on cyclic normal forms: {a,b} under the skew defects
-        res = {}
-        for word, c in spec._mb_words(word_of[a], word_of[b], defect).items():
-            _merge_term(res, spec._wid(cyclic_normal_form(word)), c)
-        return res
+        def residual(a, b):  # {a,b} + {b,a} on cyclic normal forms: {a,b} under the skew defects
+            res = {}
+            for word, c in spec._mb_words(word_of[a], word_of[b], defect).items():
+                _merge_term(res, spec._wid(cyclic_normal_form(word)), c)
+            return res
 
-    pairs, witnesses = sweep(spec, ids, 2, residual, lambda res, names: render_terms(spec.algebra, res, 1, names),
-                             "0 mod commutators", all_witnesses)
+        pairs, witnesses = sweep(spec, ids, 2, residual, lambda res, names: render_terms(spec.algebra, res, 1, names),
+                                 "0 mod commutators", all_witnesses)
     return report("h0_skew_symmetry", spec, {"maxdeg": maxdeg, "pairs": pairs, "words": len(words)}, witnesses)
 
 
@@ -589,24 +589,17 @@ def modified_double_poisson_battery(spec: BracketSpec, weights=None, pair_deg: i
     is stored on the spec, one is inferred; failure to infer is itself a
     failing report.
     """
-    reports = []
     if weights is None:
         weights = spec.weight
     if weights is None:
         weights = infer_weight(spec)
         if weights is None:
-            reports.append(
-                VerificationReport(
-                    "weighted_skew_symmetry",
-                    False,
-                    {"algebra": spec.algebra.describe(), "reason": "no consistent weight vector exists"},
-                    [],
-                )
-            )
-            return reports, None
+            params = {"algebra": spec.algebra.describe(), "reason": "no consistent weight vector exists"}
+            return [VerificationReport("weighted_skew_symmetry", False, params, [])], None
     weights = tuple(weights)
-    reports.append(check_weight(spec, weights))
-    reports.append(check_poisson_property(spec, weights))
-    reports.append(check_h0_skew(spec, pair_deg))
-    reports.append(check_jacobi(spec, triple_deg))
-    return reports, weights
+    return [
+        check_weight(spec, weights),
+        check_poisson_property(spec, weights),
+        check_h0_skew(spec, pair_deg),
+        check_jacobi(spec, triple_deg),
+    ], weights

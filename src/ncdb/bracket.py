@@ -11,6 +11,9 @@ positive generators (absent pairs are zero).  Everything else is derived:
   letter positions, equivalent to iterating the two Leibniz rules
       <<a,bc>> = (b (x) 1) <<a,c>> + <<a,b>> (1 (x) c)
       <<ab,c>> = (1 (x) a) <<b,c>> + <<a,c>> (b (x) 1);
+  one walk (``_positions``) serves <<u, w>> and {u, w} alike, whose words
+  are built by ``+`` on a free algebra, where no letter can cancel, and by
+  ``concat``, which cancels x x^-1, on a Laurent one;
 * every public operation -- the double and multiplied brackets and both
   Jacobiators -- is one multilinear extension (``BracketSpec._extend``) of
   a monomial kernel over sparse operands, which refuses an operand that is
@@ -51,6 +54,18 @@ from .freealg import (
     concat,
     cyclic_normal_form,
 )
+
+
+def _positions(u, w, letter):
+    """The Leibniz sum over letter positions of ``_dbr_words`` and
+    ``_mb_words``: for each pair (a, b) whose letter bracket letter(u_a, w_b)
+    is nonzero, yields u_<a, u_>a, w_<b, w_>b and that bracket."""
+    for a, x in enumerate(u):
+        up, us = u[:a], u[a + 1 :]
+        for b, y in enumerate(w):
+            lb = letter(x, y)
+            if lb:
+                yield up, us, w[:b], w[b + 1 :], lb
 
 
 def _memo(factory):
@@ -119,26 +134,14 @@ class BracketSpec:
     # -- monomial-level raw helpers --------------------------------------------
 
     def _dbr_words(self, u, w) -> dict:
-        """Raw tensor-square bracket of two monomials via the positional double sum."""
+        """Raw tensor-square bracket <<u, w>> of two monomials: each term
+        c * p (x) q of <<u_a, w_b>> gives c * w_<b p u_>a (x) u_<a q w_>b."""
         res = {}
-        lr = self._letter_raw
-        for a in range(len(u)):
-            x = u[a]
-            us = u[a + 1 :]
-            up = u[:a]
-            for b in range(len(w)):
-                lb = lr(x, w[b])
-                if not lb:
-                    continue
-                wp = w[:b]
-                ws = w[b + 1 :]
-                for (p, q), c in lb.items():
-                    # (b_prefix (x) a_prefix) . (p (x) q) . (a_suffix (x) b_suffix)
-                    _merge_term(
-                        res,
-                        (concat(concat(wp, p), us), concat(concat(up, q), ws)),
-                        c,
-                    )
+        free = not self.algebra.has_inverses
+        for up, us, wp, ws, lb in _positions(u, w, self._letter_raw):
+            for (p, q), c in lb.items():
+                pair = (wp + p + us, up + q + ws) if free else (concat(concat(wp, p), us), concat(concat(up, q), ws))
+                _merge_term(res, pair, c)
         return res
 
     @staticmethod
@@ -166,20 +169,11 @@ class BracketSpec:
         ``letter`` as the double bracket of two letters: each term c * p (x) q
         of letter(u_a, w_b) gives c * w_<b p u_>a u_<a q w_>b."""
         res = {}
-        reduced = self.algebra.has_inverses
-        for a in range(len(u)):
-            x = u[a]
-            mid = concat(u[a + 1 :], u[:a])  # a_suffix a_prefix
-            for b in range(len(w)):
-                lb = letter(x, w[b])
-                if not lb:
-                    continue
-                wp = w[:b]
-                ws = w[b + 1 :]
-                for (p, q), c in lb.items():
-                    # concat cancels x x^-1 on a Laurent algebra; a free one takes the faster +
-                    word = concat(concat(concat(wp, p), mid), concat(q, ws)) if reduced else wp + p + mid + q + ws
-                    _merge_term(res, word, c)
+        free = not self.algebra.has_inverses
+        for up, us, wp, ws, lb in _positions(u, w, letter):
+            for (p, q), c in lb.items():
+                word = wp + p + us + up + q + ws if free else concat(concat(concat(wp, p), us), concat(concat(up, q), ws))
+                _merge_term(res, word, c)
         return res
 
     def _mb_row(self, u, w) -> dict:

@@ -196,7 +196,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
 
-# handlers look library functions up through their modules when they run, where a tracer may swap them
+# handlers read library functions as module attributes and as plain imports, so a tracer swaps every ncdb binding
 def _verify(args) -> int:
     spec, weights = _load_spec(args.file)
     reports, used = axioms.modified_double_poisson_battery(

@@ -23,6 +23,7 @@ from oracles import (
     tbracket_swapL,
     tensor3,
 )
+from test_golden_reports import _random_spec
 
 
 @pytest.fixture(scope="module")
@@ -127,6 +128,10 @@ class TestLetterBracket:
             assert other != mdbII
         with pytest.raises(TypeError):
             hash(mdbII)
+
+    def test_repr_names_algebra_and_entry_count(self, mdbII):
+        assert repr(mdbII) == "BracketSpec(K<x1, x2, x3>, 5 entries)"
+        assert repr(BracketSpec(FreeAlgebra(("v",), (1,)), {})) == "BracketSpec(K<v^±1>, 0 entries)"
 
     def test_zero_default(self, mdbII):
         assert not mdbII.letter_bracket(1, 3)
@@ -257,6 +262,19 @@ class TestDbracket:
             assert mdbI.dbracket(
                 mdbI.algebra.element({u: 1}), mdbI.algebra.element({w: 1})
             ) == leibniz_recursive(mdbI, u, w)
+
+    def test_matches_recursive_leibniz_on_seeded_tables(self):
+        """The same comparison on the seeded rational tables of the golden
+        digests, two free and two with x1 inverted, several terms per entry."""
+        for seed in range(4):
+            spec = _random_spec(seed)
+            rng = random.Random(seed)
+            words = [w for w in spec.algebra.words_up_to(3) if w]
+            for _ in range(40):
+                u, w = rng.choice(words), rng.choice(words)
+                assert spec.dbracket(
+                    spec.algebra.element({u: 1}), spec.algebra.element({w: 1})
+                ) == leibniz_recursive(spec, u, w)
 
     def test_matches_recursive_leibniz_on_laurent(self, kont_laurent):
         rng = random.Random(29)

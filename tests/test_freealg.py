@@ -374,6 +374,15 @@ class TestOrderingAndRendering:
         x = A3.element({(2,): 1, (1, 1): 1, (1,): 1})
         assert [w for w, _ in x.items()] == [(1,), (2,), (1, 1)]
 
+    def test_tensor_items_sorted_deglex_per_slot(self):
+        """A tensor's terms sort by the deglex key of each slot in turn."""
+        alg = FreeAlgebra(("x1", "x2"), inverted=(1,))
+        t2 = {((2,), ()): 1, ((-1,), (2,)): 2, ((1,), (2,)): 3, ((), (1, 1)): 4, ((), (2,)): 5}
+        t3 = {((2,), (), ()): 1, ((1,), (-1,), ()): 2, ((1,), (1,), (2,)): 3, ((1,), (1,), ()): 4,
+              ((), (2, -1), (1,)): 5}
+        for x in (alg.tensor2(t2), tensor3(alg, t3)):
+            assert [c for _, c in x.items()] == [5, 4, 3, 2, 1]
+
     def test_exactness_no_floats(self):
         x = A3.element({(1,): Fraction(1, 3)})
         y = x + x + x
