@@ -18,6 +18,12 @@ Every check is one of two generator-level comparisons or one bounded sweep.
   Jacobiators read their double brackets through one memo that lives for
   that check, so each bracket of a letter and a word is computed once.
 
+A comparison at a weight vector reads its forms from one table per check,
+:func:`_form_table`, computed once per ordered pair of weight values.  Its
+weights, s and k are in stored form (:func:`ncdb.freealg.exact`), as the
+table coefficients are, so an integral spec at integral forms compares
+``int`` terms only; :func:`weight_form` itself returns ``Fraction``s.
+
 Both compare raw term dicts on every tuple first and keep only the dicts of
 a failing one; no tensor is built, and text is rendered from those dicts,
 through one memo of word names per check, only once the witness cap holds.
@@ -175,6 +181,18 @@ def weight_form(lx, ly) -> tuple:
     return Fraction(lx + ly, 2), Fraction(lx - ly, 2)
 
 
+def _form_table(weights):
+    """(i, j) -> the :func:`weight_form` of letters i and j, indices into
+    ``weights``: one table per check, computed once per ordered pair of
+    weight values.  Weights, s and k are in stored form (:func:`exact`), so
+    an integral form is a pair of ``int``s and the letter comparisons of an
+    integral spec run in ``int`` arithmetic."""
+    values = [exact(x) for x in weights]
+    forms = {key: tuple(map(exact, weight_form(*key))) for key in itertools.product(dict.fromkeys(values), repeat=2)}
+    rows = [[forms[a, b] for b in values] for a in values]
+    return lambda i, j: rows[i][j]
+
+
 def form_terms(x: int, y: int, s, k) -> dict:
     """Raw terms of s * (x (x) y - y (x) x) + k * (1 (x) xy - yx (x) 1)."""
     terms = {}
@@ -250,15 +268,16 @@ def triple_witnesses(spec: BracketSpec, weights) -> list:
     Each triple's Jacobiator is ``BracketSpec._djac_words`` on its three
     letters, through a memo of ``_dbr_words`` that lives for this one check:
     every bracket <<x, p>> of a letter and a word of the table is computed
-    once, however many triples read it.  The weight form of each pair of
-    weights is likewise computed once per check.
+    once, however many triples read it.  The weight forms come from the
+    check's one :func:`_form_table`, in stored form, so on an integral spec
+    every term is an ``int`` product compared with ``int``s.
     """
     dbr = functools.cache(spec._dbr_words)
-    form = functools.cache(weight_form)
+    form = _form_table(weights)
     djac = spec._djac_words
     return _letter_witnesses(spec, 3, lambda idx, cell: (
         djac((cell[0],), (cell[1],), (cell[2],), dbr),
-        poisson_rhs(spec, *cell, *form(weights[idx[0]], weights[idx[1]]))))
+        poisson_rhs(spec, *cell, *form(idx[0], idx[1]))))
 
 
 MAX_CELLS = 50_000_000  # most cells one sweep may count; Jacobi to degree 5 on three generators has 363**3
@@ -357,7 +376,7 @@ def check_weight(spec: BracketSpec, weights) -> VerificationReport:
     weights must be the negated base weights (the unique consistent extension).
     """
     w = spec.algebra.weight_vector(weights)
-    witnesses = pair_witnesses(spec, lambda i, j: weight_form(w[i], w[j]))
+    witnesses = pair_witnesses(spec, _form_table(w))
     params = {"weights": [coef_str(x) for x in w], "pairs": len(w) ** 2}
     return report("weighted_skew_symmetry", spec, params, witnesses)
 
@@ -438,7 +457,7 @@ def check_lambda_double_lie(spec: BracketSpec, lam) -> VerificationReport:
     alg = spec.algebra
     if alg.has_inverses:
         raise ValueError("defined for free algebras only")
-    lam = Fraction(exact(lam))
+    lam = exact(lam)
     for (i, j), u in spec.table.items():
         for (w1, w2) in u.terms:
             if len(w1) != 1 or len(w2) != 1 or w1[0] < 0 or w2[0] < 0:

@@ -157,11 +157,13 @@ class BracketSpec:
             for (k1, k2), d in dbr(u, p).items():
                 _merge_term(res, (k1, k2, q), c * d)
         for (p, q), c in dbr(u, w).items():
+            c = -c
             for (k1, k2), d in dbr(v, q).items():
-                _merge_term(res, (p, k1, k2), -c * d)
+                _merge_term(res, (p, k1, k2), c * d)
         for (p, q), c in dbr(u, v).items():
+            c = -c
             for (k1, k2), d in dbr(p, w).items():
-                _merge_term(res, (k1, q, k2), -c * d)
+                _merge_term(res, (k1, q, k2), c * d)
         return res
 
     def _mb_words(self, u, w, letter) -> dict:

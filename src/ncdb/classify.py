@@ -98,7 +98,7 @@ def weighted_table(A: FreeAlgebra, weights, entries) -> dict:
     """
     table = {}
     for (i, j), terms in entries.items():
-        forced = form_terms(j, i, *weight_form(weights[j - 1], weights[i - 1]))
+        forced = form_terms(j, i, *map(exact, weight_form(weights[j - 1], weights[i - 1])))
         for (a, b), c in terms.items():
             forced[(b, a)] = forced.get((b, a), 0) - c
         table[(i, j)] = A.tensor2(terms)

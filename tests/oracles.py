@@ -246,6 +246,13 @@ def tensor_check_double_poisson(spec):
     return report("double_poisson", spec, {"pairs": n ** 2, "triples": n ** 3}, witnesses)
 
 
+def tensor_check_weight(spec, weights):
+    """``check_weight`` on tensors, with ``Fraction`` weight forms."""
+    w = spec.algebra.weight_vector(weights)
+    witnesses = _pair_witnesses(spec, lambda i, j: (Fraction(w[i] + w[j], 2), Fraction(w[i] - w[j], 2)))
+    return report("weighted_skew_symmetry", spec, {"weights": [str(x) for x in w], "pairs": len(w) ** 2}, witnesses)
+
+
 def tensor_check_poisson_property(spec, weights):
     """``check_poisson_property`` on tensors."""
     w = spec.algebra.weight_vector(weights)

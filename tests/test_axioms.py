@@ -988,6 +988,76 @@ def test_generator_comparisons_match_tensor_route(name):
         assert same, (got[:300], want[:300])
 
 
+@pytest.mark.parametrize("name", sorted(TENSOR_ROUTE_SPECS))
+def test_check_weight_matches_tensor_route(name):
+    """``check_weight``, with its one form table of stored-form scalars, keeps
+    every report byte of the route that compares each skew defect with a
+    ``Tensor2`` built from ``Fraction`` forms: at half-integral weights, at
+    integral weights whose odd sums give half-integral forms, and at the
+    spec's own weights."""
+    spec, own = TENSOR_ROUTE_SPECS[name]()
+    n = len(spec.algebra.letters)
+    weights = [tuple(Fraction((-1) ** k * (k + 1), 2) for k in range(n)), tuple((-1) ** k * (k + 1) for k in range(n))]
+    if own is not None:
+        weights.append(own)
+    for w in weights:
+        got, want = _outcome(lambda: check_weight(spec, w)), _outcome(lambda: oracles.tensor_check_weight(spec, w))
+        same = got == want  # not inline: a failing diff of long JSON is slow
+        assert same, (got[:300], want[:300])
+
+
+def _form_spies(monkeypatch):
+    """Spies on ``axioms.weight_form`` (the weight pairs it is called with) and
+    on ``axioms.form_terms`` and ``axioms.poisson_rhs`` (the (s, k) each
+    receives)."""
+    pairs, forms = [], []
+    weight_form, form_terms, poisson_rhs = axioms.weight_form, axioms.form_terms, axioms.poisson_rhs
+
+    def spy_weight_form(lx, ly):
+        pairs.append((lx, ly))
+        return weight_form(lx, ly)
+
+    def spy_form_terms(x, y, s, k):
+        forms.append((s, k))
+        return form_terms(x, y, s, k)
+
+    def spy_poisson_rhs(spec, x, y, z, s, k):
+        forms.append((s, k))
+        return poisson_rhs(spec, x, y, z, s, k)
+
+    monkeypatch.setattr(axioms, "weight_form", spy_weight_form)
+    monkeypatch.setattr(axioms, "form_terms", spy_form_terms)
+    monkeypatch.setattr(axioms, "poisson_rhs", spy_poisson_rhs)
+    return pairs, forms
+
+
+def test_weight_forms_once_per_pair_of_weight_values_in_stored_form(monkeypatch):
+    """Each letter comparison at weights builds one form table: ``weight_form``
+    runs once per ordered pair of weight values, not once per letter pair,
+    and each s and k is in stored form, so the 49 pairs and 343 triples of
+    ``cld(7, 3)``, of weights +-1, compare ``int``s only, while the
+    half-integral forms of weights (1, 2, 3) stay ``Fraction``s."""
+    pairs, forms = _form_spies(monkeypatch)
+    spec, w = build(FamilyParams("cld", (7, 3)))
+    assert set(w) == {1, -1}
+    for check, calls in ((check_weight, 49), (check_poisson_property, 343)):
+        pairs.clear()
+        forms.clear()
+        assert check(spec, w).passed
+        assert len(pairs) == len(set(pairs)) == 4
+        assert len(forms) == calls
+        assert all(type(s) is int and type(k) is int for s, k in forms)
+    spec = builtin("mdbI")[0]
+    for check in (check_weight, check_poisson_property):
+        pairs.clear()
+        forms.clear()
+        check(spec, (1, 2, 3))
+        assert len(pairs) == 9
+        assert {type(x) for f in forms for x in f} == {int, Fraction}
+        assert all(type(x) is (int if x.denominator == 1 else Fraction) for f in forms for x in f)
+        assert Fraction(3, 2) in {s for s, k in forms}
+
+
 @pytest.mark.parametrize("make", [lambda: builtin("mdbI")[0], lambda: builtin("mdbII")[0], _laurent_kontsevich],
                          ids=["mdbI", "mdbII", "laurent"])
 def test_djac_matches_triple_bracket_route(make):

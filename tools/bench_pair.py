@@ -16,9 +16,16 @@ that can back a claimed gain: the head must win at least nine of them.
 The output JSON holds, per workload and end-to-end metric of
 ``BENCHMARK.json``, the per-pair values of both sides, their medians and
 quartiles, and how many pairs the head won (strictly better in the metric's
-direction).  Each side also records whether every run was ``correct`` and how
-many ops each run attempted: a side that fits more passes into the fixed run
-length keeps more per-op records, which shows in its ``peak_rss_mb``.
+direction), with two verdicts:
+
+* ``gain``: the head won at least nine pairs in ten, and its median beats
+  the base median by more than the base's interquartile range;
+* ``within_bound``: the head median is no worse than the base median by
+  more than the metric's relative ``bound`` in ``BENCHMARK.json``.
+
+Each side also records whether every run was ``correct`` and how many ops
+each run attempted: a side that fits more passes into the fixed run length
+keeps more per-op records, which shows in its ``peak_rss_mb``.
 """
 
 from __future__ import annotations
@@ -70,6 +77,30 @@ def _quartiles(values):
     return q[0], q[2]
 
 
+def summarize(metric: dict, base: list, head: list) -> dict:
+    """The summary of one ``BENCHMARK.json`` end-to-end ``metric`` over paired
+    runs, ``base[i]`` and ``head[i]`` being the values of pair i."""
+    sign = 1 if metric["better"] == "lower" else -1
+    wins = sum(sign * (h - b) < 0 for b, h in zip(base, head))
+    base_med, head_med = statistics.median(base), statistics.median(head)
+    base_q = _quartiles(base)
+    return {
+        "unit": metric["unit"],
+        "better": metric["better"],
+        "base": base,
+        "head": head,
+        "base_median": base_med,
+        "head_median": head_med,
+        "base_quartiles": base_q,
+        "head_quartiles": _quartiles(head),
+        "head_over_base": head_med / base_med if base_med else None,
+        "head_wins": wins,
+        "pairs": len(base),
+        "gain": 10 * wins >= 9 * len(base) and sign * (base_med - head_med) > base_q[1] - base_q[0],
+        "within_bound": sign * (head_med - base_med) <= metric["bound"] * abs(base_med),
+    }
+
+
 def compare(base: Path, head: Path, workloads, pairs: int, seed: int) -> dict:
     result = {}
     for workload in workloads:
@@ -82,25 +113,10 @@ def compare(base: Path, head: Path, workloads, pairs: int, seed: int) -> dict:
                 runs[side].append(_run(base if side == "base" else head, workload, seed))
         entry = {"order": order, "correct": {s: [r["correct"] for r in runs[s]] for s in runs},
                  "attempted": {s: [r["attempted"] for r in runs[s]] for s in runs}, "metrics": {}}
-        for spec in BENCHMARK["end_to_end"]:
-            name = spec["name"]
-            vals = {s: [r["metrics"][name]["value"] for r in runs[s]] for s in runs}
-            sign = 1 if spec["better"] == "lower" else -1
-            wins = sum(sign * (h - b) < 0 for b, h in zip(vals["base"], vals["head"]))
-            base_med, head_med = statistics.median(vals["base"]), statistics.median(vals["head"])
-            entry["metrics"][name] = {
-                "unit": spec["unit"],
-                "better": spec["better"],
-                "base": vals["base"],
-                "head": vals["head"],
-                "base_median": base_med,
-                "head_median": head_med,
-                "base_quartiles": _quartiles(vals["base"]),
-                "head_quartiles": _quartiles(vals["head"]),
-                "head_over_base": head_med / base_med if base_med else None,
-                "head_wins": wins,
-                "pairs": pairs,
-            }
+        for metric in BENCHMARK["end_to_end"]:
+            name = metric["name"]
+            base_vals, head_vals = ([r["metrics"][name]["value"] for r in runs[s]] for s in ("base", "head"))
+            entry["metrics"][name] = summarize(metric, base_vals, head_vals)
         result[workload] = entry
     return result
 
@@ -139,7 +155,7 @@ def main(argv=None) -> int:
     for workload, entry in workloads.items():
         for name, m in entry["metrics"].items():
             print(f"{workload:8s} {name:12s} base {m['base_median']:.4g} head {m['head_median']:.4g} "
-                  f"head wins {m['head_wins']}/{m['pairs']}")
+                  f"head wins {m['head_wins']}/{m['pairs']} gain {m['gain']} within_bound {m['within_bound']}")
     return 0 if all(all(c) for e in workloads.values() for c in e["correct"].values()) else 1
 
 
