@@ -1006,11 +1006,13 @@ def test_check_weight_matches_tensor_route(name):
         assert same, (got[:300], want[:300])
 
 
-def _form_spies(monkeypatch):
-    """Spies on ``axioms.weight_form`` (the weight pairs it is called with) and
-    on ``axioms.form_terms`` and ``axioms.poisson_rhs`` (the (s, k) each
-    receives)."""
-    pairs, forms = [], []
+def test_weight_forms_once_per_pair_of_weight_values_in_stored_form(monkeypatch):
+    """Each letter comparison at weights builds one form table: ``weight_form``
+    runs once per ordered pair of weight values, not once per letter pair,
+    and each s and k is in stored form, so the 49 pairs and 343 triples of
+    ``cld(7, 3)``, of weights +-1, compare ``int``s only, while the
+    half-integral forms of weights (1, 2, 3) stay ``Fraction``s."""
+    pairs, forms = [], []  # the weight pairs of each weight_form call; the (s, k) of each comparison
     weight_form, form_terms, poisson_rhs = axioms.weight_form, axioms.form_terms, axioms.poisson_rhs
 
     def spy_weight_form(lx, ly):
@@ -1028,16 +1030,6 @@ def _form_spies(monkeypatch):
     monkeypatch.setattr(axioms, "weight_form", spy_weight_form)
     monkeypatch.setattr(axioms, "form_terms", spy_form_terms)
     monkeypatch.setattr(axioms, "poisson_rhs", spy_poisson_rhs)
-    return pairs, forms
-
-
-def test_weight_forms_once_per_pair_of_weight_values_in_stored_form(monkeypatch):
-    """Each letter comparison at weights builds one form table: ``weight_form``
-    runs once per ordered pair of weight values, not once per letter pair,
-    and each s and k is in stored form, so the 49 pairs and 343 triples of
-    ``cld(7, 3)``, of weights +-1, compare ``int``s only, while the
-    half-integral forms of weights (1, 2, 3) stay ``Fraction``s."""
-    pairs, forms = _form_spies(monkeypatch)
     spec, w = build(FamilyParams("cld", (7, 3)))
     assert set(w) == {1, -1}
     for check, calls in ((check_weight, 49), (check_poisson_property, 343)):
