@@ -13,8 +13,8 @@ Every check is one of two generator-level comparisons or one bounded sweep.
   is (s, k) = (0, 0); weight l is ((l_x + l_y)/2, (l_x - l_y)/2); a mixed
   type reads (s, k) off its two matrices; lambda-double-Lie is (lambda, 0).
 * :func:`triple_witnesses` compares, on every ordered letter triple, the
-  double Jacobiator with :func:`poisson_rhs` at a weight vector: zero for
-  double Poisson, (lambda, ..., lambda) for lambda-double-Lie.  The
+  double Jacobiator with :func:`poisson_rhs` at the same forms: (0, 0) for
+  double Poisson, (lambda, 0) for lambda-double-Lie.  The
   Jacobiators read their double brackets through one memo that lives for
   that check, so each bracket of a letter and a word is computed once.
 
@@ -262,18 +262,18 @@ def pair_witnesses(spec: BracketSpec, form) -> list:
         skew_defect(spec, *cell), form_terms(*cell, *form(*idx))))
 
 
-def triple_witnesses(spec: BracketSpec, weights) -> list:
-    """Letter triples whose double Jacobiator is not :func:`poisson_rhs`.
+def triple_witnesses(spec: BracketSpec, form) -> list:
+    """Letter triples whose double Jacobiator is not :func:`poisson_rhs` at
+    (s, k) = form(i, j), i and j indexing the triple's first two letters.
 
     Each triple's Jacobiator is ``BracketSpec._djac_words`` on its three
     letters, through a memo of ``_dbr_words`` that lives for this one check:
     every bracket <<x, p>> of a letter and a word of the table is computed
-    once, however many triples read it.  The weight forms come from the
-    check's one :func:`_form_table`, in stored form, so on an integral spec
-    every term is an ``int`` product compared with ``int``s.
+    once, however many triples read it.  Forms are in stored form, as
+    :func:`_form_table` gives them, so on an integral spec every term is an
+    ``int`` product compared with ``int``s.
     """
     dbr = functools.cache(spec._dbr_words)
-    form = _form_table(weights)
     djac = spec._djac_words
     return _letter_witnesses(spec, 3, lambda idx, cell: (
         djac((cell[0],), (cell[1],), (cell[2],), dbr),
@@ -365,7 +365,8 @@ def check_cyclic_skew(spec: BracketSpec) -> VerificationReport:
 def check_double_poisson(spec: BracketSpec) -> VerificationReport:
     """Cyclic skew-symmetry plus vanishing double Jacobiator on generators."""
     n = len(spec.algebra.letters)
-    witnesses = pair_witnesses(spec, lambda i, j: (0, 0)) + triple_witnesses(spec, (0,) * n)
+    form = lambda i, j: (0, 0)  # weight_form(0, 0) in stored form
+    witnesses = pair_witnesses(spec, form) + triple_witnesses(spec, form)
     return report("double_poisson", spec, {"pairs": n ** 2, "triples": n ** 3}, witnesses)
 
 
@@ -400,7 +401,7 @@ def infer_weight(spec: BracketSpec):
     alg = spec.algebra
     forms = [_read_form(spec, 1, j) for j in range(2, alg.d + 1)]
     base = [sum(forms[0]) if forms else 0] + [s - k for s, k in forms]
-    full = tuple(Fraction(v) for v in alg.letter_weights(base))
+    full = alg.weight_vector(alg.letter_weights(base))
     return full if check_weight(spec, full).passed else None
 
 
@@ -448,7 +449,7 @@ def check_poisson_property(spec: BracketSpec, weights) -> VerificationReport:
     """The double Jacobiator on letter triples takes its prescribed value."""
     w = spec.algebra.weight_vector(weights)
     params = {"weights": [coef_str(x) for x in w], "triples": len(w) ** 3}
-    return report("poisson_property", spec, params, triple_witnesses(spec, w))
+    return report("poisson_property", spec, params, triple_witnesses(spec, _form_table(w)))
 
 
 def check_lambda_double_lie(spec: BracketSpec, lam) -> VerificationReport:
@@ -464,7 +465,8 @@ def check_lambda_double_lie(spec: BracketSpec, lam) -> VerificationReport:
                 names = (alg.render_word((i,)), alg.render_word((j,)))
                 witness = Witness(names, "a combination of generator (x) generator terms", str(u), str(u))
                 return report("lambda_double_lie", spec, {"reason": "not V(x)V-valued"}, [witness])
-    witnesses = pair_witnesses(spec, lambda i, j: (lam, 0)) + triple_witnesses(spec, (lam,) * alg.d)
+    form = lambda i, j: (lam, 0)  # weight_form(lam, lam) in stored form
+    witnesses = pair_witnesses(spec, form) + triple_witnesses(spec, form)
     return report("lambda_double_lie", spec, {"lambda": coef_str(lam)}, witnesses)
 
 

@@ -22,21 +22,19 @@ positive generators (absent pairs are zero).  Everything else is derived:
   brackets many monomial triples can pass it a memo of ``_dbr_words``, and
   ``_mb_words`` a letter bracket, the spec's own or, for the h0 residual,
   the letter skew defects.  :func:`jacobiator_ids`, the one formula of the
-  Jacobiator, takes the spec and reads {u, w} on interned word ids; the
-  Jacobi sweeps and ``jacobiator`` alike go through it.  Every kernel
-  merges its terms through ``_merge_term``.
+  Jacobiator, takes the spec and reads {u, w} on interned word ids.  Every
+  kernel merges its terms through ``_merge_term``.
 
 A spec is a frozen value, its ``table`` a read-only map of its own copies
 of the nonzero entries, so no memo can outlive the value it was computed
-from.  Each computed value has one memo, read by the route that fills it:
-{u, w} on interned word ids (``_mb_ids``) for the Jacobi sweeps of
-:mod:`ncdb.axioms` and :mod:`ncdb.repspace` and for ``jacobiator`` (the h0
-sweep keeps only its skew defects), {u, w} per word pair (``_mb_cache``)
-for ``mbracket``, and the one class map, word id -> id of its cyclic
-normal form (``_cls``), for :func:`jacobiator_ids` and
-:func:`ncdb.axioms.sweep`; ``_mb_words``, ``_dbr_words`` and
-``_djac_words`` keep nothing.  Memos take no part in equality and hold
-only idempotent pure values, safe to share.
+from.  One memo rule: kernels keep nothing; the spec's memos serve the
+sweeps, {u, w} on interned word ids (``_mb_ids``) for the Jacobi sweeps of
+:mod:`ncdb.axioms` and :mod:`ncdb.repspace` and the one class map, word id
+-> id of its cyclic normal form (``_cls``), for :func:`jacobiator_ids` and
+:func:`ncdb.axioms.sweep`; element-level operations compute through their
+kernels, save ``jacobiator``, which goes through :func:`jacobiator_ids`
+and so reads ``_mb_ids``.  Memos take no part in equality and hold only
+idempotent pure values, safe to share.
 """
 
 from __future__ import annotations
@@ -81,7 +79,7 @@ class BracketSpec:
     table: MappingProxyType
     weight: tuple = None
     _letter_cache: dict = _memo(dict)  # (x, y) -> raw {(w1, w2): coef}
-    _mb_cache: dict = _memo(dict)      # (u, w) -> raw {word: coef}, read by mbracket only
+    _mb_cache: dict = _memo(dict)      # never written: perfbench/tracing.py reads its size (ROADMAP item 2 deletes it)
     _word_ids: dict = _memo(lambda: {(): 0})  # interning: the sweeps key words by small ids
     _id_words: list = _memo(lambda: [()])
     _mb_id_cache: dict = _memo(dict)   # (uid, wid) -> {word id: coef}, read by the sweeps
@@ -178,13 +176,6 @@ class BracketSpec:
                 _merge_term(res, word, c)
         return res
 
-    def _mb_row(self, u, w) -> dict:
-        """{u, w} memoized per word pair for :meth:`mbracket`."""
-        row = self._mb_cache.get((u, w))
-        if row is None:
-            row = self._mb_cache[u, w] = self._mb_words(u, w, self._letter_raw)
-        return row
-
     # -- interned-id variants used by the bounded sweeps -------------------------
 
     def _wid(self, w) -> int:
@@ -240,8 +231,8 @@ class BracketSpec:
         return self._extend(Tensor2, self._dbr_words, a, b)
 
     def mbracket(self, a: Element, b: Element) -> Element:
-        """The multiplied bracket {a, b} = m o <<a, b>>."""
-        return self._extend(Element, self._mb_row, a, b)
+        """The multiplied bracket {a, b} = m o <<a, b>>, extended bilinearly."""
+        return self._extend(Element, lambda u, w: self._mb_words(u, w, self._letter_raw), a, b)
 
     def djac(self, a: Element, b: Element, c: Element) -> Tensor3:
         """Double Jacobiator <<a,<<b,c>>>>_L - <<b,<<a,c>>>>_R - <<<<a,b>>,c>>_L,

@@ -81,8 +81,9 @@ class MatrixPoint:
     ``mats`` maps each generator 1..d, and nothing else, to its ``size`` x
     ``size`` matrix of ``int`` or ``Fraction`` entries, kept as read-only
     tuples; ``invs`` holds the exact inverse of each inverted one and
-    ``denom`` the common denominator D of all letter matrices.  The cache of
-    N(w) = D**len(w) * M(w) and the ``word_trace`` memo are not compared.
+    ``denom`` the common denominator D of all letter matrices.  Its one
+    memo, of N(w) = D**len(w) * M(w), is not compared; ``word_trace``
+    reads it and keeps nothing of its own.
     """
 
     algebra: FreeAlgebra
@@ -92,7 +93,7 @@ class MatrixPoint:
     denom: int = field(init=False)
     _cols: dict = field(init=False, compare=False, repr=False)  # columns of N_g
     _words: dict = _memo(dict)
-    _traces: dict = _memo(dict)
+    _traces: dict = _memo(dict)  # never written: perfbench/tracing.py reads its size (ROADMAP item 2 deletes it)
 
     def __post_init__(self):
         n = _checked_size(self.size)
@@ -166,11 +167,8 @@ class MatrixPoint:
         return m
 
     def word_trace(self, w):
-        t = self._traces.get(w)
-        if t is None:
-            m = self._int_matrix(w)
-            t = self._traces[w] = Fraction(sum(m[i][i] for i in range(self.size)), self.denom ** len(w))
-        return t
+        m = self._int_matrix(w)
+        return Fraction(sum(m[i][i] for i in range(self.size)), self.denom ** len(w))
 
 
 def eval_trace(x: Element, p: MatrixPoint):

@@ -26,7 +26,7 @@ from ncdb.axioms import (
 )
 from ncdb.classify import FamilyParams, build, builtin, search_cl1, verify_family_props
 from ncdb.localize import localize
-from ncdb.repspace import MatrixPoint, check_induced_poisson
+from ncdb.repspace import MatrixPoint, check_induced_poisson, eval_trace
 
 import oracles
 from oracles import flip, reduce_mod_commutators, unreduced_check_h0_skew, unreduced_check_jacobi
@@ -626,21 +626,27 @@ def test_sweeps_leave_no_cycle_through_the_spec(check, make):
             gc.enable()
 
 
-def test_sweeps_leave_the_element_memo_to_mbracket(monkeypatch):
-    """The sweeps memoize {u, w} on word ids only; ``_mb_cache`` is filled
-    and read by the element-level ``mbracket`` alone."""
+def test_element_brackets_and_traces_keep_no_memo(monkeypatch):
+    """The sweeps memoize {u, w} on word ids only.  ``mbracket`` calls its
+    kernel once per pair of terms on every call, and neither it nor
+    ``word_trace`` / ``eval_trace`` fills a memo of its own."""
     spec = builtin("mdbI")[0]
+    p = MatrixPoint.random(spec.algebra, 2, 0)
     check_h0_skew(spec, 3)
     check_jacobi(spec, 3)
-    check_induced_poisson(spec, MatrixPoint.random(spec.algebra, 2, 0), 2)
+    check_induced_poisson(spec, p, 2)
     assert spec._mb_id_cache and not spec._mb_cache
 
     calls = count_calls(monkeypatch, spec, "_mb_words")
     a = spec.algebra.element({(1, 2): 1, (3,): 2})
     b = spec.algebra.element({(2, 3, 1): -1})
     first = spec.mbracket(a, b)
-    assert len(calls) == 2 and len(spec._mb_cache) == 2
-    assert spec.mbracket(a, b) == first and len(calls) == 2
+    assert len(calls) == 2
+    assert spec.mbracket(a, b) == first and len(calls) == 4
+    assert not spec._mb_cache
+
+    assert eval_trace(first, p) == sum(c * p.word_trace(w) for w, c in first.terms.items())
+    assert not p._traces
 
 
 def test_h0_skew_reads_the_normal_form_cache():
