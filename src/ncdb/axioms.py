@@ -38,13 +38,13 @@ every kernel depends on a and b only through their cyclic classes, so the
 sweep computes it once per pair of classes, at their normal forms, read
 from the spec's one class map (``BracketSpec._cls``), which the Jacobiator
 also reads to bracket the words of {a,b} with c once per class.  Its
-kernels are the cyclic normal form of {a,b} + {b,a}, which is {a,b} with the
-letter skew defects as letter brackets (``check_h0_skew``, through
-``BracketSpec._mb_words``), an integer trace at a matrix point
-(``repspace.check_induced_poisson``) and the Jacobiator itself
-(:func:`ncdb.bracket.jacobiator_ids`, read by ``check_jacobi`` and at the
-point by ``check_induced_poisson``).  Each kernel's class rule is proved
-in the docstring of its checker.
+kernels are the cyclic normal form of {a,b} + {b,a}, which is the
+multiplied bracket {a,b} of the spec whose table is the letter skew defects
+(``check_h0_skew``, through that spec's ``BracketSpec._mb_words``), an
+integer trace at a matrix point (``repspace.check_induced_poisson``) and
+the Jacobiator itself (:func:`ncdb.bracket.jacobiator_ids`, read by
+``check_jacobi`` and at the point by ``check_induced_poisson``).  Each
+kernel's class rule is proved in the docstring of its checker.
 
 Both symbolic sweeps decide on the letters what a proof settles there: for
 fixed (a, b) the Jacobiator is a derivation in c, so a row that vanishes on
@@ -65,7 +65,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .freealg import WordNames, _merge_term, coef_str, concat, cyclic_normal_form, exact, render_terms
+from .freealg import Tensor2, WordNames, _merge_term, coef_str, concat, cyclic_normal_form, exact, render_terms
 from .bracket import BracketSpec, jacobiator_ids
 
 
@@ -172,6 +172,16 @@ def skew_defect(spec: BracketSpec, x: int, y: int) -> dict:
     for (p, q), c in spec._letter_raw(y, x).items():
         _merge_term(terms, (q, p), c)
     return terms
+
+
+def skew_defect_spec(spec: BracketSpec) -> BracketSpec:
+    """The defect spec: the ``BracketSpec`` over ``spec.algebra`` whose
+    table holds the :func:`skew_defect` of every ordered pair of generators.
+    Its letter brackets are the skew defects of all letters, inverse letters
+    included (proved in :func:`check_h0_skew`), and its ``_letter_cache``
+    is their memo."""
+    alg, gens = spec.algebra, range(1, spec.algebra.d + 1)
+    return BracketSpec(alg, {(x, y): Tensor2(alg, skew_defect(spec, x, y)) for x in gens for y in gens})
 
 
 def weight_form(lx, ly) -> tuple:
@@ -493,14 +503,22 @@ def check_h0_skew(spec: BracketSpec, maxdeg: int = 4, all_witnesses: bool = Fals
     itself and {u, w} = {u, cnf(w)} mod [A,A].  Hence the residual at
     (a, b) is the residual at (cnf(a), cnf(b)).
 
-    It is {a,b} with the letter skew defects D = :func:`skew_defect` as its
-    letter brackets, ``_mb_words`` (a, b, D), each word put to its cnf; D is
-    read once per ordered letter pair per check.  A term c * p (x) q of
-    <<x,y>>, x = a_i and y = b_j, gives c * b_<j p A_i q b_>j in {a,b} and
-    under D alike, A_i = a_>i a_<i.  One of <<y,x>> gives a_<i p B_j q a_>i
-    in {b,a}; in D(x, y) it is the term c * q (x) p of flip(<<y,x>>), whose
-    word b_<j q A_i p b_>j is a rotation of it.  On a Laurent algebra the
-    two words are conjugate in the free group, so one cnf serves.
+    It is {a,b} of the defect spec, :func:`skew_defect_spec`, whose table
+    holds the skew defects D(x, y) = :func:`skew_defect` (x, y) of the
+    ordered pairs of generators: built once per sweep and read as
+    ``defects._mb_words`` (a, b), each word put to its cnf.  A term
+    c * p (x) q of <<x,y>>, x = a_i and y = b_j, gives c * b_<j p A_i q b_>j
+    in {a,b} and under D alike, A_i = a_>i a_<i.  One of <<y,x>> gives
+    a_<i p B_j q a_>i in {b,a}; in D(x, y) it is the term c * q (x) p of
+    flip(<<y,x>>), whose word b_<j q A_i p b_>j is a rotation of it.  On a
+    Laurent algebra the two words are conjugate in the free group, so one
+    cnf serves, and the defect spec's inverse-letter brackets are the skew
+    defects of the inverse letters.  Write <<x,y>> = sum p (x) q and
+    <<y,x>> = sum r (x) s, so D(x,y) = sum p (x) q + sum s (x) r.  By the
+    inverse rule of ``BracketSpec._letter_raw``, <<x^-1,y>> =
+    -sum p x^-1 (x) x^-1 q and flip(<<y,x^-1>>) = -sum s x^-1 (x) x^-1 r,
+    whose sum is the rule's image of D(x,y); the second slot works the
+    same way, and an inverse in both slots is the two rules in turn.
 
     When every letter skew defect is a weight form (:func:`infer_weight`
     finds weights l), the residual is 0 at every (a, b): the sweep is decided
@@ -520,12 +538,11 @@ def check_h0_skew(spec: BracketSpec, maxdeg: int = 4, all_witnesses: bool = Fals
     pairs, ids = sweep_ids(spec, words, 2)  # refuses an oversized sweep before any letter bracket
     witnesses = []
     if infer_weight(spec) is None:  # else a weight form: every residual is 0, see above
-        word_of = spec._id_words
-        defect = functools.cache(functools.partial(skew_defect, spec))
+        word_of, defects = spec._id_words, skew_defect_spec(spec)
 
-        def residual(a, b):  # {a,b} + {b,a} on cyclic normal forms: {a,b} under the skew defects
+        def residual(a, b):  # {a,b} + {b,a} on cyclic normal forms: {a,b} of the skew defects
             res = {}
-            for word, c in spec._mb_words(word_of[a], word_of[b], defect).items():
+            for word, c in defects._mb_words(word_of[a], word_of[b]).items():
                 _merge_term(res, spec._wid(cyclic_normal_form(word)), c)
             return res
 

@@ -17,11 +17,13 @@ positive generators (absent pairs are zero).  Everything else is derived:
 * every public operation -- the double and multiplied brackets and both
   Jacobiators -- is one multilinear extension (``BracketSpec._extend``) of
   a monomial kernel over sparse operands, which refuses an operand that is
-  not an ``Element`` before any kernel runs.  Kernels take the bracket they
-  compose as an argument: ``_djac_words`` a ``dbr``, so a caller that
-  brackets many monomial triples can pass it a memo of ``_dbr_words``, and
-  ``_mb_words`` a letter bracket, the spec's own or, for the h0 residual,
-  the letter skew defects.  :func:`jacobiator_ids`, the one formula of the
+  not an ``Element`` before any kernel runs.  Kernels read their spec's
+  own letter table (``_letter_raw``), so a bracket built from other letter
+  brackets is another spec: the h0 residual is the multiplied bracket of
+  the spec of letter skew defects (:func:`ncdb.axioms.check_h0_skew`).
+  Only ``_djac_words`` takes the bracket it composes, a ``dbr``, so a
+  caller that brackets many monomial triples can pass it a memo of
+  ``_dbr_words``.  :func:`jacobiator_ids`, the one formula of the
   Jacobiator, takes the spec and reads {u, w} on interned word ids.  Every
   kernel merges its terms through ``_merge_term``.
 
@@ -40,6 +42,7 @@ idempotent pure values, safe to share.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
@@ -52,18 +55,6 @@ from .freealg import (
     concat,
     cyclic_normal_form,
 )
-
-
-def _positions(u, w, letter):
-    """The Leibniz sum over letter positions of ``_dbr_words`` and
-    ``_mb_words``: for each pair (a, b) whose letter bracket letter(u_a, w_b)
-    is nonzero, yields u_<a, u_>a, w_<b, w_>b and that bracket."""
-    for a, x in enumerate(u):
-        up, us = u[:a], u[a + 1 :]
-        for b, y in enumerate(w):
-            lb = letter(x, y)
-            if lb:
-                yield up, us, w[:b], w[b + 1 :], lb
 
 
 def _memo(factory):
@@ -89,7 +80,7 @@ class BracketSpec:
         algebra = self.algebra
         clean = {}
         for (i, j), u in self.table.items():
-            if not all(isinstance(k, int) and 1 <= k <= algebra.d for k in (i, j)):
+            if not all(type(k) is int and 1 <= k <= algebra.d for k in (i, j)):  # a bool is not an index
                 raise ValueError(f"table pair ({i},{j}) out of range")
             if not isinstance(u, Tensor2) or u.algebra != algebra:
                 raise ValueError(f"table entry for ({i},{j}) is not a tensor over {algebra}")
@@ -131,12 +122,25 @@ class BracketSpec:
 
     # -- monomial-level raw helpers --------------------------------------------
 
+    def _positions(self, u, w):
+        """The Leibniz sum over letter positions of ``_dbr_words`` and
+        ``_mb_words``: for each pair (a, b) whose letter bracket
+        <<u_a, w_b>> is nonzero, yields u_<a, u_>a, w_<b, w_>b and that
+        bracket."""
+        letter = self._letter_raw
+        for a, x in enumerate(u):
+            up, us = u[:a], u[a + 1 :]
+            for b, y in enumerate(w):
+                lb = letter(x, y)
+                if lb:
+                    yield up, us, w[:b], w[b + 1 :], lb
+
     def _dbr_words(self, u, w) -> dict:
         """Raw tensor-square bracket <<u, w>> of two monomials: each term
         c * p (x) q of <<u_a, w_b>> gives c * w_<b p u_>a (x) u_<a q w_>b."""
         res = {}
         free = not self.algebra.has_inverses
-        for up, us, wp, ws, lb in _positions(u, w, self._letter_raw):
+        for up, us, wp, ws, lb in self._positions(u, w):
             for (p, q), c in lb.items():
                 pair = (wp + p + us, up + q + ws) if free else (concat(concat(wp, p), us), concat(concat(up, q), ws))
                 _merge_term(res, pair, c)
@@ -164,13 +168,12 @@ class BracketSpec:
                 _merge_term(res, (k1, q, k2), c * d)
         return res
 
-    def _mb_words(self, u, w, letter) -> dict:
-        """Raw multiplied bracket {u, w} of two monomials (not memoized), with
-        ``letter`` as the double bracket of two letters: each term c * p (x) q
-        of letter(u_a, w_b) gives c * w_<b p u_>a u_<a q w_>b."""
+    def _mb_words(self, u, w) -> dict:
+        """Raw multiplied bracket {u, w} of two monomials (not memoized): each
+        term c * p (x) q of <<u_a, w_b>> gives c * w_<b p u_>a u_<a q w_>b."""
         res = {}
         free = not self.algebra.has_inverses
-        for up, us, wp, ws, lb in _positions(u, w, letter):
+        for up, us, wp, ws, lb in self._positions(u, w):
             for (p, q), c in lb.items():
                 word = wp + p + us + up + q + ws if free else concat(concat(concat(wp, p), us), concat(concat(up, q), ws))
                 _merge_term(res, word, c)
@@ -192,10 +195,7 @@ class BracketSpec:
         cached = self._mb_id_cache.get(key)
         if cached is not None:
             return cached
-        raw = self._mb_words(self._id_words[uid], self._id_words[wid], self._letter_raw)
-        out = {}
-        for word, c in raw.items():
-            out[self._wid(word)] = c
+        out = {self._wid(word): c for word, c in self._mb_words(self._id_words[uid], self._id_words[wid]).items()}
         self._mb_id_cache[key] = out
         return out
 
@@ -219,9 +219,7 @@ class BracketSpec:
             raise ValueError("algebra mismatch")
         terms = {}
         for cell in itertools.product(*(x.terms.items() for x in args)):
-            c = 1
-            for _, ci in cell:
-                c *= ci
+            c = math.prod(ci for _, ci in cell)
             for k, v in kernel(*(w for w, _ in cell)).items():
                 _merge_term(terms, k, c * v)
         return cls(self.algebra, terms)
@@ -232,7 +230,7 @@ class BracketSpec:
 
     def mbracket(self, a: Element, b: Element) -> Element:
         """The multiplied bracket {a, b} = m o <<a, b>>, extended bilinearly."""
-        return self._extend(Element, lambda u, w: self._mb_words(u, w, self._letter_raw), a, b)
+        return self._extend(Element, self._mb_words, a, b)
 
     def djac(self, a: Element, b: Element, c: Element) -> Tensor3:
         """Double Jacobiator <<a,<<b,c>>>>_L - <<b,<<a,c>>>>_R - <<<<a,b>>,c>>_L,

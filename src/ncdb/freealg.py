@@ -151,8 +151,14 @@ class FreeAlgebra:
     inverted: tuple = ()
 
     def __post_init__(self):
-        names = tuple(self.names)
-        inverted = tuple(sorted(self.inverted))
+        names, inverted = tuple(self.names), tuple(self.inverted)
+        for name in names:
+            if not isinstance(name, str):
+                raise ValueError(f"generator name {name!r} is not a str")
+        for i in inverted:
+            if type(i) is not int:  # a bool is not an index
+                raise ValueError(f"inverted index {i!r} is not an int")
+        inverted = tuple(sorted(inverted))
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "inverted", inverted)
         if len(set(names)) != len(names):
@@ -201,6 +207,8 @@ class FreeAlgebra:
 
     def validate_word(self, w: Word):
         for g in w:
+            if type(g) is not int:
+                raise ValueError(f"letter {g!r} is not an int")
             if g == 0 or abs(g) > self.d:
                 raise ValueError(f"letter {g} out of range for {self}")
             if g < 0 and -g not in self.inverted:
@@ -234,6 +242,8 @@ class FreeAlgebra:
         return Element(self, {(): 1})
 
     def gen(self, i: int) -> "Element":
+        if type(i) is not int:
+            raise ValueError(f"generator index {i!r} is not an int")
         if not 1 <= i <= self.d:
             raise ValueError(f"generator index {i} out of range")
         return Element(self, {(i,): 1})

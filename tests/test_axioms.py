@@ -712,35 +712,65 @@ def test_h0_skew_brackets_once_per_pair_of_classes(make, classes, swept, monkeyp
     """Up to degree 4 mdbI and the flipped mdbII have 45 cyclic classes, and
     the Laurent Kontsevich spec and its doubled variant 51.  A fresh h0 sweep
     with every witness computes its residual exactly once per unordered pair
-    of classes, as one ``_mb_words`` call that brackets the pair's two class
-    words under the letter skew defects.  Those are read once per ordered
-    letter pair, and no {u, w} is memoized on ids.  mdbI and the Laurent
+    of classes, as one ``_mb_words`` call of the defect spec (the spec of
+    letter skew defects) on the pair's two class words.  The checked spec
+    brackets no words and memoizes no {u, w} on ids.  The h0 route reads the
+    skew defect of each ordered pair of generators once, d**2 reads: the
+    defect spec derives those of the inverse letters.  mdbI and the Laurent
     Kontsevich spec, whose skew defects are weight forms, are decided on the
-    letters and never compute the residual."""
+    letters: past ``infer_weight`` the route reads no skew defect and
+    computes no residual."""
     spec = make()
-    mb_calls = count_calls(monkeypatch, spec, "_mb_ids")
-    mb_words_calls = count_calls(monkeypatch, spec, "_mb_words")
-    residuals, defects, swept_defects = [], [], []
-    real_sweep, real_defect = axioms.sweep, axioms.skew_defect
+    mb_ids_calls = count_calls(monkeypatch, spec, "_mb_ids")
+    mb_words_calls, residuals, defects, route_start = [], [], [], []
+    real_mb_words, real_sweep = BracketSpec._mb_words, axioms.sweep
+    real_defect, real_infer = axioms.skew_defect, axioms.infer_weight
 
-    def sweep_spy(spec, ids, arity, residual, *rest):
-        start = len(defects)  # infer_weight reads skew defects before the sweep
-        out = real_sweep(spec, ids, arity, lambda a, b: residuals.append((a, b)) or residual(a, b), *rest)
-        swept_defects.extend(defects[start:])
+    def mb_words_spy(self, u, w):
+        mb_words_calls.append((self, u, w))
+        return real_mb_words(self, u, w)
+
+    def infer_spy(s):
+        out = real_infer(s)
+        route_start.append(len(defects))  # infer_weight reads skew defects of its own
         return out
 
-    monkeypatch.setattr(axioms, "sweep", sweep_spy)
+    monkeypatch.setattr(BracketSpec, "_mb_words", mb_words_spy)
+    monkeypatch.setattr(axioms, "sweep", lambda spec, ids, arity, residual, *rest: real_sweep(
+        spec, ids, arity, lambda a, b: residuals.append((a, b)) or residual(a, b), *rest))
     monkeypatch.setattr(axioms, "skew_defect", lambda s, x, y: defects.append((x, y)) or real_defect(s, x, y))
+    monkeypatch.setattr(axioms, "infer_weight", infer_spy)
     r = check_h0_skew(spec, 4, all_witnesses=True)
     assert r.passed is not swept
     n = r.params["words"]
     assert r.params["pairs"] == n * (n + 1) // 2
     assert len(residuals) == len(set(residuals)) == (classes * (classes + 1) // 2 if swept else 0)
+    bracketed = {id(s): s for s, _, _ in mb_words_calls}
+    assert id(spec) not in bracketed and len(bracketed) == int(swept)
     word_of = spec._id_words
-    assert [(u, w) for u, w, _ in mb_words_calls] == [(word_of[a], word_of[b]) for a, b in residuals]
-    assert not mb_calls and not spec._mb_id_cache
-    letters = spec.algebra.letters
-    assert sorted(swept_defects) == (sorted(itertools.product(letters, letters)) if swept else [])
+    assert [(u, w) for _, u, w in mb_words_calls] == [(word_of[a], word_of[b]) for a, b in residuals]
+    assert not mb_ids_calls and not spec._mb_id_cache
+    assert all(not s._mb_id_cache and s.algebra == spec.algebra for s in bracketed.values())
+    gens = range(1, spec.algebra.d + 1)
+    assert len(route_start) == 1
+    assert sorted(defects[route_start[0]:]) == (sorted(itertools.product(gens, gens)) if swept else [])
+
+
+@pytest.mark.parametrize("make", [_laurent_kontsevich, *(lambda k=k: _random_spec(k) for k in (1, 3, 5, 7)),
+                                  _broken_laurent],
+                         ids=["laurent", "random_1", "random_3", "random_5", "random_7", "laurent_broken"])
+def test_defect_spec_brackets_every_letter_pair_to_its_skew_defect(make):
+    """The defect spec stores the skew defects of the ordered pairs of
+    generators only, and derives those of the inverse letters by the inverse
+    rule of ``_letter_raw``: on every ordered letter pair, inverse letters
+    included, its letter bracket is the skew defect of the checked spec."""
+    spec = make()
+    alg = spec.algebra
+    assert alg.has_inverses
+    defects = axioms.skew_defect_spec(spec)
+    assert defects.algebra == alg and all(i > 0 and j > 0 for i, j in defects.table)
+    for x, y in itertools.product(alg.letters, repeat=2):
+        assert defects.letter_bracket(x, y) == alg.tensor2(axioms.skew_defect(spec, x, y)), (x, y)
 
 
 def test_decided_h0_skew_interns_no_word():

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -116,6 +117,14 @@ class TestLetterBracket:
             with pytest.raises(ValueError, match="out of range"):
                 BracketSpec(alg, {pair: entry})
         assert BracketSpec(alg, {(1, 2): entry}).letter_bracket(1, 2) == entry
+
+    @pytest.mark.parametrize("pair", [(True, 2), (2, True)], ids=["bool_first", "bool_second"])
+    def test_refuses_bool_pairs(self, pair):
+        """A bool is not a table index, though Python counts it as an int:
+        (True, 2) is refused, not read as (1, 2)."""
+        alg = FreeAlgebra(("x", "y"))
+        with pytest.raises(ValueError, match=re.escape(f"table pair ({pair[0]},{pair[1]}) out of range")):
+            BracketSpec(alg, {pair: alg.tensor2({((1,), (2,)): 1})})
 
     def test_equality_is_by_algebra_table_and_weight(self, mdbII):
         alg, table, w = mdbII.algebra, dict(mdbII.table), mdbII.weight

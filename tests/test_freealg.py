@@ -1,5 +1,6 @@
 import functools
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -102,6 +103,21 @@ class TestWords:
     ], ids=["repeated_name", "no_generator", "generator_zero"])
     def test_outside_input_refused(self, make, message):
         with pytest.raises(ValueError, match=message):
+            make()
+
+    @pytest.mark.parametrize("make,message", [
+        (lambda: FreeAlgebra((1, 2)), "generator name 1 is not a str"),
+        (lambda: FreeAlgebra(("x", "y"), inverted=(True,)), "inverted index True is not an int"),
+        (lambda: FreeAlgebra(("x", "y"), inverted=(1.0,)), "inverted index 1.0 is not an int"),
+        (lambda: A3.element({(1.5,): 1}), "letter 1.5 is not an int"),
+        (lambda: A3.validate_word((True, 2)), "letter True is not an int"),
+        (lambda: A3.gen(True), "generator index True is not an int"),
+    ], ids=["int_name", "bool_inverted", "float_inverted", "float_letter", "bool_letter", "bool_generator"])
+    def test_mistyped_input_refused(self, make, message):
+        """Generator names are strs; inverted indices, letters and generator
+        indices are ints, and a bool, though Python counts it as one, is not:
+        each is refused, naming the value, before it can reach a report."""
+        with pytest.raises(ValueError, match=re.escape(message)):
             make()
 
     def test_one_letter_order(self):
