@@ -560,7 +560,9 @@ def check_jacobi(spec: BracketSpec, maxdeg: int = 3, all_witnesses: bool = False
     Applying m to the Leibniz rule <<a,bc>> = (b (x) 1)<<a,c>> + <<a,b>>(1 (x) c)
     gives {a,bc} = b{a,c} + {a,b}c, so D_u = {u,-} is a derivation for every
     monomial u; ``BracketSpec._mb_words`` computes it as exactly this
-    positional sum over the letters of its second argument.  On a Laurent
+    positional sum over the letters of its second argument, and
+    ``BracketSpec._mb_ids``, which the sweep reads, sums the memoized
+    letter rows D_u(x_i) the same way.  On a Laurent
     algebra the brackets of inverse letters are forced by <<a,1>> = 0, so
     D_u(x^-1) = -x^-1 D_u(x) x^-1 and D_u is a derivation there too.  For
     fixed a and b the residual c -> D_a(D_b(c)) - D_b(D_a(c)) - D_{{a,b}}(c)

@@ -30,9 +30,11 @@ positive generators (absent pairs are zero).  Everything else is derived:
 A spec is a frozen value, its ``table`` a read-only map of its own copies
 of the nonzero entries, so no memo can outlive the value it was computed
 from.  One memo rule: kernels keep nothing; the spec's memos serve the
-sweeps, {u, w} on interned word ids (``_mb_ids``) for the Jacobi sweeps of
-:mod:`ncdb.axioms` and :mod:`ncdb.repspace` and the one class map, word id
--> id of its cyclic normal form (``_cls``), for :func:`jacobiator_ids` and
+sweeps, {u, w} on interned word ids (``_mb_ids``, which builds a word's
+row from the memoized rows of its letters, so the Leibniz kernel runs on
+letters only) for the Jacobi sweeps of :mod:`ncdb.axioms` and
+:mod:`ncdb.repspace` and the one class map, word id -> id of its cyclic
+normal form (``_cls``), for :func:`jacobiator_ids` and
 :func:`ncdb.axioms.sweep`; element-level operations compute through their
 kernels, save ``jacobiator``, which goes through :func:`jacobiator_ids`
 and so reads ``_mb_ids``.  Memos take no part in equality and hold only
@@ -190,12 +192,32 @@ class BracketSpec:
         return i
 
     def _mb_ids(self, uid: int, wid: int) -> dict:
-        """{u, w} on interned word ids, returned as an id-keyed dict."""
+        """{u, w} on interned word ids, returned as an id-keyed dict.
+
+        A word w of length >= 2 is bracketed from the memoized letter rows,
+        {u, w} = sum_b w_<b {u, w_b} w_>b, and only a letter or the empty
+        word reaches ``_mb_words``.  Proof: the rule regroups
+        ``_mb_words``'s double sum sum_a sum_b w_<b p u_>a u_<a q w_>b by
+        the position b in w, and its inner sum over a is exactly
+        ``_mb_words(u, (w_b,))``.  Tuple ``+`` is associative, and so is
+        ``concat``, the reduced product of the free group, so both routes
+        give the same terms on a free and on a Laurent algebra."""
         key = (uid, wid)
         cached = self._mb_id_cache.get(key)
         if cached is not None:
             return cached
-        out = {self._wid(word): c for word, c in self._mb_words(self._id_words[uid], self._id_words[wid]).items()}
+        w = self._id_words[wid]
+        if len(w) < 2:
+            row = self._mb_words(self._id_words[uid], w)
+        else:
+            row = {}
+            free = not self.algebra.has_inverses
+            for b, y in enumerate(w):
+                wp, ws = w[:b], w[b + 1 :]
+                for k, c in self._mb_ids(uid, self._wid((y,))).items():
+                    p = self._id_words[k]
+                    _merge_term(row, wp + p + ws if free else concat(concat(wp, p), ws), c)
+        out = {self._wid(word): c for word, c in row.items()}  # only surviving words are interned
         self._mb_id_cache[key] = out
         return out
 

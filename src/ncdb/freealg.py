@@ -94,12 +94,14 @@ def cyclic_normal_form(w: Word) -> Word:
 def exact(c):
     """The stored form of a coefficient: ``int`` if integral, else ``Fraction``.
 
-    Anything that is not an ``int`` or a ``Fraction`` (a float, a string) is
-    refused with ValueError.
+    Anything that is not an ``int`` or a ``Fraction`` (a float, a string, a
+    bool) is refused with ValueError.
     """
+    if type(c) is int:
+        return c
     if isinstance(c, Fraction):
         return c.numerator if c.denominator == 1 else c
-    if isinstance(c, int):
+    if isinstance(c, int) and not isinstance(c, bool):
         return int(c)
     raise ValueError(f"coefficient {c!r} is not an int or a Fraction")
 

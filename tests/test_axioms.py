@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import random
+import re
 import weakref
 from fractions import Fraction
 
@@ -406,6 +407,14 @@ def test_non_int_degree_or_size_refused(call, mdbI):
         call(mdbI)
 
 
+def test_check_weight_refuses_bool_weights():
+    """A bool is not a weight, though Python counts it as an int: (True,
+    False) is refused, naming the value, and does not reach the report's
+    "weights" as ["1", "0"]."""
+    with pytest.raises(ValueError, match=re.escape("coefficient True is not an int or a Fraction")):
+        check_weight(zero_spec(), (True, False))
+
+
 def _scaled_mdb2():
     spec = builtin("mdbII")[0]
     table = dict(spec.table)
@@ -584,10 +593,13 @@ def test_jacobiator_matches_mbracket_composition(name):
         assert spec.jacobiator(a, b, c) == oracles.mbracket_jacobiator(spec, a, b, c)
 
 
-@pytest.mark.parametrize("check,entries", [
+JACOBI_SWEEPS_ON_MDBI = pytest.mark.parametrize("check,entries", [
     (lambda spec: check_jacobi(spec, 3), 1485),
     (lambda spec: check_induced_poisson(spec, MatrixPoint.random(spec.algebra, 2, 0), 3), 1602),
 ], ids=["jacobi", "rep"])
+
+
+@JACOBI_SWEEPS_ON_MDBI
 def test_jacobiator_brackets_classes_only(check, entries, monkeypatch):
     """In a fresh Jacobi sweep or trace check on mdbI to degree 3 every
     first argument of {u, w} on ids is its own cyclic class: the sweep
@@ -597,6 +609,19 @@ def test_jacobiator_brackets_classes_only(check, entries, monkeypatch):
     calls = count_calls(monkeypatch, spec, "_mb_ids")
     assert check(spec).passed
     assert calls and all(spec._cls(u) == u for u, _ in calls)
+    assert len(spec._mb_id_cache) == entries
+
+
+@JACOBI_SWEEPS_ON_MDBI
+def test_jacobi_sweeps_run_the_leibniz_kernel_on_letters_only(check, entries, monkeypatch):
+    """In the same fresh sweeps every call of ``_mb_words`` brackets with a
+    letter or the empty word: ``_mb_ids`` builds the row of a longer word
+    from the memoized rows of its letters.  The id memo still holds
+    ``entries``."""
+    spec = builtin("mdbI")[0]
+    calls = count_calls(monkeypatch, spec, "_mb_words")
+    assert check(spec).passed
+    assert calls and all(len(w) <= 1 for _, w in calls)
     assert len(spec._mb_id_cache) == entries
 
 

@@ -1,5 +1,7 @@
 import copy
 import dataclasses
+import functools
+import itertools
 import random
 import re
 from fractions import Fraction
@@ -24,7 +26,8 @@ from oracles import (
     tbracket_swapL,
     tensor3,
 )
-from test_golden_reports import _random_spec
+from test_axioms import _broken_laurent
+from test_golden_reports import _laurent_kontsevich, _random_spec
 
 
 @pytest.fixture(scope="module")
@@ -125,6 +128,12 @@ class TestLetterBracket:
         alg = FreeAlgebra(("x", "y"))
         with pytest.raises(ValueError, match=re.escape(f"table pair ({pair[0]},{pair[1]}) out of range")):
             BracketSpec(alg, {pair: alg.tensor2({((1,), (2,)): 1})})
+
+    def test_refuses_bool_weight(self):
+        """A bool is not a weight, though Python counts it as an int:
+        (True, 2) is refused, not read as (1, 2)."""
+        with pytest.raises(ValueError, match=re.escape("coefficient True is not an int or a Fraction")):
+            BracketSpec(FreeAlgebra(("x", "y")), {}, (True, 2))
 
     def test_equality_is_by_algebra_table_and_weight(self, mdbII):
         alg, table, w = mdbII.algebra, dict(mdbII.table), mdbII.weight
@@ -365,6 +374,22 @@ class TestMbracket:
             a = alg.element({rng.choice(words): rng.randint(-3, 3) for _ in range(2)})
             b = alg.element({rng.choice(words): rng.randint(-3, 3) for _ in range(2)})
             assert spec.mbracket(a, b) == m2(spec.dbracket(a, b))
+
+    @pytest.mark.parametrize("make", [
+        *(functools.partial(_random_spec, seed) for seed in range(8)),
+        _broken_laurent, lambda: builtin("mdbI")[0], _laurent_kontsevich,
+    ], ids=[*(f"random_{seed}" for seed in range(8)), "laurent_broken", "mdbI", "kontsevich_laurent"])
+    def test_id_rows_match_the_leibniz_kernel(self, make):
+        """{u, w} on interned ids, which builds a word's row from the
+        memoized rows of its letters, mapped back to words, equals the
+        double sum of ``_mb_words`` on every pair of words of degree <= 3:
+        free specs (even seeds, mdbI) and Laurent ones (odd seeds, the
+        broken and the localized Kontsevich specs)."""
+        spec = make()
+        words = spec.algebra.words_up_to(3)
+        for u, w in itertools.product(words, repeat=2):
+            row = spec._mb_ids(spec._wid(u), spec._wid(w))
+            assert {spec._id_words[k]: c for k, c in row.items()} == spec._mb_words(u, w), (u, w)
 
 
 class TestTripleBrackets:

@@ -112,10 +112,13 @@ class TestWords:
         (lambda: A3.element({(1.5,): 1}), "letter 1.5 is not an int"),
         (lambda: A3.validate_word((True, 2)), "letter True is not an int"),
         (lambda: A3.gen(True), "generator index True is not an int"),
-    ], ids=["int_name", "bool_inverted", "float_inverted", "float_letter", "bool_letter", "bool_generator"])
+        (lambda: A3.element({(1,): True}), "coefficient True is not an int or a Fraction"),
+    ], ids=["int_name", "bool_inverted", "float_inverted", "float_letter", "bool_letter", "bool_generator",
+            "bool_coefficient"])
     def test_mistyped_input_refused(self, make, message):
         """Generator names are strs; inverted indices, letters and generator
-        indices are ints, and a bool, though Python counts it as one, is not:
+        indices are ints, and coefficients ints or Fractions; a bool, though
+        Python counts it as an int, is none of these:
         each is refused, naming the value, before it can reach a report."""
         with pytest.raises(ValueError, match=re.escape(message)):
             make()

@@ -17,7 +17,7 @@ import pytest
 ROOT = Path(__file__).parents[1]
 
 
-@pytest.mark.parametrize("workload", ["verify", "rep"])
+@pytest.mark.parametrize("workload", ["verify", "rep", "classify"])
 def test_traced_tiny_run_is_correct(workload):
     """A traced, shrunken run of ``workload`` exits 0 and reports correct."""
     proc = subprocess.run(
