@@ -36,25 +36,28 @@ than ``MAX_CELLS`` cells, and the sweep itself one of more than
 ``MAX_WITNESSES`` witnesses.  It applies the class rule of the package:
 every kernel depends on a and b only through their cyclic classes, so the
 sweep computes it once per pair of classes, at their normal forms, read
-from the spec's one class map (``BracketSpec._cls``), which the Jacobiator
-also reads to bracket the words of {a,b} with c once per class.  Its
-kernels are the cyclic normal form of {a,b} + {b,a}, which is the
-multiplied bracket {a,b} of the spec whose table is the letter skew defects
-(``check_h0_skew``, through that spec's ``BracketSpec._mb_words``), an
-integer trace at a matrix point (``repspace.check_induced_poisson``) and
-the Jacobiator itself (:func:`ncdb.bracket.jacobiator_ids`, read by
-``check_jacobi`` and at the point by ``check_induced_poisson``).  Each
-kernel's class rule is proved in the docstring of its checker.
+from the spec's one class map (``BracketSpec._cls``).  Both symbolic
+kernels are multiplied brackets of defect specs, each a ``BracketSpec``
+over the same algebra whose table is built from the checked spec: the
+cyclic normal form of {a,b} + {b,a} is {a,b} of the spec whose table is the
+letter skew defects (:func:`skew_defect_spec`, built once per h0 sweep),
+and the Jacobiator J(a,b,c) is {b,c} of the Jacobi-defect spec of a
+(:func:`ncdb.bracket.jacobi_defect_spec`, built once per cyclic class of a
+and kept on the checked spec).  ``repspace.check_induced_poisson`` sweeps
+integer traces at a matrix point of {a,b} + {b,a} and of that Jacobiator.
+Each kernel's class rule is proved in the docstring of its checker.
 
 Both symbolic sweeps decide on the letters what a proof settles there: for
 fixed (a, b) the Jacobiator is a derivation in c, so a row that vanishes on
 the letters is not scanned, and skew defects that are a weight form make
 every h0 residual 0, so that sweep is not run at all, and make the Jacobi
 row (b, a) the row (a, b) negated, so only rows a < b are built.  So the
-symbolic sweeps are not independent of the letter comparisons; the
-independent evidence is the trace check of ``repspace``, which sweeps every
-pair and triple at a matrix point and builds a Jacobi row for every ordered
-pair of classes, and the unreduced sweeps of the test oracles.
+symbolic sweeps are not independent of the letter comparisons.  The trace
+check of ``repspace`` sweeps every pair and triple at a matrix point and
+builds a Jacobi row for every ordered pair of classes, so it is independent
+of those decisions, but it reads the same Jacobi-defect specs.  Evidence
+independent of the defect specs is in the test oracles: the Jacobiator
+composed from {u, w} on interned ids and the unreduced sweeps.
 """
 
 from __future__ import annotations
@@ -66,7 +69,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .freealg import Tensor2, WordNames, _merge_term, coef_str, concat, cyclic_normal_form, exact, render_terms
-from .bracket import BracketSpec, jacobiator_ids
+from .bracket import BracketSpec, jacobi_defect_spec
 
 
 # ---------------------------------------------------------------------------
@@ -560,9 +563,7 @@ def check_jacobi(spec: BracketSpec, maxdeg: int = 3, all_witnesses: bool = False
     Applying m to the Leibniz rule <<a,bc>> = (b (x) 1)<<a,c>> + <<a,b>>(1 (x) c)
     gives {a,bc} = b{a,c} + {a,b}c, so D_u = {u,-} is a derivation for every
     monomial u; ``BracketSpec._mb_words`` computes it as exactly this
-    positional sum over the letters of its second argument, and
-    ``BracketSpec._mb_ids``, which the sweep reads, sums the memoized
-    letter rows D_u(x_i) the same way.  On a Laurent
+    positional sum over the letters of its second argument.  On a Laurent
     algebra the brackets of inverse letters are forced by <<a,1>> = 0, so
     D_u(x^-1) = -x^-1 D_u(x) x^-1 and D_u is a derivation there too.  For
     fixed a and b the residual c -> D_a(D_b(c)) - D_b(D_a(c)) - D_{{a,b}}(c)
@@ -574,6 +575,27 @@ def check_jacobi(spec: BracketSpec, maxdeg: int = 3, all_witnesses: bool = False
     degree: it is counted as ``len(words)`` passing triples and not
     scanned.  Any other row is scanned cell by cell in order.
 
+    Each row is read off the Jacobi-defect spec of a,
+    :func:`ncdb.bracket.jacobi_defect_spec`, as J(a,b,c) =
+    ``Delta_a._mb_words`` (b, c).  Let D_a act on A (x) A factor by factor,
+    D_a(p (x) q) = D_a(p) (x) q + p (x) D_a(q); as D_a is a derivation,
+    m D_a(X) = D_a(m X).  Put Delta(a; b, c) = D_a<<b,c>> - <<{a,b},c>> -
+    <<b,{a,c}>>; applying m gives m Delta(a; b, c) = {a,{b,c}} - {{a,b},c} -
+    {b,{a,c}} = J(a,b,c).  For fixed a, Delta(a; -, -) obeys both Leibniz
+    rules, Delta(a; b, c1 c2) = (c1 (x) 1) Delta(a; b, c2) +
+    Delta(a; b, c1)(1 (x) c2) and Delta(a; b1 b2, c) = (1 (x) b1)
+    Delta(a; b2, c) + Delta(a; b1, c)(b2 (x) 1): expand each of its three
+    terms by the Leibniz rules of <<,>> and the derivation rule of D_a, and
+    the terms in {a,c1} and {a,c2} (resp. {a,b1} and {a,b2}) cancel in
+    pairs.  And Delta(a; 1, c) = Delta(a; b, 1) = 0, which forces the
+    inverse-letter rule of ``BracketSpec._letter_raw`` on Delta as on <<,>>.
+    So Delta(a; -, -) is the double bracket fixed by its values on the
+    generators, the table of Delta_a: ``Delta_a._dbr_words`` (b, c) =
+    Delta(a; b, c) and ``Delta_a._mb_words`` (b, c) = J(a,b,c) exactly, on
+    a free and on a Laurent algebra.  Delta_a depends on a only through its
+    cyclic class, as {u, w} = {cnf(u), w} exactly (below), so it is built
+    once per class, at its normal form, and kept on the spec.
+
     The row meets the class contract of :func:`sweep`: J(a,b,c) =
     J(cnf(a),cnf(b),c) exactly.  By the proof in :func:`check_h0_skew`,
     {u, w} = {cnf(u), w} exactly and {u, w} = {u, cnf(w)} mod [A,A], and
@@ -581,11 +603,7 @@ def check_jacobi(spec: BracketSpec, maxdeg: int = 3, all_witnesses: bool = False
     {a,{b,c}}, {a,c} and {a,b}.  Replacing b changes the first arguments of
     {b,c} and {b,{a,c}}, and {a,b} by an element of [A,A], which {-, c}
     maps to 0.  The third argument stays a word: J is a derivation in c, so
-    rotating c changes J by a commutator, not by 0.  The same exact rule
-    groups the third term: with {a,b} = sum_w c_w w and K running over the
-    cyclic classes of its words, {{a,b},c} = sum_K (sum_{w in K} c_w)
-    {cnf K, c}, so :func:`ncdb.bracket.jacobiator_ids` brackets each class
-    of nonzero sum with c once, at its normal form.
+    rotating c changes J by a commutator, not by 0.
 
     When every letter skew defect is a weight form (:func:`infer_weight`
     finds weights), rows are built only for class pairs a < b.  For such a
@@ -599,12 +617,14 @@ def check_jacobi(spec: BracketSpec, maxdeg: int = 3, all_witnesses: bool = False
     """
     words = spec.algebra.words_up_to(maxdeg, include_unit=False)
     ids = sweep_ids(spec, words, 3)[1]
-    letters = [spec._wid((g,)) for g in spec.algebra.letters]
+    word_of, wid = spec._id_words, spec._wid
+    letters = [wid((g,)) for g in spec.algebra.letters]
     mirror = infer_weight(spec) is not None  # J(b,a,c) = -J(a,b,c), see above
 
     @functools.cache
     def direct(a, b):  # not recursive, so no sweep closure reaches itself and keeps the spec alive
-        at = functools.cache(functools.partial(jacobiator_ids, spec, a, b))  # one for a class pair's rows
+        kernel, v = jacobi_defect_spec(spec, a)._mb_words, word_of[b]
+        at = functools.cache(lambda c: {wid(u): x for u, x in kernel(v, word_of[c]).items()})  # one for a class pair's rows
         return at if any(map(at, letters)) else None  # a derivation in c
 
     def row(a, b):

@@ -20,29 +20,31 @@ positive generators (absent pairs are zero).  Everything else is derived:
   not an ``Element`` before any kernel runs.  Kernels read their spec's
   own letter table (``_letter_raw``), so a bracket built from other letter
   brackets is another spec: the h0 residual is the multiplied bracket of
-  the spec of letter skew defects (:func:`ncdb.axioms.check_h0_skew`).
+  the spec of letter skew defects (:func:`ncdb.axioms.check_h0_skew`), and
+  the Jacobiator J(a,b,c) is {b,c} of the Jacobi-defect spec of a
+  (:func:`jacobi_defect_spec`, proved in :func:`ncdb.axioms.check_jacobi`).
   Only ``_djac_words`` takes the bracket it composes, a ``dbr``, so a
   caller that brackets many monomial triples can pass it a memo of
-  ``_dbr_words``.  :func:`jacobiator_ids`, the one formula of the
-  Jacobiator, takes the spec and reads {u, w} on interned word ids.  Every
-  kernel merges its terms through ``_merge_term``.
+  ``_dbr_words``.  Every kernel merges its terms through ``_merge_term``.
 
 A spec is a frozen value, its ``table`` a read-only map of its own copies
 of the nonzero entries, so no memo can outlive the value it was computed
 from.  One memo rule: kernels keep nothing; the spec's memos serve the
-sweeps, {u, w} on interned word ids (``_mb_ids``, which builds a word's
-row from the memoized rows of its letters, so the Leibniz kernel runs on
-letters only) for the Jacobi sweeps of :mod:`ncdb.axioms` and
-:mod:`ncdb.repspace` and the one class map, word id -> id of its cyclic
-normal form (``_cls``), for :func:`jacobiator_ids` and
-:func:`ncdb.axioms.sweep`; element-level operations compute through their
-kernels, save ``jacobiator``, which goes through :func:`jacobiator_ids`
-and so reads ``_mb_ids``.  Memos take no part in equality and hold only
-idempotent pure values, safe to share.
+sweeps: {u, w} on interned word ids (``_mb_ids``) for the pair stage of
+:mod:`ncdb.repspace`, the one class map, word id -> id of its cyclic
+normal form (``_cls``), for :func:`ncdb.axioms.sweep`, and one Jacobi-defect
+spec per cyclic class, built the first time a row of that class is reached,
+for the Jacobi sweeps of :mod:`ncdb.axioms` and :mod:`ncdb.repspace`, so a
+later check of the same spec reuses it.  Element-level operations compute
+through their kernels, save ``jacobiator``, which reads the Jacobi-defect
+specs.  The Jacobiator composed from {u, w} on ids, independent of those
+specs, lives in the test oracles.  Memos take no part in equality and hold
+only idempotent pure values, safe to share.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -77,6 +79,7 @@ class BracketSpec:
     _id_words: list = _memo(lambda: [()])
     _mb_id_cache: dict = _memo(dict)   # (uid, wid) -> {word id: coef}, read by the sweeps
     _cls_ids: dict = _memo(dict)       # word id -> id of its cyclic normal form
+    _jacobi_defects: dict = _memo(dict)  # class id -> its jacobi_defect_spec
 
     def __post_init__(self):
         algebra = self.algebra
@@ -192,32 +195,13 @@ class BracketSpec:
         return i
 
     def _mb_ids(self, uid: int, wid: int) -> dict:
-        """{u, w} on interned word ids, returned as an id-keyed dict.
-
-        A word w of length >= 2 is bracketed from the memoized letter rows,
-        {u, w} = sum_b w_<b {u, w_b} w_>b, and only a letter or the empty
-        word reaches ``_mb_words``.  Proof: the rule regroups
-        ``_mb_words``'s double sum sum_a sum_b w_<b p u_>a u_<a q w_>b by
-        the position b in w, and its inner sum over a is exactly
-        ``_mb_words(u, (w_b,))``.  Tuple ``+`` is associative, and so is
-        ``concat``, the reduced product of the free group, so both routes
-        give the same terms on a free and on a Laurent algebra."""
+        """{u, w} on interned word ids, returned as an id-keyed dict and
+        memoized; only the words of a nonzero term are interned."""
         key = (uid, wid)
         cached = self._mb_id_cache.get(key)
         if cached is not None:
             return cached
-        w = self._id_words[wid]
-        if len(w) < 2:
-            row = self._mb_words(self._id_words[uid], w)
-        else:
-            row = {}
-            free = not self.algebra.has_inverses
-            for b, y in enumerate(w):
-                wp, ws = w[:b], w[b + 1 :]
-                for k, c in self._mb_ids(uid, self._wid((y,))).items():
-                    p = self._id_words[k]
-                    _merge_term(row, wp + p + ws if free else concat(concat(wp, p), ws), c)
-        out = {self._wid(word): c for word, c in row.items()}  # only surviving words are interned
+        out = {self._wid(word): c for word, c in self._mb_words(self._id_words[uid], self._id_words[wid]).items()}
         self._mb_id_cache[key] = out
         return out
 
@@ -260,34 +244,38 @@ class BracketSpec:
         return self._extend(Tensor3, lambda u, v, w: self._djac_words(u, v, w, self._dbr_words), a, b, c)
 
     def jacobiator(self, a: Element, b: Element, c: Element) -> Element:
-        """{a,{b,c}} - {b,{a,c}} - {{a,b},c}, extended trilinearly from
-        :func:`jacobiator_ids` on the interned words of each term."""
-        word_of = self._id_words
-
-        def kernel(*words):
-            return {word_of[k]: v for k, v in jacobiator_ids(self, *map(self._wid, words)).items()}
-
-        return self._extend(Element, kernel, a, b, c)
+        """{a,{b,c}} - {{a,b},c} - {b,{a,c}}, extended trilinearly from the
+        multiplied bracket {v, w} of :func:`jacobi_defect_spec` of u."""
+        return self._extend(Element, lambda u, v, w: jacobi_defect_spec(self, self._wid(u))._mb_words(v, w), a, b, c)
 
 
-def jacobiator_ids(spec: BracketSpec, a: int, b: int, c: int) -> dict:
-    """The nonzero terms of {a,{b,c}} - {b,{a,c}} - {{a,b},c} on three
-    interned monomial ids, keyed by id, through ``spec._mb_ids``.  The terms
-    of {a,b} are merged by cyclic class first, and each class with a nonzero
-    sum is bracketed with c once, at its normal form (proved in
-    :func:`ncdb.axioms.check_jacobi`)."""
-    mb = spec._mb_ids
-    res = {}
-    for w, cw in mb(b, c).items():
-        for u, cu in mb(a, w).items():
-            _merge_term(res, u, cw * cu)
-    for w, cw in mb(a, c).items():
-        for u, cu in mb(b, w).items():
-            _merge_term(res, u, -cw * cu)
-    classes = {}
-    for w, cw in mb(a, b).items():
-        _merge_term(classes, spec._cls(w), cw)
-    for k, ck in classes.items():
-        for u, cu in mb(k, c).items():
-            _merge_term(res, u, -ck * cu)
-    return res
+def jacobi_defect_spec(spec: BracketSpec, a: int) -> BracketSpec:
+    """The Jacobi-defect spec of the cyclic class of the interned word id
+    ``a``: the ``BracketSpec`` over ``spec.algebra`` whose table holds
+    Delta(a; x, y) = {a,<<x,y>>} - <<{a,x},y>> - <<x,{a,y}>> on every ordered
+    pair of generators, {a,-} acting on p (x) q as {a,p} (x) q + p (x) {a,q}.
+    Its multiplied bracket {b, c} is the Jacobiator J(a,b,c) (proved in
+    :func:`ncdb.axioms.check_jacobi`).  Built at the class's normal form the
+    first time the class is asked for, and memoized on ``spec`` by class id."""
+    k = spec._cls(a)
+    delta = spec._jacobi_defects.get(k)
+    if delta is None:
+        alg, gens = spec.algebra, range(1, spec.algebra.d + 1)
+        act = functools.cache(functools.partial(spec._mb_words, spec._id_words[k]))  # w -> {a, w}, for this build
+        table = {}
+        for x, y in itertools.product(gens, gens):
+            terms = {}
+            for (p, q), c in spec._letter_raw(x, y).items():
+                for w, v in act(p).items():
+                    _merge_term(terms, (w, q), c * v)
+                for w, v in act(q).items():
+                    _merge_term(terms, (p, w), c * v)
+            for w, v in act((x,)).items():
+                for pq, c in spec._dbr_words(w, (y,)).items():
+                    _merge_term(terms, pq, -v * c)
+            for w, v in act((y,)).items():
+                for pq, c in spec._dbr_words((x,), w).items():
+                    _merge_term(terms, pq, -v * c)
+            table[x, y] = Tensor2(alg, terms)
+        delta = spec._jacobi_defects[k] = BracketSpec(alg, table)
+    return delta

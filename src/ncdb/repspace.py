@@ -28,7 +28,10 @@ reduced rational.
 Both stages compute once per cyclic class of a, or per pair of classes of
 (a, b), through the class rule of :func:`ncdb.axioms.sweep`: tr kills
 [A,A], so tr{a,b} = tr{cnf a, cnf b}, and J(a,b,x) = J(cnf a, cnf b, x)
-exactly.
+exactly.  The pair stage reads {a, x} from the spec's memo of {u, w} on
+ids, and the triple stage reads J(a,b,x) as {b, x} of the Jacobi-defect
+spec of a (:func:`ncdb.bracket.jacobi_defect_spec`), built once per class
+and kept on the spec; both memos serve every later point of the spec.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from fractions import Fraction
 from types import MappingProxyType
 
 from .freealg import Element, FreeAlgebra, coef_str, exact
-from .bracket import BracketSpec, _memo, jacobiator_ids
+from .bracket import BracketSpec, _memo, jacobi_defect_spec
 from .axioms import VerificationReport, report, sweep, sweep_ids
 
 
@@ -212,8 +215,9 @@ def check_induced_poisson(spec: BracketSpec, p: MatrixPoint, maxdeg: int = 3,
     forms one row {a,-} per cyclic class a and reads tr{a,b} + tr{b,a} off
     the rows of a and b (a normal form is itself a sweep word), the triple
     stage one row J(a,b,-) per ordered pair of classes.  J is evaluated only
-    on letters, and at the point, never read off the rows or verdicts of
-    ``check_jacobi``, so this check stays independent of it.
+    on letters, and at the point, through the Jacobi-defect spec of a that
+    ``check_jacobi`` reads too, but never read off the rows or verdicts of
+    ``check_jacobi``: no row is decided on the letters or mirrored here.
     """
     alg = spec.algebra
     if p.algebra != alg:
@@ -242,8 +246,7 @@ def check_induced_poisson(spec: BracketSpec, p: MatrixPoint, maxdeg: int = 3,
         at_letter = {}
         for g, x in letters:  # scale * D**L * derivation(x) at the point, flattened
             m = [0] * (p.size * p.size)
-            for k, c in derivation(x).items():
-                w = word_of[k]
+            for w, c in derivation(x).items():
                 if len(w) > bound:
                     raise RuntimeError(f"word of length {len(w)} exceeds the trace bound {bound}")
                 f = dpow[len(w)] * c.numerator * (scale // c.denominator)
@@ -252,14 +255,18 @@ def check_induced_poisson(spec: BracketSpec, p: MatrixPoint, maxdeg: int = 3,
         at_rotation = [sum(map(operator.mul, at_letter[g], r)) for g, r in rotations]
         return {c: sum(map(at_rotation.__getitem__, vs)) for c, vs in cyclic.items()}
 
-    row = functools.cache(lambda a: cells(functools.partial(spec._mb_ids, a), e))
+    row = functools.cache(lambda a: cells(lambda x: {word_of[k]: c for k, c in spec._mb_ids(a, x).items()}, e))
     dcell = p.denom ** (bound + maxdeg - 1)  # the power of D in every cell
     params = {"size": p.size, "maxdeg": maxdeg}
     params["pairs"], witnesses = sweep(spec, ids, 2, lambda a, b: row(a)[b] + row(b)[a],
                                        lambda t, _: coef_str(Fraction(t, e * dcell)), "0", all_witnesses)
     if witnesses and not all_witnesses:
         return report("induced_trace_skew", spec, params, witnesses)
-    params["triples"], more = sweep(spec, ids, 3,
-                                    lambda a, b: cells(functools.partial(jacobiator_ids, spec, a, b), e * e).__getitem__,
+
+    def jacobi_row(a, b):  # the derivation x -> J(a,b,x), through the Jacobi-defect spec of a
+        kernel, v = jacobi_defect_spec(spec, a)._mb_words, word_of[b]
+        return cells(lambda x: kernel(v, word_of[x]), e * e).__getitem__
+
+    params["triples"], more = sweep(spec, ids, 3, jacobi_row,
                                     lambda t, _: coef_str(Fraction(t, e * e * dcell)), "0", all_witnesses)
     return report("induced_trace_poisson", spec, params, witnesses + more)

@@ -13,9 +13,11 @@ three through :func:`plain_sweep`, which shares no iteration code with
 the package and keys nothing on cyclic classes, and the generator-level
 comparisons on tensors: the double Jacobiator through
 the three triple brackets of element-level double brackets, compared with
-its prescribed value as a ``Tensor3``, with no memo.  The Jacobiator on
-interned ids is also spelled as its three loops, with no term grouped by
-cyclic class, and on elements as ``mbracket`` composed three times.
+its prescribed value as a ``Tensor3``, with no memo.  The Jacobiator, which
+the package reads as the multiplied bracket of a Jacobi-defect spec, is
+composed here from {u, w} on interned ids, with its {a,b} grouped by cyclic
+class and as its three plain loops, and on elements as ``mbracket``
+composed three times.
 """
 
 import functools
@@ -119,12 +121,35 @@ def reduce_mod_commutators(x: Element) -> Element:
 
 
 # ---------------------------------------------------------------------------
-# the Jacobiator without its class grouping
+# the Jacobiator composed from {u, w} on ids, with and without its class grouping
+
+
+def jacobiator_ids(spec, a: int, b: int, c: int) -> dict:
+    """The nonzero terms of {a,{b,c}} - {b,{a,c}} - {{a,b},c} on three
+    interned monomial ids, keyed by id, composed from ``spec._mb_ids``, never
+    through a Jacobi-defect spec.  The terms of {a,b} are merged by cyclic
+    class first, and each class with a nonzero sum is bracketed with c once,
+    at its normal form (proved in ``ncdb.axioms.check_jacobi``)."""
+    mb = spec._mb_ids
+    res = {}
+    for w, cw in mb(b, c).items():
+        for u, cu in mb(a, w).items():
+            _merge_term(res, u, cw * cu)
+    for w, cw in mb(a, c).items():
+        for u, cu in mb(b, w).items():
+            _merge_term(res, u, -cw * cu)
+    classes = {}
+    for w, cw in mb(a, b).items():
+        _merge_term(classes, spec._cls(w), cw)
+    for k, ck in classes.items():
+        for u, cu in mb(k, c).items():
+            _merge_term(res, u, -ck * cu)
+    return res
 
 
 def ungrouped_jacobiator_ids(spec, a, b, c) -> dict:
-    """``ncdb.bracket.jacobiator_ids`` as its three plain loops: every word
-    w of {a,b} is bracketed with c on its own, none merged into its class."""
+    """:func:`jacobiator_ids` as its three plain loops: every word w of
+    {a,b} is bracketed with c on its own, none merged into its class."""
     mb = spec._mb_ids
     res = {}
     for w, cw in mb(b, c).items():
@@ -137,6 +162,18 @@ def ungrouped_jacobiator_ids(spec, a, b, c) -> dict:
         for u, cu in mb(w, c).items():
             _merge_term(res, u, -cw * cu)
     return res
+
+
+def jacobi_defect(spec, a: Element, b: Element, c: Element) -> Tensor2:
+    """{a,<<b,c>>} - <<{a,b},c>> - <<b,{a,c}>> on elements, from ``dbracket``
+    and ``mbracket``: {a,-} acts on each term p (x) q of <<b,c>> as
+    {a,p} (x) q + p (x) {a,q}."""
+    alg, mb = spec.algebra, spec.mbracket
+    acted = alg.tensor2({})
+    for (p, q), x in spec.dbracket(b, c).terms.items():
+        P, Q = _word(alg, p), _word(alg, q)
+        acted = acted + (pure_t2(mb(a, P), Q) + pure_t2(P, mb(a, Q))).scale(x)
+    return acted - spec.dbracket(mb(a, b), c) - spec.dbracket(b, mb(a, c))
 
 
 def mbracket_jacobiator(spec, a: Element, b: Element, c: Element) -> Element:

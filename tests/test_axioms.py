@@ -9,9 +9,9 @@ from fractions import Fraction
 
 import pytest
 
-from ncdb import axioms, repspace
+from ncdb import axioms, bracket, repspace
 from ncdb.freealg import FreeAlgebra, Tensor3, concat, cyclic_normal_form, _merge_term
-from ncdb.bracket import BracketSpec, jacobiator_ids
+from ncdb.bracket import BracketSpec
 from ncdb.axioms import (
     MixedType,
     check_cyclic_skew,
@@ -30,7 +30,7 @@ from ncdb.localize import localize
 from ncdb.repspace import MatrixPoint, check_induced_poisson, eval_trace
 
 import oracles
-from oracles import flip, reduce_mod_commutators, unreduced_check_h0_skew, unreduced_check_jacobi
+from oracles import flip, jacobiator_ids, reduce_mod_commutators, unreduced_check_h0_skew, unreduced_check_jacobi
 from test_golden_reports import _laurent_kontsevich, _random_spec
 
 
@@ -58,6 +58,30 @@ def count_calls(monkeypatch, spec, name):
 
     monkeypatch.setattr(BracketSpec, name, spy)
     return calls
+
+
+def defect_spec_calls(monkeypatch, spec):
+    """(defect, b, c) for each ``_mb_words`` call on a spec other than
+    ``spec``; :func:`rows_by_class` checks that each such spec is one of the
+    Jacobi-defect specs kept on ``spec``."""
+    calls = []
+    kernel = BracketSpec._mb_words
+
+    def spy(self, u, w):
+        if self is not spec:
+            calls.append((self, u, w))
+        return kernel(self, u, w)
+
+    monkeypatch.setattr(BracketSpec, "_mb_words", spy)
+    return calls
+
+
+def rows_by_class(spec, calls):
+    """The (class id a, b, c) of each call that :func:`defect_spec_calls`
+    recorded, a being the key of its defect spec in ``spec._jacobi_defects``."""
+    class_of = {id(delta): a for a, delta in spec._jacobi_defects.items()}
+    assert all(id(delta) in class_of for delta, _, _ in calls)
+    return [(class_of[id(delta)], v, w) for delta, v, w in calls]
 
 
 def zero_spec(d=2):
@@ -534,15 +558,15 @@ def test_jacobi_row_reduction_runs_both_paths(monkeypatch):
 ], ids=["mdbI", "laurent", "random_0", "mdbII_scaled"])
 def test_jacobi_mirrors_rows_of_a_weight_form(make, mirrored, monkeypatch):
     """A spec whose skew defects are a weight form evaluates the Jacobiator
-    kernel on exactly the class pairs a < b: each row (b, a) is its
-    partner's negated, and each row (a, a) is 0.  Any other spec evaluates
-    it on every ordered class pair, the diagonal included."""
+    kernel, {b, c} of the Jacobi-defect spec of a, on exactly the class pairs
+    a < b: each row (b, a) is its partner's negated, and each row (a, a) is
+    0.  Any other spec evaluates it on every ordered class pair, the
+    diagonal included."""
     spec = make()
     assert (infer_weight(spec) is not None) is mirrored
-    pairs = set()
-    real = axioms.jacobiator_ids
-    monkeypatch.setattr(axioms, "jacobiator_ids", lambda mb, a, b, c: pairs.add((a, b)) or real(mb, a, b, c))
+    calls = defect_spec_calls(monkeypatch, spec)
     check_jacobi(spec, 2, all_witnesses=True)
+    pairs = {(a, spec._wid(v)) for a, v, _ in rows_by_class(spec, calls)}
     words = spec.algebra.words_up_to(2, include_unit=False)
     classes = {spec._wid(cyclic_normal_form(w)) for w in words}
     ordered = set(itertools.product(classes, repeat=2))  # every row reads its letters
@@ -593,36 +617,115 @@ def test_jacobiator_matches_mbracket_composition(name):
         assert spec.jacobiator(a, b, c) == oracles.mbracket_jacobiator(spec, a, b, c)
 
 
+def _defect_cells(spec):
+    """(a, b, c) over the cyclic classes a of degree <= 2 and the words b, c
+    of degree <= 2, the unit included, as interned ids."""
+    words = spec.algebra.words_up_to(2)
+    classes = sorted({spec._wid(cyclic_normal_form(w)) for w in words if w})
+    ids = [spec._wid(w) for w in words]
+    return [(a, b, c) for a in classes for b in ids for c in ids]
+
+
+@pytest.mark.parametrize("name", GROUPING_SPECS)
+def test_jacobi_defect_spec_is_the_defining_formula(name):
+    """The double bracket of the Jacobi-defect spec of a is
+    {a,<<b,c>>} - <<{a,b},c>> - <<b,{a,c}>> on every cell, computed on
+    elements from ``dbracket`` and ``mbracket``: the spec's table holds it on
+    generators only, so this checks that it obeys both Leibniz rules and,
+    on a Laurent algebra, the inverse-letter rule."""
+    spec = GROUPING_SPECS[name]()
+    alg, word_of = spec.algebra, spec._id_words
+    nonzero = 0
+    for a, b, c in _defect_cells(spec):
+        got = bracket.jacobi_defect_spec(spec, a)._dbr_words(word_of[b], word_of[c])
+        A, B, C = (alg.element({word_of[k]: 1}) for k in (a, b, c))
+        assert alg.tensor2(got) == oracles.jacobi_defect(spec, A, B, C), (a, b, c)
+        nonzero += bool(got)
+    assert nonzero
+
+
+@pytest.mark.parametrize("name", GROUPING_SPECS)
+def test_jacobi_defect_spec_multiplies_to_the_jacobiator(name):
+    """The multiplied bracket {b, c} of the Jacobi-defect spec of a is the
+    Jacobiator J(a,b,c) composed from {u, w} on ids, with and without its
+    class grouping, on every cell; on sampled cells it is also ``mbracket``
+    composed three times.  It vanishes on every cell exactly for the two
+    Poisson specs, mdbI and the Laurent Kontsevich spec."""
+    spec = GROUPING_SPECS[name]()
+    alg, word_of = spec.algebra, spec._id_words
+    cells = _defect_cells(spec)
+    nonzero = 0
+    for a, b, c in cells:
+        got = {spec._wid(w): v for w, v in bracket.jacobi_defect_spec(spec, a)._mb_words(word_of[b], word_of[c]).items()}
+        assert got == oracles.jacobiator_ids(spec, a, b, c) == oracles.ungrouped_jacobiator_ids(spec, a, b, c), (a, b, c)
+        nonzero += bool(got)
+    assert (nonzero == 0) is (name in ("mdbI", "laurent"))
+    for a, b, c in random.Random(f"defect/{name}").sample(cells, 40):
+        A, B, C = (alg.element({word_of[k]: 1}) for k in (a, b, c))
+        got = alg.element(bracket.jacobi_defect_spec(spec, a)._mb_words(word_of[b], word_of[c]))
+        assert got == oracles.mbracket_jacobiator(spec, A, B, C), (a, b, c)
+
+
 JACOBI_SWEEPS_ON_MDBI = pytest.mark.parametrize("check,entries", [
-    (lambda spec: check_jacobi(spec, 3), 1485),
-    (lambda spec: check_induced_poisson(spec, MatrixPoint.random(spec.algebra, 2, 0), 3), 1602),
+    (lambda spec: check_jacobi(spec, 3), 0),
+    (lambda spec: check_induced_poisson(spec, MatrixPoint.random(spec.algebra, 2, 0), 3), 60),
 ], ids=["jacobi", "rep"])
 
 
 @JACOBI_SWEEPS_ON_MDBI
 def test_jacobiator_brackets_classes_only(check, entries, monkeypatch):
-    """In a fresh Jacobi sweep or trace check on mdbI to degree 3 every
-    first argument of {u, w} on ids is its own cyclic class: the sweep
-    passes class ids, and ``jacobiator_ids`` brackets each class of {a,b}
-    with c once, at its normal form.  So the id memo holds ``entries``."""
+    """In a fresh Jacobi sweep or trace check on mdbI to degree 3 the sweep
+    asks for the Jacobi-defect spec of a at class ids only, and each is
+    built once per class and kept on the spec; every row (a, b) brackets a
+    class normal form b.  Only ``rep``'s pair stage fills the id memo of
+    {u, w}, with its 20 classes times 3 letters: ``entries``."""
     spec = builtin("mdbI")[0]
-    calls = count_calls(monkeypatch, spec, "_mb_ids")
+    asked, built = [], []
+    real_defect, real_post_init = bracket.jacobi_defect_spec, BracketSpec.__post_init__
+    for module in (axioms, repspace):
+        monkeypatch.setattr(module, "jacobi_defect_spec", lambda s, a: asked.append(a) or real_defect(s, a))
+    monkeypatch.setattr(BracketSpec, "__post_init__", lambda self: built.append(self) or real_post_init(self))
+    calls = defect_spec_calls(monkeypatch, spec)
     assert check(spec).passed
-    assert calls and all(spec._cls(u) == u for u, _ in calls)
+    assert asked and all(spec._cls(a) == a for a in asked)
+    assert set(spec._jacobi_defects) == set(asked)
+    assert [id(s) for s in built] == [id(s) for s in spec._jacobi_defects.values()]  # once per class
+    rows = rows_by_class(spec, calls)
+    assert rows and all(spec._cls(spec._wid(v)) == spec._wid(v) for _, v, _ in rows)
     assert len(spec._mb_id_cache) == entries
 
 
 @JACOBI_SWEEPS_ON_MDBI
 def test_jacobi_sweeps_run_the_leibniz_kernel_on_letters_only(check, entries, monkeypatch):
-    """In the same fresh sweeps every call of ``_mb_words`` brackets with a
-    letter or the empty word: ``_mb_ids`` builds the row of a longer word
-    from the memoized rows of its letters.  The id memo still holds
-    ``entries``."""
+    """In the same fresh sweeps every Jacobi row is evaluated on letters
+    only: mdbI passes, so ``check_jacobi`` scans no row past its letters,
+    and ``rep`` evaluates J(a,b,-) on letters by design.  So each
+    ``_mb_words`` call of a Jacobi-defect spec brackets a word b with a
+    letter, once per row and letter, and the id memo, which holds
+    ``entries``, keeps {a, x} of the pair stage's letters x only."""
     spec = builtin("mdbI")[0]
-    calls = count_calls(monkeypatch, spec, "_mb_words")
+    calls = defect_spec_calls(monkeypatch, spec)
     assert check(spec).passed
-    assert calls and all(len(w) <= 1 for _, w in calls)
-    assert len(spec._mb_id_cache) == entries
+    rows = rows_by_class(spec, calls)
+    assert rows and all(len(w) == 1 for _, _, w in rows)
+    assert len(rows) == len(set(rows))
+    letter_ids = {spec._wid((g,)) for g in spec.algebra.letters}
+    assert len(spec._mb_id_cache) == entries and all(x in letter_ids for _, x in spec._mb_id_cache)
+
+
+def test_rep_later_point_reuses_the_jacobi_defect_specs():
+    """A second trace check of one mdbI spec, at another seed, builds no
+    Jacobi-defect spec: it reads those the first point kept on the spec,
+    and its report is byte for byte that of a fresh spec."""
+    spec = builtin("mdbI")[0]
+    assert check_induced_poisson(spec, MatrixPoint.random(spec.algebra, 2, 0), 3).passed
+    defects = dict(spec._jacobi_defects)
+    assert len(defects) == 20
+    later = check_induced_poisson(spec, MatrixPoint.random(spec.algebra, 2, 1), 3)
+    assert spec._jacobi_defects.keys() == defects.keys()
+    assert all(spec._jacobi_defects[a] is delta for a, delta in defects.items())
+    fresh = builtin("mdbI")[0]
+    assert later.to_json() == check_induced_poisson(fresh, MatrixPoint.random(fresh.algebra, 2, 1), 3).to_json()
 
 
 @pytest.mark.parametrize("check", [
@@ -886,13 +989,15 @@ def test_h0_skew_is_blind_to_a_weight_form(name):
 def test_rep_jacobiator_once_per_pair_of_classes(make, classes, letters, monkeypatch):
     """Up to degree 3 mdbI has 20 cyclic classes of 39 words and the
     Kontsevich spec 9 of 14, so a fresh trace check at one point evaluates
-    the Jacobiator kernel once per ordered pair of classes and letter."""
+    the Jacobiator kernel, {b, x} of the Jacobi-defect spec of a, once per
+    ordered pair of classes (a, b) and letter x, from one defect spec per
+    class."""
     spec = make()
-    calls = []
-    kernel = repspace.jacobiator_ids
-    monkeypatch.setattr(repspace, "jacobiator_ids", lambda *args: calls.append(args[1:]) or kernel(*args))
+    calls = defect_spec_calls(monkeypatch, spec)
     assert check_induced_poisson(spec, MatrixPoint.random(spec.algebra, 2, 0), 3).passed
-    assert len(calls) == len(set(calls)) == classes ** 2 * letters
+    rows = [(a, spec._wid(v), w) for a, v, w in rows_by_class(spec, calls)]
+    assert len(rows) == len(set(rows)) == classes ** 2 * letters
+    assert len(spec._jacobi_defects) == classes
 
 
 @pytest.mark.parametrize("make,classes,letters", [(H0_SPECS["mdbI"], 20, 3), (lambda: builtin("kontsevich")[0], 9, 2)],
@@ -900,7 +1005,8 @@ def test_rep_jacobiator_once_per_pair_of_classes(make, classes, letters, monkeyp
 def test_rep_pair_stage_reads_one_row_per_class(make, classes, letters, monkeypatch):
     """The pair stage of a fresh trace check reads {a, x} once per cyclic
     class a and letter x: 60 reads on mdbI up to degree 3, 18 on the
-    Kontsevich spec, and no bracket of two sweep words."""
+    Kontsevich spec, and no bracket of two sweep words.  The triple stage
+    reads none: its rows go through the Jacobi-defect specs."""
     spec = make()
     calls = count_calls(monkeypatch, spec, "_mb_ids")
     stage = {}  # arity -> the reads made during that sweep
@@ -917,7 +1023,7 @@ def test_rep_pair_stage_reads_one_row_per_class(make, classes, letters, monkeypa
     letter_ids = {spec._wid((g,)) for g in spec.algebra.letters}
     assert len(stage[2]) == len(set(stage[2])) == classes * letters
     assert {w for _, w in stage[2]} == letter_ids
-    assert len(stage[3]) > 0
+    assert not stage[3]
 
 
 @pytest.mark.parametrize("check,cells,count", [

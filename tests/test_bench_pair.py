@@ -1,6 +1,9 @@
 """The verdicts of ``tools/bench_pair.py`` on synthetic paired runs."""
 
 import importlib.util
+import os
+import signal
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -69,3 +72,41 @@ def test_one_pair():
     m = bench_pair.summarize(WALL, [1.0], [0.5])
     assert m["base_quartiles"] == (1.0, 1.0)
     assert m["gain"] and m["within_bound"]
+
+
+# the perfbench/run.py of a fake tree: it records its pid, stops the script
+# that started it, and would run for a minute if it were not killed
+CHILD = """import os, sys, time
+open({pid!r}, "w").write(str(os.getpid()))
+time.sleep(0.2)
+os.kill(os.getppid(), {signum})
+time.sleep(60)
+"""
+
+
+@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT, signal.SIGHUP], ids=["TERM", "INT", "HUP"])
+def test_stopping_signal_removes_the_trees_and_the_child(signum, tmp_path, monkeypatch):
+    """A stopping signal that arrives while ``perfbench/run.py`` runs ends the
+    script with status 128 + signum, kills that child and removes the
+    ``bench_pair_*`` directory; the caller's signal handlers are restored."""
+    pid_file = tmp_path / "child.pid"
+
+    def unpack(rev, dest):
+        (dest / "perfbench").mkdir(parents=True)
+        (dest / "perfbench" / "run.py").write_text(CHILD.format(pid=str(pid_file), signum=int(signum)))
+        return dest
+
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+    monkeypatch.setattr(bench_pair, "_git", lambda *args: args[-1])
+    monkeypatch.setattr(bench_pair, "_unpack", unpack)
+    before = signal.getsignal(signum)
+    with pytest.raises(SystemExit) as stopped:
+        bench_pair.main(["--base", "base", "--head", "head", "--workloads", "verify", "--pairs", "1",
+                         "--out", str(tmp_path / "out.json")])
+    assert stopped.value.code == 128 + signum
+    assert not list(scratch.iterdir()) and not (tmp_path / "out.json").exists()
+    with pytest.raises(ProcessLookupError):  # killed and reaped
+        os.kill(int(pid_file.read_text()), 0)
+    assert signal.getsignal(signum) is before

@@ -26,6 +26,10 @@ direction), with two verdicts:
 Each side also records whether every run was ``correct`` and how many ops
 each run attempted: a side that fits more passes into the fixed run length
 keeps more per-op records, which shows in its ``peak_rss_mb``.
+
+Stopped by SIGTERM, SIGINT or SIGHUP, the script exits with status
+128 + the signal number after stopping its running ``perfbench/run.py``
+and removing its temporary directory.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ import io
 import json
 import os
 import platform
+import signal
 import statistics
 import subprocess
 import sys
@@ -68,6 +73,12 @@ def _run(tree: Path, workload: str, seed: int) -> dict:
     print(f"  {tree.name:4s} {workload:8s} correct={out['correct']} "
           + " ".join(f"{k}={v['value']:.4g}" for k, v in out["metrics"].items()), flush=True)
     return out
+
+
+def _stop(signum, frame):
+    """A stopping signal as ``SystemExit``: ``subprocess.run`` then kills its
+    child and ``TemporaryDirectory`` removes the trees on the way out."""
+    raise SystemExit(128 + signum)
 
 
 def _quartiles(values):
@@ -138,10 +149,16 @@ def main(argv=None) -> int:
         p.error(f"unknown workloads: {', '.join(unknown)}")
     base_rev = _git("rev-parse", "--short", args.base)
     head_rev = _git("rev-parse", "--short", args.head)
-    with tempfile.TemporaryDirectory(prefix="bench_pair_") as tmp:
-        base = _unpack(base_rev, Path(tmp) / "base")
-        head = _unpack(head_rev, Path(tmp) / "head")
-        workloads = compare(base, head, workloads, args.pairs, args.seed)
+    stops = (signal.SIGTERM, signal.SIGINT, signal.SIGHUP)
+    previous = [signal.signal(s, _stop) for s in stops]
+    try:
+        with tempfile.TemporaryDirectory(prefix="bench_pair_") as tmp:
+            base = _unpack(base_rev, Path(tmp) / "base")
+            head = _unpack(head_rev, Path(tmp) / "head")
+            workloads = compare(base, head, workloads, args.pairs, args.seed)
+    finally:
+        for s, handler in zip(stops, previous):
+            signal.signal(s, handler)
     out = {
         "base": base_rev,
         "head": head_rev,
