@@ -77,7 +77,7 @@ class BracketSpec:
     _mb_cache: dict = _memo(dict)      # never written: perfbench/tracing.py reads its size (ROADMAP item 2 deletes it)
     _word_ids: dict = _memo(lambda: {(): 0})  # interning: the sweeps key words by small ids
     _id_words: list = _memo(lambda: [()])
-    _mb_id_cache: dict = _memo(dict)   # (uid, wid) -> {word id: coef}, read by the sweeps
+    _mb_id_cache: dict = _memo(dict)   # (uid, wid) -> {word id: coef}, read by the pair stage of rep
     _cls_ids: dict = _memo(dict)       # word id -> id of its cyclic normal form
     _jacobi_defects: dict = _memo(dict)  # class id -> its jacobi_defect_spec
 

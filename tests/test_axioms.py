@@ -601,7 +601,7 @@ def test_grouped_jacobiator_matches_three_loops(name):
 
 @pytest.mark.parametrize("name", GROUPING_SPECS)
 def test_jacobiator_matches_mbracket_composition(name):
-    """The element-level ``jacobiator``, through the id kernel, is
+    """The element-level ``jacobiator``, through the Jacobi-defect specs, is
     ``mbracket`` composed three times, on random rational combinations."""
     spec = GROUPING_SPECS[name]()
     alg = spec.algebra
@@ -648,22 +648,18 @@ def test_jacobi_defect_spec_is_the_defining_formula(name):
 def test_jacobi_defect_spec_multiplies_to_the_jacobiator(name):
     """The multiplied bracket {b, c} of the Jacobi-defect spec of a is the
     Jacobiator J(a,b,c) composed from {u, w} on ids, with and without its
-    class grouping, on every cell; on sampled cells it is also ``mbracket``
-    composed three times.  It vanishes on every cell exactly for the two
-    Poisson specs, mdbI and the Laurent Kontsevich spec."""
+    class grouping, on every cell (``BracketSpec.jacobiator``, its extension
+    to elements, is compared with ``mbracket`` composed three times above).
+    It vanishes on every cell exactly for the two Poisson specs, mdbI and
+    the Laurent Kontsevich spec."""
     spec = GROUPING_SPECS[name]()
-    alg, word_of = spec.algebra, spec._id_words
-    cells = _defect_cells(spec)
+    word_of = spec._id_words
     nonzero = 0
-    for a, b, c in cells:
+    for a, b, c in _defect_cells(spec):
         got = {spec._wid(w): v for w, v in bracket.jacobi_defect_spec(spec, a)._mb_words(word_of[b], word_of[c]).items()}
         assert got == oracles.jacobiator_ids(spec, a, b, c) == oracles.ungrouped_jacobiator_ids(spec, a, b, c), (a, b, c)
         nonzero += bool(got)
     assert (nonzero == 0) is (name in ("mdbI", "laurent"))
-    for a, b, c in random.Random(f"defect/{name}").sample(cells, 40):
-        A, B, C = (alg.element({word_of[k]: 1}) for k in (a, b, c))
-        got = alg.element(bracket.jacobi_defect_spec(spec, a)._mb_words(word_of[b], word_of[c]))
-        assert got == oracles.mbracket_jacobiator(spec, A, B, C), (a, b, c)
 
 
 JACOBI_SWEEPS_ON_MDBI = pytest.mark.parametrize("check,entries", [
